@@ -27,6 +27,8 @@ from .entanglement import (
     dgcz_simple,
     hz_condition,
     log_negativity,
+    maximizing_splitter,
+    output_spectrum,
     simon_lambda,
     symplectic_eta,
 )
@@ -49,7 +51,7 @@ from .moments import (
     squeezed_coherent_moments,
     validate_physical,
 )
-from .optimize import OptimizationResult, maximize_EN, maximize_EN_over_theta
+from .optimize import OptimizationResult, maximize_EN
 
 __version__ = "0.1.0"
 
@@ -82,8 +84,9 @@ __all__ = [
     "hz_condition",
     "log_negativity",
     "maximize_EN",
-    "maximize_EN_over_theta",
+    "maximizing_splitter",
     "moments_from_vector",
+    "output_spectrum",
     "simon_lambda",
     "squeezed_coherent_moments",
     "squeezed_coherent_vector",

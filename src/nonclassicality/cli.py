@@ -18,25 +18,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .dicke import DickeConfig, build_hamiltonian, field_moments, ground_state
-from .entanglement import (
-    BALANCED_T,
-    BeamSplitterParams,
-    build_report,
-    covariance_from_input,
-    simon_lambda,
-)
-from .fock import covariance_check
+from .dicke import DickeConfig, build_hamiltonian, field_moments, fock_tail_weight, ground_state
+from .entanglement import BALANCED_T, BeamSplitterParams, build_report
+from .fock import TAIL_TOL, covariance_check
 from .moments import (
     CenteredMoments,
-    SingleModeMoments,
     SqueezedCoherentParams,
     UnphysicalMomentsError,
-    center,
     squeezed_coherent_moments,
     validate_physical,
 )
-from .optimize import maximize_EN, maximize_EN_over_theta
 
 ORACLE_THRESHOLD = 1e-6
 
@@ -80,19 +71,21 @@ def _cmd_measure(args) -> int:
         return 2
     if not validate_physical(c):
         sys.stderr.write(
-            f"unphysical moments: need n >= 0 and v^2 <= n(n+1), got v={c.v}, n={c.n}\n"
+            "unphysical moments: need finite n >= 0 and v^2 <= n(n+1), with (n(n+1))^2 "
+            f"within double precision, got v={c.v}, n={c.n}\n"
         )
         return 2
-    moments = SingleModeMoments(
-        mean_a=0.0, a_squared=c.a_squared(), photon_number=c.n
-    )
-    if args.mode == "maximize":
-        best = maximize_EN(c)
-        bs = BeamSplitterParams.from_transmission(best.best_t, best.best_phi)
-    else:
-        bs = BeamSplitterParams.from_transmission(args.t, args.phi)
+    # An occupation within tolerance below zero is clamped, as center() does.
+    c = dataclasses.replace(c, n=max(c.n, 0.0))
+    bs = None
+    if args.mode == "fixed":
+        try:
+            bs = BeamSplitterParams.from_transmission(args.t, args.phi)
+        except ValueError as exc:
+            sys.stderr.write(f"invalid splitter: {exc}\n")
+            return 1
     try:
-        report = build_report(moments, bs)
+        report = build_report(c, bs)
     except UnphysicalMomentsError as exc:
         sys.stderr.write(f"unphysical moments: {exc}\n")
         return 2
@@ -112,16 +105,20 @@ def _cmd_squeezed_sweep(args) -> int:
     rows = []
     for r in np.linspace(args.r_min, args.r_max, args.steps):
         params = SqueezedCoherentParams(alpha=args.alpha, strength=float(r), angle=args.theta)
-        fixed = maximize_EN(center(squeezed_coherent_moments(params)))
-        optimized = maximize_EN_over_theta(params)
-        reported = optimized if args.theta_mode == "optimize" else fixed
+        # The maximum over (t, phi) does not depend on the squeezing angle, so
+        # the angle-optimized column equals this one.
+        try:
+            report = build_report(squeezed_coherent_moments(params))
+        except UnphysicalMomentsError as exc:
+            sys.stderr.write(f"unphysical moments at r={_fmt(r)}: {exc}\n")
+            return 2
         rows.append(
             [
                 _fmt(r),
-                _fmt(fixed.best_value),
-                _fmt(optimized.best_value),
-                _fmt(reported.best_t),
-                _fmt(reported.best_phi),
+                _fmt(report.E_N),
+                _fmt(report.E_N),
+                _fmt(report.best_t),
+                _fmt(report.best_phi),
             ]
         )
     with _output_stream(args.output) as stream:
@@ -167,19 +164,26 @@ def _cmd_dicke_sweep(args) -> int:
                  str(int(result.degenerate))]
             )
             continue
+        tail = fock_tail_weight(result, cfg)
+        if tail >= TAIL_TOL:
+            sys.stderr.write(
+                f"warning: g={_fmt(g)}: field truncated, squared amplitude {tail:.2g} "
+                f"on the top two Fock levels (limit {TAIL_TOL:g}); raise --fock-dim\n"
+            )
         moments = field_moments(result, cfg)
-        centered = center(moments)
-        best = maximize_EN(centered)
-        bs = BeamSplitterParams.from_transmission(best.best_t, best.best_phi)
-        lam = simon_lambda(covariance_from_input(centered, bs))
+        try:
+            report = build_report(moments)
+        except UnphysicalMomentsError as exc:
+            sys.stderr.write(f"unphysical moments at g={_fmt(g)}: {exc}\n")
+            return 2
         rows.append(
             [
                 _fmt(g),
                 _fmt(g / cfg.g_critical),
                 _fmt(result.energy),
                 _fmt(moments.photon_number),
-                _fmt(best.best_value),
-                _fmt(lam),
+                _fmt(report.E_N),
+                _fmt(report.lambda_simon),
                 str(int(result.degenerate)),
             ]
         )
@@ -240,11 +244,6 @@ def _build_parser() -> _ArgumentParser:
     sweep.add_argument("--r-max", type=float, default=2.0)
     sweep.add_argument("--steps", type=int, default=41)
     sweep.add_argument("--theta", type=float, default=0.0, help="squeezing angle of the fixed-theta column (rad)")
-    sweep.add_argument(
-        "--theta-mode", choices=("fixed", "optimize"), default="optimize",
-        help="which evaluation the best_t/best_phi columns report "
-        "(both E_N columns are always computed)",
-    )
     sweep.add_argument("--alpha", type=complex, default=0j, help="coherent displacement, e.g. '0.5+0.2j'")
     sweep.add_argument("--output", default=None)
     sweep.set_defaults(func=_cmd_squeezed_sweep)

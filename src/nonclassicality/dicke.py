@@ -60,7 +60,9 @@ class DickeConfig:
 
     @property
     def g_critical(self) -> float:
-        return math.sqrt(self.omega * self.omega_eg)
+        """Superradiant threshold: sqrt(omega omega_eg), halved by the counter-rotating terms."""
+        g_c = math.sqrt(self.omega * self.omega_eg)
+        return 0.5 * g_c if self.counter_rotating else g_c
 
     @property
     def dim(self) -> int:
@@ -257,6 +259,17 @@ def ground_state(
         converged=converged,
         degenerate=degenerate,
     )
+
+
+def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
+    """Largest squared amplitude on the two highest retained Fock levels.
+
+    At or above fock.TAIL_TOL the field is truncated, by the test of
+    FockVector.truncation_healthy: two levels, because a parity-symmetric
+    ground state leaves every other level empty.
+    """
+    psi = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
+    return float(np.max(np.abs(psi[:, -2:]) ** 2))
 
 
 def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:

@@ -4,10 +4,11 @@ A single mode with centered moments (v e^{i theta}, n) entering one port of a
 beam splitter (vacuum at the other) produces a two-mode Gaussian covariance
 matrix V = [[A, C], [C^T, B]].  This module builds those 2x2 blocks, computes
 the partial-transpose symplectic eigenvalues eta-+ and the logarithmic
-negativity, and evaluates the auxiliary separability quantities: the Simon
-determinant combination lambda_simon, the variance-sum quantity lambda_dgcz
-with its optimal gain, the simple second-moment condition v > n, and the
-first-moment condition |<a>|^2 > <a^dag a>.
+negativity, maximizes the latter over the splitter in closed form (the
+entanglement potential), and evaluates the auxiliary separability
+quantities: the Simon determinant combination lambda_simon, the variance-sum
+quantity lambda_dgcz with its optimal gain, the simple second-moment
+condition v > n, and the first-moment condition |<a>|^2 > <a^dag a>.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -52,6 +53,8 @@ class BeamSplitterParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.t, self.r, self.phi)):
+            raise ValueError(f"t, r and phi must be finite, got {self.t}, {self.r}, {self.phi}")
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
@@ -164,14 +167,69 @@ def _invariants(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22):
 def eta_minus_sq(v, theta, n, t, phi):
     """Vectorized (eta^-)^2 of the partial transpose; broadcasts all arguments.
 
-    Inputs are assumed physical; the discriminant is clamped at zero so pure
-    states on the degeneracy do not generate complex values.
+    This is the general 4x4-block algebra, kept as the reference that
+    :func:`output_spectrum` and the grid oracle of :mod:`.optimize` are
+    checked against.  Inputs are assumed physical; the discriminant is
+    clamped at zero so pure states on the degeneracy do not generate complex
+    values.  sigma - sqrt(sigma^2 - 4 det V) cancels for large squeezing.
     """
     inv = _invariants(*_block_entries(v, theta, n, t, phi))
     det_a, det_b, det_c, _, det_v = inv
     sigma = det_a + det_b - 2.0 * det_c
     disc = np.maximum(sigma * sigma - 4.0 * det_v, 0.0)
     return np.maximum(0.5 * (sigma - np.sqrt(disc)), 0.0)
+
+
+def output_spectrum(v, n, t):
+    """Vectorized ((eta^-)^2, (eta^+)^2) for centered (v, n) at transmission t.
+
+    The spectrum depends on neither theta nor phi: both are local phase
+    rotations of the output modes.  With a = (1 - 2 t^2)^2, b = 4 t^2 (1 - t^2)
+    (so a + b = 1), the input covariance eigenvalues l-+ = (n -+ v) + 1/2 and
+    the impurity g = l- l+ - 1/4 >= 0,
+
+        sigma  = 1/2 + a g + b n,         det V = l- l+ / 4,
+        disc   = sigma^2 - 4 det V
+               = (a g + b n)^2 + b (v - n)(v + n)                    if v > n,
+               = (a g)^2 + a b [(2n + 1)(n - v)(n + v) + 2 v^2] + (b v)^2  else,
+
+    and (eta^+)^2 = (sigma + sqrt(disc)) / 2, (eta^-)^2 = det V / (eta^+)^2.
+    Every term is non-negative, so no step cancels; near the boundary n - v
+    and l- are exact in floating point (Sterbenz).  A classical input
+    (v <= n) has 2 eta^- >= 1 at every splitter, and (eta^-)^2 is held at
+    1/4 or above there so that rounding cannot report E_N ~ 1e-16.
+    """
+    v, n, t = np.asarray(v, dtype=float), np.asarray(n, dtype=float), np.asarray(t, dtype=float)
+    t2 = t * t
+    a = (1.0 - 2.0 * t2) ** 2
+    b = 4.0 * t2 * (1.0 - t2)
+    lam_minus, lam_plus = (n - v) + 0.5, (n + v) + 0.5
+    impurity = lam_minus * lam_plus - 0.25
+    excess = a * impurity + b * n  # sigma - 1/2
+    classical = v <= n
+    disc = np.where(
+        classical,
+        (a * impurity) ** 2
+        + a * b * ((2.0 * n + 1.0) * (n - v) * (n + v) + 2.0 * v * v)
+        + (b * v) ** 2,
+        excess * excess + b * (v - n) * (v + n),
+    )
+    eta_plus_sq = 0.5 * (0.5 + excess + np.sqrt(disc))
+    eta_minus_sq = 0.25 * lam_minus * lam_plus / eta_plus_sq
+    return np.where(classical, np.maximum(eta_minus_sq, 0.25), eta_minus_sq), eta_plus_sq
+
+
+def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
+    """The splitter setting that maximizes E_N: balanced if v > n, else t = 0.
+
+    (eta^-)^2 is phi-independent and, for v > n, smallest at t = 1/sqrt(2),
+    where 2 (eta^-)^2 = l- = (n - v) + 1/2.  The maximum is therefore the
+    entanglement potential E_N^max = max(0, -ln(1 + 2 (n - v)) / 2) of
+    Asboth, Calsamiglia & Ritsch, PRL 94, 173602 (2005).  A classical input
+    entangles at no setting; it gets (t, phi) = (0, 0), the tie-break of the
+    grid oracle :func:`nonclassicality.optimize.maximize_EN`.
+    """
+    return BeamSplitterParams.from_transmission(BALANCED_T if c.v > c.n else 0.0)
 
 
 def log_negativity_from_eta_sq(eta_sq):
@@ -298,19 +356,37 @@ def hz_condition(m: SingleModeMoments) -> bool:
     return abs(m.mean_a) ** 2 > m.photon_number
 
 
-def build_report(m: SingleModeMoments, bs: BeamSplitterParams) -> NonclassicalityReport:
-    """Evaluate every criterion for the given moments at a fixed splitter setting."""
-    c = center(m)
+def build_report(
+    m: SingleModeMoments | CenteredMoments, bs: BeamSplitterParams | None = None
+) -> NonclassicalityReport:
+    """Evaluate every criterion for the given moments at one splitter setting.
+
+    ``m`` is either raw moments, centered here, or centered moments, taken as
+    a state with <a> = 0.  ``bs=None`` selects :func:`maximizing_splitter`.
+    eta-+ and E_N come from :func:`output_spectrum`; raises
+    UnphysicalMomentsError where the covariance matrix has det V <= 0.
+    """
+    if isinstance(m, CenteredMoments):
+        c, hz = m, False
+    else:
+        c, hz = center(m), hz_condition(m)
+    if bs is None:
+        bs = maximizing_splitter(c)
     blocks = covariance_from_input(c, bs)
-    eta_m, eta_p = symplectic_eta(blocks)
+    eta_m_sq, eta_p_sq = (float(x) for x in output_spectrum(c.v, c.n, bs.t))
+    if not eta_m_sq > 0.0:
+        raise UnphysicalMomentsError(
+            f"covariance matrix has det V = {eta_m_sq * eta_p_sq} <= 0"
+        )
+    eta_m = math.sqrt(eta_m_sq)
     return NonclassicalityReport(
         eta_minus=eta_m,
-        eta_plus=eta_p,
+        eta_plus=math.sqrt(eta_p_sq),
         E_N=log_negativity(eta_m),
         lambda_simon=simon_lambda(blocks),
         lambda_dgcz=dgcz_lambda(c, bs),
         dgcz_simple=dgcz_simple(c),
-        hz=hz_condition(m),
+        hz=hz,
         best_t=bs.t,
         best_phi=bs.phi,
     )

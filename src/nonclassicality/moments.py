@@ -32,7 +32,16 @@ def _physicality_slack(v: float, n: float) -> float:
 
 
 def _is_physical(v: float, n: float) -> bool:
-    return n >= -PHYSICALITY_EPS and v * v <= n * (n + 1.0) + _physicality_slack(v, n)
+    # The square of the bound must stay finite too: the two-mode covariance
+    # invariants downstream scale as (n(n + 1))^2.  The finiteness tests also
+    # reject infinite v or n, which inf <= inf + slack would let pass.
+    bound = n * (n + 1.0)
+    return (
+        math.isfinite(v * v)
+        and math.isfinite(bound * bound)
+        and n >= -PHYSICALITY_EPS
+        and v * v <= bound + _physicality_slack(v, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,8 @@ class CenteredMoments:
     def __post_init__(self):
         if self.v < 0.0:
             raise ValueError(f"v is a magnitude and must be >= 0, got {self.v}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         theta = 0.0 if self.v < ZERO_MAGNITUDE_CUTOFF else self.theta % TWO_PI
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "theta", float(theta))

@@ -1,4 +1,9 @@
-"""Deterministic maximization of the log-negativity over beam-splitter settings.
+"""Deterministic grid maximization of the log-negativity over beam-splitter settings.
+
+This is the brute-force oracle for the closed-form maximum of
+:func:`nonclassicality.entanglement.maximizing_splitter`: it searches the 4x4
+block algebra of :func:`nonclassicality.entanglement.eta_minus_sq` and
+assumes nothing about where the optimum lies.  The tests compare the two.
 
 The landscape is cheap (closed-form 4x4 algebra per point) and the measure is
 clamped at zero on the classical side, which flattens gradients exactly where
@@ -16,19 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import BALANCED_T, eta_minus_sq, log_negativity_from_eta_sq
-from .moments import (
-    TWO_PI,
-    CenteredMoments,
-    SqueezedCoherentParams,
-    UnphysicalMomentsError,
-    center,
-    squeezed_coherent_moments,
-    validate_physical,
-)
+from .moments import TWO_PI, CenteredMoments, UnphysicalMomentsError, validate_physical
 
 DEFAULT_GRID_T = 33
 DEFAULT_GRID_PHI = 64
-DEFAULT_GRID_THETA = 64
 DEFAULT_REFINE_ITERS = 40
 
 #: Refinement stops once the step is below this in both coordinates.
@@ -112,33 +108,3 @@ def maximize_EN(
         evaluations=evaluations,
     )
 
-
-def maximize_EN_over_theta(
-    params: SqueezedCoherentParams,
-    grid_theta: int = DEFAULT_GRID_THETA,
-    grid_t: int = DEFAULT_GRID_T,
-    grid_phi: int = DEFAULT_GRID_PHI,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
-) -> OptimizationResult:
-    """Maximize E_N over the squeezing angle as well as (t, phi).
-
-    The angle of ``params`` is ignored; theta runs over a uniform grid on
-    [0, 2 pi) with an inner (t, phi) maximization at each point.  Ties keep
-    the lowest theta.  No refinement is applied to theta: a phase shift of
-    the input is equivalent to a splitter phase shift, so the inner maximum
-    is flat in theta and the grid already contains the optimum.
-    """
-    if grid_theta < 8:
-        raise ValueError(f"theta grid must have >= 8 points, got {grid_theta}")
-    best_value, best_t, best_phi = -1.0, 0.0, 0.0
-    evaluations = 0
-    for theta in np.linspace(0.0, TWO_PI, grid_theta, endpoint=False):
-        swept = SqueezedCoherentParams(params.alpha, params.strength, float(theta))
-        c = center(squeezed_coherent_moments(swept))
-        result = maximize_EN(c, grid_t=grid_t, grid_phi=grid_phi, refine_iters=refine_iters)
-        evaluations += result.evaluations
-        if result.best_value > best_value:
-            best_value, best_t, best_phi = result.best_value, result.best_t, result.best_phi
-    return OptimizationResult(
-        best_value=best_value, best_t=best_t, best_phi=best_phi, evaluations=evaluations
-    )

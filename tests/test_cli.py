@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from nonclassicality import cli
 from nonclassicality.cli import main
+from nonclassicality.moments import UnphysicalMomentsError
 
 REPORT_KEYS = [
     "eta_minus", "eta_plus", "E_N", "lambda_simon", "lambda_dgcz",
@@ -66,6 +68,45 @@ class TestMeasure:
         assert code == 2
         assert "unphysical" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--v", "0", "--n", "inf"],
+            ["--v", "nan", "--n", "1"],
+            ["--v", "1e200", "--n", "1"],
+            ["--v", "1e200", "--n", "1e200"],
+            ["--v", "0", "--n", "1e100"],
+            ["--v", "1", "--n", "1", "--theta", "inf"],
+        ],
+    )
+    def test_nonfinite_or_overflowing_input_exits_2(self, capsys, args):
+        code, out, err = run_cli(capsys, "measure", *args)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_invalid_splitter_exits_1(self, capsys):
+        for t in ("2", "nan"):
+            code, _, err = run_cli(capsys, "measure", "--n", "1", "--v", "1",
+                                   "--mode", "fixed", "--t", t)
+            assert code == 1
+            assert err.startswith("invalid splitter")
+
+    def test_occupation_within_tolerance_below_zero_is_clamped(self, capsys):
+        code, out, _ = run_cli(capsys, "measure", "--v", "0", "--n=-1e-10")
+        assert code == 0
+        assert json.loads(out)["E_N"] == 0.0
+
+    def test_large_squeezing_at_every_angle(self, capsys):
+        r = 6.0
+        v, n = math.sinh(2.0 * r) / 2.0, math.sinh(r) ** 2
+        for theta in [2.0 * math.pi * k / 16 for k in range(16)]:
+            code, out, _ = run_cli(
+                capsys, "measure", "--v", repr(v), "--n", repr(n), "--theta", repr(theta)
+            )
+            assert code == 0
+            assert abs(json.loads(out)["E_N"] - r) < 1e-6
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "measure", "--n", "0", "--v", "0", "--bogus", "1")
         assert code == 1
@@ -111,6 +152,16 @@ class TestSqueezedSweep:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_squeezing_beyond_moment_rounding_exits_2(self, capsys):
+        # From r ~ 10 on, lambda- = e^{-2r}/2 is below the rounding of n and v.
+        code, out, err = run_cli(
+            capsys, "squeezed-sweep", "--r-min", "10", "--r-max", "14", "--steps", "9"
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("unphysical moments at r=")
 
     def test_bad_range_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "squeezed-sweep", "--steps", "1")
@@ -160,6 +211,20 @@ class TestDickeSweep:
         _, rows = parse_csv(out)
         assert any(math.isnan(float(row[2])) for row in rows)
 
+    def test_unphysical_row_exits_2(self, capsys, monkeypatch):
+        def reject(moments):
+            raise UnphysicalMomentsError("covariance matrix has det V = 0.0 <= 0")
+
+        monkeypatch.setattr(cli, "build_report", reject)
+        code, out, err = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8",
+            "--g-min", "0", "--g-max", "1", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("unphysical moments at g=0:")
+
     def test_counter_rotating_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "10",
@@ -168,6 +233,29 @@ class TestDickeSweep:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 3
+
+    def test_truncated_rows_warn_on_stderr_only(self, capsys, tmp_path):
+        args = ["dicke-sweep", "--n-atoms", "2", "--fock-dim", "10",
+                "--g-min", "0", "--g-max", "2", "--steps", "3", "--counter-rotating"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        # g = 1 and g = 2 put weight on the top Fock levels; g = 0 is vacuum.
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        assert all(line.startswith("warning: g=") for line in warnings)
+        path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *args, "--output", str(path))[0] == 0
+        assert path.read_text() == out
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+
+    def test_healthy_sweep_prints_no_warning(self, capsys):
+        code, _, err = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "30",
+            "--g-min", "0", "--g-max", "0.5", "--steps", "3", "--counter-rotating",
+        )
+        assert code == 0
+        assert err == ""
 
 
 class TestOracleCheck:

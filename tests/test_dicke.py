@@ -179,6 +179,27 @@ class TestDickeConfig:
         cfg = DickeConfig(n_atoms=2, fock_dim=4, omega=2.0, omega_eg=0.5)
         assert cfg.g_critical == 1.0
 
+    @pytest.mark.parametrize(
+        "counter_rotating, g_critical, scale",
+        [(False, 1.0, 0.25), (True, 0.5, 1.0)],
+    )
+    def test_g_critical_per_model(self, counter_rotating, g_critical, scale):
+        # Mean field: above g_c the field holds <a^dag a> = scale g^2 N
+        # (1 - (g_c/g)^4), with scale 1/4 without and 1 with the
+        # counter-rotating terms; below g_c it stays nearly empty.
+        def config(g):
+            return DickeConfig(n_atoms=8, fock_dim=40, g=g, counter_rotating=counter_rotating)
+
+        def photons(g):
+            cfg = config(g)
+            return field_moments(ground_state(build_hamiltonian(cfg), method="dense"), cfg).photon_number
+
+        assert config(0.0).g_critical == g_critical
+        assert photons(0.5 * g_critical) < 0.05
+        g = 1.5 * g_critical
+        mean_field = scale * g * g * 8 * (1.0 - (g_critical / g) ** 4)
+        assert abs(photons(g) / mean_field - 1.0) < 0.05
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DickeConfig(n_atoms=0, fock_dim=4)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from nonclassicality import (
     dgcz_simple,
     hz_condition,
     log_negativity,
+    maximizing_splitter,
+    output_spectrum,
     simon_lambda,
     squeezed_coherent_moments,
     symplectic_eta,
 )
-from nonclassicality.entanglement import eta_minus_sq
+from nonclassicality.entanglement import _block_entries, _invariants, eta_minus_sq
 
 OMEGA = np.array(
     [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
@@ -349,3 +352,69 @@ class TestBuildReport:
         assert not report.hz
         assert report.best_t == BALANCED_T
         assert report.best_phi == 0.0
+
+
+class TestOutputSpectrum:
+    @given(inp=physical_inputs, bs=splitters)
+    def test_matches_partial_transpose_eigenvalue_oracle(self, inp, bs):
+        eta_m_sq, eta_p_sq = output_spectrum(inp.v, inp.n, bs.t)
+        expected = pt_eigenvalue_oracle(covariance_from_input(inp, bs))
+        if inp.v <= inp.n:  # the 1/4 floor may lift rounding noise below it
+            assert eta_m_sq >= 0.25
+        assert abs(math.sqrt(eta_m_sq) - expected[0]) < 1e-12
+        assert abs(math.sqrt(eta_p_sq) - expected[1]) < 1e-12
+
+    def test_invariants_match_block_algebra(self):
+        # sigma = eta_-^2 + eta_+^2 and det V = eta_-^2 eta_+^2 against the
+        # general block formulas, at random theta and phi.
+        rng = np.random.default_rng(20240907)
+        for _ in range(2000):
+            v, theta, n = random_physical_centered(rng)
+            t, phi = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+            det_a, det_b, det_c, _, det_v = _invariants(*_block_entries(v, theta, n, t, phi))
+            eta_m_sq, eta_p_sq = output_spectrum(v, n, t)
+            sigma = det_a + det_b - 2.0 * det_c
+            assert abs(eta_m_sq + eta_p_sq - sigma) <= 1e-14 * sigma
+            assert abs(eta_m_sq * eta_p_sq - det_v) <= 1e-13 * det_v
+
+    def test_vectorized_like_scalar(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        eta_m_sq, eta_p_sq = output_spectrum(0.9, 0.6, ts)
+        for t, m, p in zip(ts, eta_m_sq, eta_p_sq):
+            assert (m, p) == tuple(float(x) for x in output_spectrum(0.9, 0.6, t))
+
+
+class TestEntanglementPotential:
+    def test_squeezed_vacuum_matches_exact_reference(self):
+        # -ln(1 + 2(n - v)) / 2 evaluated exactly on the float moments; the
+        # old sigma - sqrt(disc) route was off by up to 2e-2 at r = 6.
+        for r in np.arange(0.5, 6.01, 0.5):
+            for angle in (0.0, 0.7, 2.0, math.pi, 4.5):
+                m = squeezed_coherent_moments(SqueezedCoherentParams(0.0, float(r), angle))
+                c = center(m)
+                two_lambda = 1 + 2 * (Fraction(c.n) - Fraction(c.v))
+                reference = -0.5 * math.log(float(two_lambda))
+                report = build_report(m)
+                assert abs(report.E_N - reference) < 1e-12
+                assert abs(report.E_N - r) < 1e-6  # rounded inputs limit this
+
+    def test_classical_inputs_give_exact_zero(self):
+        rng = np.random.default_rng(20240908)
+        checked = 0
+        while checked < 500:
+            v, theta, n = random_physical_centered(rng)
+            c = CenteredMoments(v, theta, n)
+            t = rng.uniform(0.0, 1.0)
+            for report in (build_report(c), build_report(c, BeamSplitterParams.from_transmission(t))):
+                assert report.E_N == log_negativity(report.eta_minus)
+                if v <= n:
+                    assert report.E_N == 0.0
+            checked += v <= n
+        for n in (0.0, 1e-12, 0.3, 7.0, 1e4):
+            assert build_report(CenteredMoments(n, 0.0, n)).E_N == 0.0
+
+    def test_maximizing_splitter(self):
+        assert maximizing_splitter(CenteredMoments(0.9, 1.0, 0.6)).t == BALANCED_T
+        for v, n in ((0.0, 0.0), (0.6, 0.6), (0.5, 0.9)):
+            bs = maximizing_splitter(CenteredMoments(v, 1.0, n))
+            assert (bs.t, bs.r, bs.phi) == (0.0, 1.0, 0.0)

@@ -9,9 +9,9 @@ from nonclassicality import (
     CenteredMoments,
     SqueezedCoherentParams,
     UnphysicalMomentsError,
+    build_report,
     center,
     maximize_EN,
-    maximize_EN_over_theta,
     squeezed_coherent_moments,
 )
 from nonclassicality.entanglement import eta_minus_sq, log_negativity_from_eta_sq
@@ -85,36 +85,50 @@ class TestMaximizeEN:
             maximize_EN(CenteredMoments(2.0, 0.0, 1.0))
 
 
+class TestClosedFormMatchesOracle:
+    def test_same_splitter_and_value_on_random_inputs(self):
+        # The closed-form maximum (build_report without a splitter) against
+        # the grid search over (t, phi) on the general 4x4 algebra.
+        rng = np.random.default_rng(20240906)
+        for _ in range(400):
+            c = CenteredMoments(*random_physical_centered(rng))
+            oracle = maximize_EN(c)
+            report = build_report(c)
+            assert (report.best_t, report.best_phi) == (oracle.best_t, oracle.best_phi)
+            assert abs(report.E_N - oracle.best_value) < 1e-12
+
+
 class TestMaximizeENOverTheta:
+    """The maximum over the squeezing angle as well as (t, phi).
+
+    A squeezing-angle shift is a splitter phase shift, so the closed-form
+    maximum at any one angle is already the maximum over all angles.
+    """
+
+    @staticmethod
+    def closed_form(strength, angle):
+        params = SqueezedCoherentParams(0.0, strength, float(angle))
+        return build_report(squeezed_coherent_moments(params))
+
     def test_vacuum_for_every_angle(self):
-        result = maximize_EN_over_theta(
-            SqueezedCoherentParams(0.0, 0.0, 0.0), grid_theta=8, grid_t=9, grid_phi=8
-        )
-        assert result.best_value == 0.0
+        for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            assert self.closed_form(0.0, angle).E_N == 0.0
 
     def test_superset_of_fixed_angle_search(self):
-        params = SqueezedCoherentParams(0.0, 1.0, 0.0)
-        fixed = maximize_EN(center(squeezed_coherent_moments(params)))
-        swept = maximize_EN_over_theta(params)
-        assert swept.best_value >= fixed.best_value
+        fixed = maximize_EN(squeezed_vacuum_centered(1.0))
+        assert self.closed_form(1.0, 0.0).E_N >= fixed.best_value - 1e-12
 
     def test_angle_sweep_adds_nothing_beyond_phase_covariance(self):
-        # A squeezing-angle shift is equivalent to a splitter phase shift, so
-        # the phi-maximized value is angle-independent.
-        params = SqueezedCoherentParams(0.0, 1.0, 0.0)
-        fixed = maximize_EN(center(squeezed_coherent_moments(params)))
-        swept = maximize_EN_over_theta(params)
-        assert abs(swept.best_value - fixed.best_value) < 2e-6
+        fixed = maximize_EN(squeezed_vacuum_centered(1.0))
+        angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        values = [self.closed_form(1.0, angle).E_N for angle in angles]
+        assert max(values) - min(values) < 1e-12
+        assert abs(max(values) - fixed.best_value) < 2e-6
 
-    def test_small_theta_grid_rejected(self):
-        with pytest.raises(ValueError):
-            maximize_EN_over_theta(SqueezedCoherentParams(0.0, 1.0, 0.0), grid_theta=4)
+    def test_unphysical_moments_rejected(self):
+        with pytest.raises(UnphysicalMomentsError):
+            build_report(CenteredMoments(2.0, 0.0, 1.0))
 
     def test_nondecreasing_in_squeezing_strength(self):
-        values = []
-        for r in np.linspace(0.0, 2.0, 9):
-            result = maximize_EN_over_theta(
-                SqueezedCoherentParams(0.0, float(r), 0.0), grid_theta=16
-            )
-            values.append(result.best_value)
+        values = [self.closed_form(float(r), 0.0).E_N for r in np.linspace(0.0, 6.0, 25)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
