@@ -82,13 +82,6 @@ class SparseOperator:
                 f"matrix shape {self.matrix.shape} does not match dim {self.dim}"
             )
 
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        """Sorted (row, column, value) triplets of the stored nonzeros."""
-        coo = self.matrix.tocoo()
-        triplets = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-        return [(int(i), int(j), float(x)) for i, j, x in triplets]
-
     def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
         diff = self.matrix - self.matrix.T
         return diff.nnz == 0 or float(np.abs(diff.data).max()) <= tol
@@ -111,47 +104,31 @@ class GroundStateResult:
     degenerate: bool
 
 
-def _basis_index(m: int, n: int, fock_dim: int) -> int:
-    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
-    return m * fock_dim + n
-
-
 def build_hamiltonian(cfg: DickeConfig) -> SparseOperator:
     """Assemble H on the symmetric-ladder (x) Fock basis.
 
     Ladder amplitudes: S_+|m> = sqrt((N - m)(m + 1)) |m+1> and S_z|m> =
     (m - N/2)|m>, with a|n> = sqrt(n)|n-1>.  Without counter-rotating terms
     each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
+    Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
     """
     n_atoms, fock_dim = cfg.n_atoms, cfg.fock_dim
     coupling = cfg.g / math.sqrt(n_atoms)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add_pair(i: int, j: int, value: float) -> None:
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((value, value))
-
-    for m in range(n_atoms + 1):
-        s_z = m - n_atoms / 2.0
-        raise_amp = math.sqrt((n_atoms - m) * (m + 1)) if m < n_atoms else 0.0
-        for n in range(fock_dim):
-            i = _basis_index(m, n, fock_dim)
-            rows.append(i)
-            cols.append(i)
-            vals.append(cfg.omega * n + cfg.omega_eg * s_z)
-            if m < n_atoms and n >= 1:  # S_+ a and its conjugate
-                add_pair(
-                    _basis_index(m + 1, n - 1, fock_dim), i,
-                    coupling * raise_amp * math.sqrt(n),
-                )
-            if cfg.counter_rotating and m < n_atoms and n + 1 < fock_dim:
-                add_pair(  # S_+ a^dag and its conjugate
-                    _basis_index(m + 1, n + 1, fock_dim), i,
-                    coupling * raise_amp * math.sqrt(n + 1),
-                )
+    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
+    index = np.arange(cfg.dim).reshape(n_atoms + 1, fock_dim)
+    m = np.arange(n_atoms + 1)[:, None]
+    n = np.arange(fock_dim)
+    diagonal = cfg.omega * n + cfg.omega_eg * (m - n_atoms / 2.0)
+    # <m+1, n-1| S_+ a |m, n> and <m+1, n| S_+ a^dag |m, n-1> share one
+    # amplitude array over m < N, n >= 1.
+    amp = coupling * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
+    raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a
+    if cfg.counter_rotating:  # S_+ a^dag
+        raised.append(index[1:, 1:])
+        lowered.append(index[:-1, :-1])
+    rows = np.concatenate([index, *raised, *lowered], axis=None)
+    cols = np.concatenate([index, *lowered, *raised], axis=None)
+    vals = np.concatenate([diagonal, *[amp] * (2 * len(raised))], axis=None)
     matrix = sparse.csr_matrix(
         sparse.coo_matrix((vals, (rows, cols)), shape=(cfg.dim, cfg.dim))
     )

@@ -2,13 +2,15 @@
 
 A single mode with centered moments (v e^{i theta}, n) entering one port of a
 beam splitter (vacuum at the other) produces a two-mode Gaussian covariance
-matrix V = [[A, C], [C^T, B]].  This module builds those 2x2 blocks, computes
-the partial-transpose symplectic eigenvalues eta-+ and the logarithmic
-negativity, maximizes the latter over the splitter in closed form (the
-entanglement potential), and evaluates the auxiliary separability
-quantities: the Simon determinant combination lambda_simon, the variance-sum
-quantity lambda_dgcz with its optimal gain, the simple second-moment
-condition v > n, and the first-moment condition |<a>|^2 > <a^dag a>.
+matrix V = [[A, C], [C^T, B]].  This module computes the partial-transpose
+symplectic eigenvalues eta-+ and the logarithmic negativity, maximizes the
+latter over the splitter in closed form (the entanglement potential), and
+evaluates the auxiliary separability quantities: the Simon determinant
+combination lambda_simon, the variance-sum quantity lambda_dgcz with its
+optimal gain, the simple second-moment condition v > n, and the first-moment
+condition |<a>|^2 > <a^dag a>.  The report takes every criterion from closed
+forms in (v, n, t, theta + phi); the 2x2 blocks and the general block algebra
+on them are kept as the reference those closed forms are tested against.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -33,9 +35,6 @@ from .moments import (
 
 #: Transmission amplitude of the balanced (50:50) splitter.
 BALANCED_T = math.sqrt(0.5)
-
-#: 2x2 symplectic unit used in the Simon combination.
-J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point
 # noise must not produce complex eigenvalues.
@@ -148,7 +147,7 @@ def _invariants(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22):
     """det A, det B, det C, tr(A J C J B J C^T J) and det V from block entries.
 
     Uses the block identity det V = det A det B + (det C)^2 - tr(AJCJBJC^TJ),
-    valid for any symmetric A, B.
+    valid for any symmetric A, B, with J = [[0, 1], [-1, 0]].
     """
     det_a = a11 * a22 - a12 * a12
     det_b = b11 * b22 - b12 * b12
@@ -333,6 +332,8 @@ def dgcz_lambda(c: CenteredMoments, bs: BeamSplitterParams) -> float:
         2 |c*|^2 <a1^dag a1> + (2 / |c*|^2) <a2^dag a2>
         + 2 sign(c) Re{<a1 a2> + <a2 a1>}.
 
+    At |c*|^2 = r / t this is 4 t r (n - v |cos(theta + phi)|).
+
     Degenerate splitters (t = 0 or r = 0) leave one output empty and no gain
     can be formed; the quantity is defined as 0 there (no decision possible).
     """
@@ -340,10 +341,7 @@ def dgcz_lambda(c: CenteredMoments, bs: BeamSplitterParams) -> float:
     n2 = bs.r * bs.r * c.n
     if n1 <= 0.0 or n2 <= 0.0:
         return 0.0
-    re_cross = 2.0 * (-bs.t * bs.r * c.v * math.cos(bs.phi + c.theta))
-    gain_sq = math.sqrt(n2 / n1)
-    sign_c = -1.0 if re_cross > 0.0 else 1.0
-    return 2.0 * gain_sq * n1 + 2.0 / gain_sq * n2 + 2.0 * sign_c * re_cross
+    return 4.0 * bs.t * bs.r * (c.n - c.v * abs(math.cos(bs.phi + c.theta)))
 
 
 def dgcz_simple(c: CenteredMoments) -> bool:
@@ -363,16 +361,22 @@ def build_report(
 
     ``m`` is either raw moments, centered here, or centered moments, taken as
     a state with <a> = 0.  ``bs=None`` selects :func:`maximizing_splitter`.
-    eta-+ and E_N come from :func:`output_spectrum`; raises
-    UnphysicalMomentsError where the covariance matrix has det V <= 0.
+    eta-+ and E_N come from :func:`output_spectrum`.  No covariance matrix is
+    formed: with x = n - v and y = n + v the blocks have det A = (t^2 x + 1/2)
+    (t^2 y + 1/2), det B the same with r, det C = t^2 r^2 x y and det V =
+    (x + 1/2)(y + 1/2)/4, so the :func:`simon_lambda` combination
+    det V + 1/16 - (det A + det B + 2 |det C|)/4 is exactly
+    t^2 r^2 min(0, x y).  Raises UnphysicalMomentsError for unphysical
+    centered moments and where the covariance matrix has det V <= 0.
     """
     if isinstance(m, CenteredMoments):
+        if not validate_physical(m):
+            raise UnphysicalMomentsError(f"unphysical centered moments: v={m.v}, n={m.n}")
         c, hz = m, False
-    else:
+    else:  # SingleModeMoments are physical by construction
         c, hz = center(m), hz_condition(m)
     if bs is None:
         bs = maximizing_splitter(c)
-    blocks = covariance_from_input(c, bs)
     eta_m_sq, eta_p_sq = (float(x) for x in output_spectrum(c.v, c.n, bs.t))
     if not eta_m_sq > 0.0:
         raise UnphysicalMomentsError(
@@ -383,7 +387,8 @@ def build_report(
         eta_minus=eta_m,
         eta_plus=math.sqrt(eta_p_sq),
         E_N=log_negativity(eta_m),
-        lambda_simon=simon_lambda(blocks),
+        # + 0.0 turns the -0.0 of a zero t or r into 0.0.
+        lambda_simon=bs.t * bs.t * bs.r * bs.r * min(0.0, (c.n - c.v) * (c.n + c.v)) + 0.0,
         lambda_dgcz=dgcz_lambda(c, bs),
         dgcz_simple=dgcz_simple(c),
         hz=hz,

@@ -161,17 +161,13 @@ def squeezed_coherent_moments(params: SqueezedCoherentParams) -> SingleModeMomen
 def center(m: SingleModeMoments) -> CenteredMoments:
     """Subtract first moments: v e^{i theta} = <a^2> - <a>^2, n = <a^dag a> - |<a>|^2.
 
-    Raises UnphysicalMomentsError if the centered values violate the
-    Cauchy-Schwarz bound beyond tolerance.  A centered occupation within
+    SingleModeMoments has already checked these centered values at
+    construction, so no check is repeated here.  A centered occupation within
     tolerance below zero is clamped to zero.
     """
     d2 = m.a_squared - m.mean_a * m.mean_a
     n = m.photon_number - abs(m.mean_a) ** 2
     v = abs(d2)
-    if not _is_physical(v, n):
-        raise UnphysicalMomentsError(
-            f"centered moments violate v^2 <= n(n+1): v={v}, n={n}"
-        )
     theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else cmath.phase(d2) % TWO_PI
     return CenteredMoments(v=v, theta=theta, n=max(n, 0.0))
 

@@ -63,6 +63,16 @@ class TestMeasure:
         assert report["best_phi"] == 0.3
         assert report["E_N"] == 0.0
 
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_degenerate_fixed_splitter_prints_no_negative_zero(self, capsys, t):
+        code, out, _ = run_cli(
+            capsys, "measure", "--v", "0.5", "--n", "0.4", "--mode", "fixed", "--t", t
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["lambda_simon"] == report["lambda_dgcz"] == 0.0
+        assert all(math.copysign(1.0, x) == 1.0 for x in report.values() if isinstance(x, float))
+
     def test_unphysical_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--n", "1", "--v", "2")
         assert code == 2
@@ -100,12 +110,15 @@ class TestMeasure:
     def test_large_squeezing_at_every_angle(self, capsys):
         r = 6.0
         v, n = math.sinh(2.0 * r) / 2.0, math.sinh(r) ** 2
+        lambda_simon = set()
         for theta in [2.0 * math.pi * k / 16 for k in range(16)]:
             code, out, _ = run_cli(
                 capsys, "measure", "--v", repr(v), "--n", repr(n), "--theta", repr(theta)
             )
             assert code == 0
             assert abs(json.loads(out)["E_N"] - r) < 1e-6
+            lambda_simon.add(json.loads(out)["lambda_simon"])
+        assert len(lambda_simon) == 1  # a local-symplectic invariant
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "measure", "--n", "0", "--v", "0", "--bogus", "1")

@@ -56,11 +56,25 @@ class TestBuildHamiltonian:
             cfg = DickeConfig(n_atoms=4, fock_dim=6, g=1.3, counter_rotating=counter)
             assert build_hamiltonian(cfg).is_hermitian()
 
-    def test_entries_sorted_triplets(self):
-        cfg = DickeConfig(n_atoms=2, fock_dim=3, g=0.5)
-        entries = build_hamiltonian(cfg).entries
-        assert entries == sorted(entries)
-        assert all(isinstance(i, int) and isinstance(x, float) for i, _, x in entries)
+    @pytest.mark.parametrize("counter", [False, True])
+    def test_matches_kronecker_assembly(self, counter):
+        cfg = DickeConfig(
+            n_atoms=5, fock_dim=7, omega=1.3, omega_eg=0.7, g=1.02, counter_rotating=counter
+        )
+        m = np.arange(cfg.n_atoms + 1, dtype=float)
+        s_z = sparse.diags(m - cfg.n_atoms / 2.0)
+        s_plus = sparse.diags(np.sqrt((cfg.n_atoms - m[:-1]) * (m[:-1] + 1.0)), -1)
+        a = sparse.diags(np.sqrt(np.arange(1.0, cfg.fock_dim)), 1)
+        number = sparse.diags(np.arange(cfg.fock_dim, dtype=float))
+        field = a.T + a if counter else a
+        coupling = sparse.kron(s_plus, field)
+        expected = (
+            cfg.omega * sparse.kron(sparse.identity(cfg.n_atoms + 1), number)
+            + cfg.omega_eg * sparse.kron(s_z, sparse.identity(cfg.fock_dim))
+            + cfg.g / math.sqrt(cfg.n_atoms) * (coupling + coupling.T)
+        )
+        h = build_hamiltonian(cfg).matrix
+        assert np.abs((h - expected).toarray()).max() < 1e-13
 
     def test_excitation_number_exactly_conserved_without_counter_terms(self):
         cfg = DickeConfig(n_atoms=5, fock_dim=8, g=1.1)

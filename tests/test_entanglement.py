@@ -268,6 +268,17 @@ class TestDgczLambda:
         inp = CenteredMoments(0.5, 1.0, 1.0)
         assert dgcz_lambda(inp, BeamSplitterParams.from_transmission(0.0, 0.0)) == 0.0
         assert dgcz_lambda(inp, BeamSplitterParams.from_transmission(1.0, 0.0)) == 0.0
+        # Both criteria read +0.0, never -0.0, in the report, also for v > n.
+        for inp in (inp, CenteredMoments(0.5, 1.0, 0.4)):
+            for t in (0.0, 1.0):
+                report = build_report(inp, BeamSplitterParams.from_transmission(t, 0.0))
+                for value in (report.lambda_simon, report.lambda_dgcz):
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_nearly_degenerate_splitter_stays_finite(self):
+        # At t = 3.3e-158 the gain r / t overflows; the quantity is 4 t r n.
+        bs = BeamSplitterParams.from_transmission(3.3e-158, 0.0)
+        assert dgcz_lambda(CenteredMoments(0.0, 0.0, 1.0), bs) == 4.0 * 3.3e-158
 
     @given(inp=physical_inputs, bs=splitters, gain=st.floats(0.05, 8.0), sign=st.sampled_from([-1.0, 1.0]))
     @settings(max_examples=80)
@@ -306,11 +317,22 @@ class TestSimpleConditions:
 class TestPhaseCovariance:
     @given(inp=physical_inputs, bs=splitters, delta=st.floats(-3.0, 3.0))
     def test_input_phase_shift_equals_splitter_phase_shift(self, inp, bs, delta):
-        # (theta, phi) -> (theta - 2 delta, phi + delta) is a local rotation of
-        # the reflected output mode and must preserve the symplectic spectrum.
-        base = eta_minus_sq(inp.v, inp.theta, inp.n, bs.t, bs.phi)
-        shifted = eta_minus_sq(inp.v, inp.theta - 2.0 * delta, inp.n, bs.t, bs.phi + delta)
-        assert abs(math.sqrt(base) - math.sqrt(shifted)) < 1e-10
+        # (theta, phi) -> (theta - 2 delta, phi + delta) is the local rotation
+        # R by -delta of the reflected output mode: A' = A, B' = R B R^T and
+        # C' = C R^T, so the whole symplectic spectrum is preserved.  The
+        # blocks are compared, not eta^-, whose square root of a near-zero
+        # discriminant (pure inputs) carries ~1e-9 of rounding noise.
+        base = covariance_from_input(inp, bs)
+        shifted = covariance_from_input(
+            CenteredMoments(inp.v, inp.theta - 2.0 * delta, inp.n),
+            BeamSplitterParams(bs.t, bs.r, bs.phi + delta),
+        )
+        cos, sin = math.cos(delta), math.sin(delta)
+        rot = np.array([[cos, sin], [-sin, cos]])
+        tol = 1e-13 * max(1.0, inp.n)
+        assert np.abs(shifted.A - base.A).max() <= tol
+        assert np.abs(shifted.B - rot @ base.B @ rot.T).max() <= tol
+        assert np.abs(shifted.C - base.C @ rot.T).max() <= tol
 
 
 class TestBalancedSplitterClosedForm:
@@ -352,6 +374,53 @@ class TestBuildReport:
         assert not report.hz
         assert report.best_t == BALANCED_T
         assert report.best_phi == 0.0
+
+
+def gain_formula_dgcz(c, bs):
+    """The variance sum at the optimal gain |c*|^2 = (n2 / n1)^{1/2}, term by term."""
+    n1, n2 = bs.t * bs.t * c.n, bs.r * bs.r * c.n
+    if n1 <= 0.0 or n2 <= 0.0:
+        return 0.0
+    re_cross = 2.0 * (-bs.t * bs.r * c.v * math.cos(bs.phi + c.theta))
+    gain_sq = math.sqrt(n2 / n1)
+    sign_c = -1.0 if re_cross > 0.0 else 1.0
+    return 2.0 * gain_sq * n1 + 2.0 / gain_sq * n2 + 2.0 * sign_c * re_cross
+
+
+class TestClosedFormCriteria:
+    @given(inp=physical_inputs, bs=splitters)
+    def test_match_block_algebra_and_gain_formula(self, inp, bs):
+        # The block algebra cancels at the n^4 scale and the gain formula at
+        # the n scale; over 1e5 random inputs they differed from the closed
+        # forms by at most 4.4e-16 n^4 and 9.1e-16 n (n >= 1).
+        report = build_report(inp, bs)
+        simon = simon_lambda(covariance_from_input(inp, bs))
+        scale = max(1.0, inp.n)
+        assert abs(report.lambda_simon - simon) <= 1e-15 * scale**4
+        reference = gain_formula_dgcz(inp, bs)
+        if math.isfinite(reference):  # the gain n2 / n1 overflows for t or r < ~1e-154
+            assert abs(report.lambda_dgcz - reference) <= 2e-15 * scale
+        assert math.isfinite(report.lambda_dgcz)
+
+    def test_simon_is_theta_invariant_at_large_squeezing(self):
+        # The block algebra moved by ~70 across these angles (terms ~ n^4 ~ 3e18).
+        v, n = math.sinh(12.0) / 2.0, math.sinh(6.0) ** 2
+        exact = Fraction(1, 4) * (Fraction(n) - Fraction(v)) * (Fraction(n) + Fraction(v))
+        values = {
+            build_report(CenteredMoments(v, k * math.pi / 4.0, n)).lambda_simon
+            for k in range(8)
+        }
+        assert len(values) == 1
+        (value,) = values
+        assert abs(Fraction(value) - exact) <= 1e-12 * abs(exact)
+
+    def test_simon_negative_exactly_when_v_exceeds_n(self):
+        rng = np.random.default_rng(20241018)
+        inputs = [random_physical_centered(rng) for _ in range(500)]
+        inputs += [(1e-15, 0.0, 1e-29), (0.6, 1.0, 0.6), (0.5, 0.0, 0.4), (0.0, 0.0, 0.0)]
+        for v, theta, n in inputs:
+            report = build_report(CenteredMoments(v, theta, n))
+            assert (report.lambda_simon < 0.0) == (v > n)
 
 
 class TestOutputSpectrum:
@@ -409,6 +478,7 @@ class TestEntanglementPotential:
                 assert report.E_N == log_negativity(report.eta_minus)
                 if v <= n:
                     assert report.E_N == 0.0
+                    assert report.lambda_simon == 0.0
             checked += v <= n
         for n in (0.0, 1e-12, 0.3, 7.0, 1e4):
             assert build_report(CenteredMoments(n, 0.0, n)).E_N == 0.0
