@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -213,7 +214,10 @@ def _cmd_oracle_check(args) -> int:
     return 0 if passed else 4
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and
+    # building it costs more than the measure command's arithmetic.
     parser = _ArgumentParser(
         prog="nonclassicality",
         description="Quantify single-mode nonclassicality from <a^2> and <a^dag a>.",

@@ -3,9 +3,16 @@
 N identical two-level atoms couple to one field mode.  Because the atoms are
 identical they stay on the symmetric ladder |m>, m = 0..N excited atoms, so
 the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
-2^N * fock_dim.  The ground state is found by sparse Lanczos iteration (dense
-diagonalization below a size threshold, and on request), and the field's
-moments feed the nonclassicality measure.
+2^N * fock_dim.  The field's ground-state moments feed the nonclassicality
+measure.
+
+The ground state is found block by block where H allows it.  Without the
+counter-rotating terms H conserves k = m + n, so it splits into N + fock_dim - 1
+blocks of at most min(N + 1, fock_dim) states, each diagonalized densely; the
+vacuum below g_c is then the exact 1-state block k = 0.  With them only the
+parity (-1)^(m + n) is conserved: its two sectors are diagonalized densely up
+to a total of 2 * DENSE_CUTOFF states, and above that the whole matrix goes to
+sparse Lanczos iteration.
 
 In units hbar = 1:
 
@@ -28,8 +35,11 @@ import scipy.sparse.linalg as sparse_linalg
 
 from .moments import SingleModeMoments
 
-#: Largest dimension solved by dense diagonalization when method="auto".
-DENSE_CUTOFF = 512
+#: Largest connected block of H solved by dense diagonalization when
+#: method="auto"; an operator with a larger block goes to Lanczos whole.  The
+#: counter-rotating model splits into two parity sectors of dim / 2 states, so
+#: 256 keeps its boundary at a total of 512 states, where it always was.
+DENSE_CUTOFF = 256
 
 #: Ground pairs closer than this in energy are reported as degenerate.
 DEGENERACY_TOL = 1e-10
@@ -92,8 +102,8 @@ class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
     ``iterations`` counts operator applications for the iterative path and is
-    0 for dense solves.  ``degenerate`` is set when the two lowest values sit
-    within DEGENERACY_TOL of each other.
+    0 for dense and block solves.  ``degenerate`` is set when the two lowest
+    values sit within DEGENERACY_TOL of each other.
     """
 
     energy: float
@@ -146,6 +156,40 @@ def _lowest_pair_dense(matrix: sparse.csr_matrix):
     return energies[:2], vectors[:, :2]
 
 
+def _lowest_pair_blocks(matrix: sparse.csr_matrix, labels: np.ndarray):
+    """Two lowest eigenpairs from a dense eigh of every connected block.
+
+    Blocks are laid out by (size, label), so each size is one contiguous
+    diagonal range of the permuted matrix and one batched eigh.  Energy ties
+    break by block label, then by level within the block, so reruns pick the
+    same pair.  The stacks hold at most DENSE_CUTOFF * dim entries.
+    """
+    dim = matrix.shape[0]
+    sizes = np.bincount(labels)
+    order = np.lexsort((np.arange(dim), labels, sizes[labels]))
+    permuted = matrix[order][:, order]
+    candidates = []  # (energy, label, level, block states, block vector)
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        stop = start + size * count
+        lo, hi = permuted.indptr[start], permuted.indptr[stop]
+        rows = np.repeat(np.arange(size * count), np.diff(permuted.indptr[start:stop + 1]))
+        cols = permuted.indices[lo:hi] - start
+        stack = np.zeros((count, size, size))
+        stack[rows // size, rows % size, cols % size] = permuted.data[lo:hi]
+        energies, vectors = np.linalg.eigh(stack)
+        for block, states in enumerate(order[start:stop].reshape(count, size)):
+            for level in range(min(2, size)):
+                candidates.append((energies[block, level], labels[states[0]], level,
+                                   states, vectors[block, :, level]))
+        start = stop
+    lowest = sorted(candidates, key=lambda c: c[:3])[:2]
+    pair = np.zeros((dim, len(lowest)))
+    for j, (_, _, _, states, vector) in enumerate(lowest):
+        pair[states, j] = vector
+    return np.array([c[0] for c in lowest]), pair
+
+
 def _lowest_pair_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int):
     dim = matrix.shape[0]
     matvecs = [0]
@@ -187,9 +231,15 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian sparse operator.
 
-    method: "auto" uses dense diagonalization up to DENSE_CUTOFF and Lanczos
-    (ARPACK, deterministic uniform positive start vector) above it;
-    "dense" and "iterative" force the respective path.
+    method: "auto" finds the connected blocks of H's sparsity pattern.  When
+    none has more than DENSE_CUTOFF states, every block is diagonalized
+    densely and the two lowest levels over all blocks are kept, with the
+    vectors embedded in the full space.  Otherwise the whole matrix goes to
+    Lanczos (ARPACK, deterministic uniform positive start vector).  Unlike
+    Lanczos, the block path cannot miss a ground state orthogonal to that
+    start vector, such as the co-rotating k = 1 level just above g_c.
+    "dense" and "iterative" force a whole-matrix dense or Lanczos solve; they
+    are the cross-checks of the block path.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the
@@ -203,8 +253,18 @@ def ground_state(
     if not operator.is_hermitian(tol=1e-12):
         raise ValueError("operator is not Hermitian")
     matrix = operator.matrix
-    use_dense = method == "dense" or (method == "auto" and operator.dim <= DENSE_CUTOFF)
-    if use_dense:
+    labels = None
+    if method == "auto":
+        # Imported here: csgraph adds about 1 MB that the other commands never use.
+        from scipy.sparse.csgraph import connected_components
+
+        labels = connected_components(matrix, directed=False)[1]
+        if np.bincount(labels).max() > DENSE_CUTOFF:
+            labels = None
+    if labels is not None:
+        energies, vectors = _lowest_pair_blocks(matrix, labels)
+        iterations, converged = 0, True
+    elif method == "dense":
         energies, vectors = _lowest_pair_dense(matrix)
         iterations, converged = 0, True
     else:

@@ -2,7 +2,8 @@
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summaries.  Criterion 7 is the full-scale ground-state sweep and dominates
-the suite's runtime (several minutes); everything else finishes in seconds.
+the suite's runtime (about 40 s, nearly all of it the counter-rotating
+Lanczos sweep); everything else finishes in seconds.
 """
 
 import math

@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from nonclassicality import cli
+from nonclassicality import (
+    DickeConfig,
+    build_hamiltonian,
+    build_report,
+    cli,
+    field_moments,
+    ground_state,
+)
 from nonclassicality.cli import main
 from nonclassicality.moments import UnphysicalMomentsError
 
@@ -238,6 +245,21 @@ class TestDickeSweep:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("unphysical moments at g=0:")
 
+    def test_vacuum_below_threshold_is_not_certified(self, capsys):
+        # Below g_c the co-rotating ground state is the vacuum |m=0>|n=0>,
+        # which no criterion may call nonclassical.
+        args = ["--n-atoms", "20", "--fock-dim", "36", "--g-min", "0", "--g-max", "0.98"]
+        code, out, _ = run_cli(capsys, "dicke-sweep", *args, "--steps", "50")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 50
+        for row in rows:
+            assert row[4] == "0" and row[5] == "0" and row[6] == "0", row
+        for g in (0.3, 0.98):
+            cfg = DickeConfig(n_atoms=20, fock_dim=36, g=g)
+            moments = field_moments(ground_state(build_hamiltonian(cfg)), cfg)
+            assert build_report(moments).dgcz_simple is False
+
     def test_counter_rotating_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "10",
@@ -310,6 +332,15 @@ class TestHelpAndEntryPoints:
     )
     def test_help_exits_0(self, capsys, args):
         assert main(args) == 0
+
+    def test_parser_reuse_leaves_outputs_unchanged(self, capsys):
+        valid = ["measure", "--v", "1.1752", "--theta", "3.14159", "--n", "1.3811"]
+        first = run_cli(capsys, *valid)
+        assert first[0] == 0
+        assert run_cli(capsys, "measure", "--v", "1")[0] == 1
+        assert run_cli(capsys, "--help")[0] == 0
+        assert run_cli(capsys, *valid) == first
+        assert cli._build_parser() is cli._build_parser()
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -165,6 +165,88 @@ class TestGroundState:
         assert mixed.residual < 1e-8
 
 
+class TestBlockGroundState:
+    @pytest.mark.parametrize(
+        "n_atoms, fock_dim, g, counter_rotating",
+        [
+            (4, 12, 0.0, False),
+            (4, 12, 0.5, False),
+            (4, 12, 1.02, False),
+            (4, 12, 2.0, False),
+            (1, 10, 1.0, False),  # k = 0 and k = 1 cross: degenerate
+            (4, 12, 0.3, True),
+            (4, 12, 1.0, True),
+            (5, 7, 2.0, True),
+            (8, 40, 1.5, True),  # parity doublet: degenerate
+        ],
+    )
+    def test_auto_matches_whole_matrix_dense(self, n_atoms, fock_dim, g, counter_rotating):
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=counter_rotating)
+        op = build_hamiltonian(cfg)
+        blocks = ground_state(op)
+        dense = ground_state(op, method="dense")
+        assert blocks.iterations == 0 and blocks.converged
+        assert abs(blocks.energy - dense.energy) < 1e-12
+        assert blocks.degenerate == dense.degenerate
+        if not dense.degenerate:
+            assert abs(abs(np.vdot(blocks.vector, dense.vector)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_atoms, fock_dim, counter_rotating, block_path",
+        [(20, 36, False, True), (80, 142, False, True), (20, 36, True, False)],
+    )
+    def test_path_selection(self, n_atoms, fock_dim, counter_rotating, block_path):
+        # Excitation blocks hold at most min(N + 1, fock_dim) states; the two
+        # parity sectors of the counter-rotating model hold dim / 2 = 378.
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=counter_rotating)
+        result = ground_state(build_hamiltonian(cfg), tol=1e-9)
+        assert result.converged
+        assert (result.iterations == 0) == block_path
+        assert result.residual <= 1e-9
+
+    def test_block_path_is_deterministic(self):
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.3)
+        op = build_hamiltonian(cfg)
+        first, second = ground_state(op, tol=1e-10), ground_state(op, tol=1e-10)
+        assert first.vector.tobytes() == second.vector.tobytes()
+        assert first.energy == second.energy
+        assert first.converged and first.residual <= 1e-10
+
+    def test_ground_level_outside_the_start_vector(self):
+        # At N = 20 and g = 1.02 the ground state (|0,1> - |1,0>)/sqrt(2) of
+        # block k = 1 is orthogonal to a uniform Lanczos start vector.  Its
+        # levels are -N/2 + 1 -+ g.
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.02)
+        result = ground_state(build_hamiltonian(cfg))
+        assert abs(result.energy - (-10.02)) < 1e-12
+        assert abs(field_moments(result, cfg).photon_number - 0.5) < 1e-12
+
+
+class TestThermodynamicLimit:
+    """<a^dag a> against the mean-field limit (Emary and Brandes, PRE 67, 066203 (2003))."""
+
+    @pytest.mark.parametrize("g", [1.2, 1.5, 2.0])
+    def test_corotating_superradiant_photons(self, g):
+        # Without counter-rotating terms: (g^2 N / 4)(1 - (g_c / g)^4), g_c = 1.
+        cfg = DickeConfig(n_atoms=80, fock_dim=142, g=g)
+        photons = field_moments(ground_state(build_hamiltonian(cfg)), cfg).photon_number
+        limit = g * g * cfg.n_atoms / 4.0 * (1.0 - (cfg.g_critical / g) ** 4)
+        assert abs(photons / limit - 1.0) < 0.05
+
+    def test_corotating_normal_phase_is_exact_vacuum(self):
+        cfg = DickeConfig(n_atoms=80, fock_dim=142, g=0.5)
+        m = field_moments(ground_state(build_hamiltonian(cfg)), cfg)
+        assert m.photon_number == 0.0 and m.a_squared == 0.0 and m.mean_a == 0.0
+
+    @pytest.mark.parametrize("g", [0.66, 0.73, 0.80])
+    def test_counter_rotating_superradiant_photons(self, g):
+        # With them: g^2 N (1 - (g_c / g)^4), g_c = 1/2.
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=g, counter_rotating=True)
+        photons = field_moments(ground_state(build_hamiltonian(cfg)), cfg).photon_number
+        limit = g * g * cfg.n_atoms * (1.0 - (cfg.g_critical / g) ** 4)
+        assert abs(photons / limit - 1.0) < 0.05
+
+
 class TestFieldMoments:
     def test_decoupled_vacuum_moments(self):
         cfg = DickeConfig(n_atoms=4, fock_dim=8, g=0.0)
