@@ -194,6 +194,18 @@ def _cmd_dicke_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.trials < 1:
+        sys.stderr.write("trials must be >= 1\n")
+        return 1
+    if args.dim < 2:
+        sys.stderr.write("dim must be >= 2\n")
+        return 1
+    if not 0.0 <= args.r_max < math.inf:
+        sys.stderr.write("r-max must be finite and >= 0\n")
+        return 1
+    if not math.isfinite(args.alpha_max):
+        sys.stderr.write("alpha-max must be finite\n")
+        return 1
     worst = covariance_check(
         trials=args.trials,
         dim=args.dim,

@@ -1,10 +1,10 @@
 """Brute-force verification path in truncated Fock space.
 
-States are prepared by exponentiating displacement and squeeze generators on
-a truncated number basis, pushed through the beam splitter exactly (photon
-number is conserved, so no additional truncation occurs there), and their
-two-mode covariance matrix is measured directly from expectation values.
-Agreement with the closed-form covariance blocks of
+Each squeezed coherent state is the exact state projected onto a truncated
+number basis.  It is pushed through the beam splitter exactly (photon number
+is conserved, so no additional truncation occurs there), and its two-mode
+covariance matrix is measured directly from expectation values.  Agreement
+with the closed-form covariance blocks of
 :mod:`nonclassicality.entanglement` validates those formulas independently.
 """
 
@@ -86,29 +86,6 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return a
 
 
-def expm_apply(generator: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """exp(generator) @ vec by scaled Taylor summation.
-
-    The generator is split into s = ceil(||G||_1 / 4) substeps and each
-    exp(G/s) is applied as a Taylor series run to machine-level convergence.
-    Dimensions here stay in the hundreds, where this is both fast and stable.
-    """
-    norm = np.linalg.norm(generator, 1)
-    steps = max(1, math.ceil(norm / 4.0))
-    scaled = generator / steps
-    result = np.asarray(vec, dtype=complex)
-    for _ in range(steps):
-        term = result
-        acc = result.copy()
-        for k in range(1, 10_000):
-            term = scaled @ term / k
-            acc += term
-            if np.linalg.norm(term) <= 1e-18 * np.linalg.norm(acc):
-                break
-        result = acc
-    return result
-
-
 def recommended_dim(params: SqueezedCoherentParams) -> int:
     """Truncation size guideline for an effectively exact squeezed coherent state."""
     return math.ceil(
@@ -117,21 +94,35 @@ def recommended_dim(params: SqueezedCoherentParams) -> int:
 
 
 def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVector:
-    """Numerically prepare S(beta) D(alpha) |0> on a dim-level truncation.
+    """S(beta) D(alpha) |0> projected onto |0>, ..., |dim-1> and renormalized.
 
-    Applies exp(alpha a^dag - alpha* a) and then
-    exp[(beta* a^2 - beta a^dag^2) / 2] with beta = strength e^{i angle} to
-    the vacuum and renormalizes.  Check ``truncation_healthy`` on the result:
-    leakage past the truncation shows up there, not as an exception.
+    The state is the eigenvector of S a S^dag = cosh r a + e^{i theta} sinh r a^dag
+    with eigenvalue alpha (beta = r e^{i theta}), so its amplitudes obey
+    c_{k+1} = (alpha sech r c_k - e^{i theta} tanh r sqrt(k) c_{k-1}) / sqrt(k+1)
+    from c_0 = 1.  The levels found so far are rescaled whenever an amplitude
+    passes 1e150, since amplitudes grow like e^{|alpha|^2 / 2} before they fall.
+    Check ``truncation_healthy`` on the result: leakage past the truncation
+    shows up there, not as an exception.
     """
-    a = annihilation_matrix(dim).astype(complex)
-    ad = a.conj().T
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    displaced = expm_apply(params.alpha * ad - np.conj(params.alpha) * a, vac)
-    beta = params.strength * np.exp(1j * params.angle)
-    squeezed = expm_apply(0.5 * (np.conj(beta) * (a @ a) - beta * (ad @ ad)), displaced)
-    return FockVector(squeezed / np.linalg.norm(squeezed))
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    r = params.strength
+    decay = math.exp(-r)
+    sech = 2.0 * decay / (1.0 + decay * decay)  # cannot overflow at large r
+    drive = params.alpha * sech
+    pull = -complex(math.cos(params.angle), math.sin(params.angle)) * math.tanh(r)
+    coeffs = np.zeros(dim, dtype=complex)
+    prev, cur = 0j, 1 + 0j
+    coeffs[0] = cur
+    for k in range(1, dim):
+        prev, cur = cur, (drive * cur + pull * math.sqrt(k - 1) * prev) / math.sqrt(k)
+        if abs(cur) > 1e150:
+            scale = 1.0 / abs(cur)
+            coeffs[:k] *= scale
+            prev *= scale
+            cur *= scale
+        coeffs[k] = cur
+    return FockVector(coeffs / np.linalg.norm(coeffs))
 
 
 def moments_from_vector(state: FockVector) -> SingleModeMoments:
@@ -159,39 +150,44 @@ def _creation_images(bs: BeamSplitterParams) -> tuple[complex, complex]:
     return bs.t * np.exp(1j * bs.phi), -bs.r
 
 
+def _powers(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k log|mu|, (mu / |mu|)^k) for k = 0, ..., dim-1, with mu^0 = 1 also at mu = 0."""
+    log_abs = np.zeros(dim)
+    if mu == 0:
+        log_abs[1:] = -np.inf
+        return log_abs, np.ones(dim)
+    log_abs[1:] = np.arange(1, dim) * math.log(abs(mu))
+    return log_abs, (mu / abs(mu)) ** np.arange(dim)
+
+
+def _hankel(values: np.ndarray) -> np.ndarray:
+    """Read-only view h[k, j] = values[k + j], reading 0 past the end."""
+    padded = np.concatenate([values, np.zeros(values.size - 1, dtype=values.dtype)])
+    return np.lib.stride_tricks.sliding_window_view(padded, values.size)
+
+
 def _apply_beam_splitter_images(
     vec: np.ndarray, mu1: complex, mu2: complex
 ) -> np.ndarray:
     """Map sum_n c_n |n, 0> to sum_n c_n (mu1 a1^dag + mu2 a2^dag)^n / sqrt(n!) |0, 0>.
 
     Expanding the binomial, |n, 0> goes to
-    sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>.  Amplitudes are built in
-    log space: binomials overflow float64 long before the bounded products do.
+    sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>, so the output is the
+    table out[k, j] = c_{k+j} binom(k+j, k)^{1/2} mu1^k mu2^j, zero where
+    k + j >= dim (there c reads 0 and the magnitude stays <= 1).  Magnitudes
+    are built in log space: binomials overflow float64 long before the
+    bounded products do.
     """
     dim = vec.size
-    out = np.zeros((dim, dim), dtype=complex)
-    log_mu1 = -np.inf if mu1 == 0 else math.log(abs(mu1))
-    log_mu2 = -np.inf if mu2 == 0 else math.log(abs(mu2))
-    ph1 = mu1 / abs(mu1) if mu1 != 0 else 0.0
-    ph2 = mu2 / abs(mu2) if mu2 != 0 else 0.0
-
-    def power_log(exponent: np.ndarray, logval: float) -> np.ndarray:
-        # exponent * logval with the convention 0 * (-inf) = 0 (mu^0 = 1).
-        with np.errstate(invalid="ignore"):
-            product = exponent * logval
-        return np.where(exponent == 0, 0.0, product)
-
-    for n in range(dim):
-        if vec[n] == 0:
-            continue
-        k = np.arange(n + 1)
-        log_binom_half = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-        magnitude = np.exp(
-            log_binom_half + power_log(k, log_mu1) + power_log(n - k, log_mu2)
-        )
-        phase = ph1**k * ph2 ** (n - k)
-        out[k, n - k] += vec[n] * magnitude * phase
-    return out
+    half_log_fact = 0.5 * gammaln(np.arange(dim) + 1.0)
+    log_abs1, phase1 = _powers(mu1, dim)
+    log_abs2, phase2 = _powers(mu2, dim)
+    magnitude = np.exp(
+        _hankel(half_log_fact)
+        + (log_abs1 - half_log_fact)[:, None]
+        + (log_abs2 - half_log_fact)[None, :]
+    )
+    return _hankel(vec) * magnitude * np.multiply.outer(phase1, phase2)
 
 
 def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:

@@ -318,6 +318,25 @@ class TestOracleCheck:
         assert code == 4
         assert "FAIL" in out
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--trials", "0"),
+            ("--trials", "-3"),
+            ("--dim", "1"),
+            ("--dim", "0"),
+            ("--r-max", "-1"),
+            ("--r-max", "nan"),
+            ("--alpha-max", "inf"),
+            ("--alpha-max", "nan"),
+        ],
+    )
+    def test_malformed_arguments_exit_1_before_any_trial(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "oracle-check", "--trials", "3", option, value)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestHelpAndEntryPoints:
     @pytest.mark.parametrize(

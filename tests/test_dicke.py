@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sparse
 
 from nonclassicality import (
+    CenteredMoments,
     DickeConfig,
     build_hamiltonian,
+    build_report,
     field_moments,
     ground_state,
 )
@@ -222,8 +224,29 @@ class TestBlockGroundState:
         assert abs(field_moments(result, cfg).photon_number - 0.5) < 1e-12
 
 
+def holstein_primakoff_field(g, omega=1.0, omega_eg=1.0):
+    """Centered (v, n) of the field in the normal-phase N -> infinity ground state.
+
+    With S_+ ~ sqrt(N) b^dag the counter-rotating model becomes
+    omega a^dag a + omega_eg b^dag b + g (a + a^dag)(b + b^dag), that is
+    H = p^T M p / 2 + x^T K x / 2 with M = diag(omega, omega_eg) and
+    K = [[omega, 2g], [2g, omega_eg]].  In y = M^{-1/2} x the ground state has
+    <y y^T> = W^{-1/2} / 2 and <pi pi^T> = W^{1/2} / 2, W = M^{1/2} K M^{1/2}.
+    """
+    root_m = np.sqrt(np.array([omega, omega_eg]))
+    stiffness = np.array([[omega, 2.0 * g], [2.0 * g, omega_eg]])
+    levels, modes = np.linalg.eigh(root_m[:, None] * stiffness * root_m[None, :])
+    x_var = 0.5 * root_m[0] ** 2 * (modes[0] ** 2 / np.sqrt(levels)).sum()
+    p_var = 0.5 / root_m[0] ** 2 * (modes[0] ** 2 * np.sqrt(levels)).sum()
+    # a = (x + i p) / sqrt(2) with <xp + px> = 0.
+    return abs(x_var - p_var) / 2.0, (x_var + p_var - 1.0) / 2.0
+
+
 class TestThermodynamicLimit:
-    """<a^dag a> against the mean-field limit (Emary and Brandes, PRE 67, 066203 (2003))."""
+    """Field moments against the N -> infinity limits.
+
+    Emary and Brandes, PRE 67, 066203 (2003).
+    """
 
     @pytest.mark.parametrize("g", [1.2, 1.5, 2.0])
     def test_corotating_superradiant_photons(self, g):
@@ -245,6 +268,22 @@ class TestThermodynamicLimit:
         photons = field_moments(ground_state(build_hamiltonian(cfg)), cfg).photon_number
         limit = g * g * cfg.n_atoms * (1.0 - (cfg.g_critical / g) ** 4)
         assert abs(photons / limit - 1.0) < 0.05
+
+    @pytest.mark.parametrize("g", [0.2, 0.3, 0.4])
+    def test_counter_rotating_normal_phase_gaussian(self, g):
+        # Below g_c = 1/2 the limit is the Gaussian ground state of the
+        # Holstein-Primakoff form; the finite-N error shrinks like 1/N.
+        v, n = holstein_primakoff_field(g)
+        limit = build_report(CenteredMoments(v, 0.0, n)).E_N
+        errors, photon_errors = {}, {}
+        for n_atoms, fock_dim in [(20, 36), (80, 142)]:
+            cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=True)
+            moments = field_moments(ground_state(build_hamiltonian(cfg)), cfg)
+            errors[n_atoms] = build_report(moments).E_N / limit - 1.0
+            photon_errors[n_atoms] = moments.photon_number / n - 1.0
+        assert abs(errors[80]) < 0.015
+        assert abs(photon_errors[80]) < 0.03
+        assert abs(errors[80]) * 3.0 <= abs(errors[20])
 
 
 class TestFieldMoments:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammaln
 
 from nonclassicality import (
     BeamSplitterParams,
@@ -19,7 +20,14 @@ from nonclassicality import (
     squeezed_coherent_vector,
     two_mode_covariance,
 )
-from nonclassicality.fock import expm_apply, recommended_dim
+from nonclassicality.fock import (
+    _apply_beam_splitter_images,
+    _creation_images,
+    recommended_dim,
+)
+
+#: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
+HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
 
 
 def fock_basis_state(dim, n):
@@ -48,17 +56,6 @@ class TestAnnihilationMatrix:
             annihilation_matrix(1)
 
 
-class TestExpmApply:
-    def test_matches_dense_matrix_exponential(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-            g = 3.0 * (g - g.conj().T)  # anti-Hermitian, like our generators
-            vec = rng.normal(size=12) + 1j * rng.normal(size=12)
-            expected = scipy.linalg.expm(g) @ vec
-            np.testing.assert_allclose(expm_apply(g, vec), expected, atol=1e-12)
-
-
 class TestSqueezedCoherentVector:
     def test_vacuum(self):
         state = squeezed_coherent_vector(SqueezedCoherentParams(0.0, 0.0, 0.0), dim=8)
@@ -72,10 +69,7 @@ class TestSqueezedCoherentVector:
         odd = np.abs(state.coefficients[1::2]) ** 2
         assert odd.max() < 1e-12
 
-    @pytest.mark.parametrize(
-        "alpha,r,theta",
-        [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)],
-    )
+    @pytest.mark.parametrize("alpha,r,theta", HEALTHY_CASES)
     def test_moments_match_closed_form(self, alpha, r, theta):
         params = SqueezedCoherentParams(alpha, r, theta)
         state = squeezed_coherent_vector(params, dim=max(80, recommended_dim(params)))
@@ -90,8 +84,98 @@ class TestSqueezedCoherentVector:
         state = squeezed_coherent_vector(SqueezedCoherentParams(0.0, 1.5, 0.0), dim=20)
         assert not state.truncation_healthy
 
+    @pytest.mark.parametrize("alpha,r,theta", HEALTHY_CASES)
+    def test_matches_exponentiated_generators(self, alpha, r, theta):
+        # Reference: exp[(beta* a^2 - beta a^dag^2) / 2] exp(alpha a^dag - alpha* a)|0>
+        # with both generators truncated to the same dim.
+        params = SqueezedCoherentParams(alpha, r, theta)
+        dim = recommended_dim(params)
+        a = annihilation_matrix(dim).astype(complex)
+        ad = a.conj().T
+        beta = r * cmath.exp(1j * theta)
+        vacuum = np.zeros(dim, dtype=complex)
+        vacuum[0] = 1.0
+        displaced = scipy.linalg.expm(alpha * ad - np.conj(alpha) * a) @ vacuum
+        expected = scipy.linalg.expm(0.5 * (np.conj(beta) * (a @ a) - beta * (ad @ ad))) @ displaced
+        psi = squeezed_coherent_vector(params, dim).coefficients
+        phase = np.vdot(psi, expected)
+        np.testing.assert_allclose(psi * phase / abs(phase), expected, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha,r,theta,dim",
+        [
+            (0.0, 2.0, 0.0, 700),
+            (0.7 + 0.2j, 1.5, 2.0, 340),
+            (2.0, 1.0, 0.5, 200),
+            (-0.8j, 0.4, 4.0, 48),
+        ],
+    )
+    def test_eigen_equation_residual(self, alpha, r, theta, dim):
+        # (cosh r a + e^{i theta} sinh r a^dag)|psi> = alpha |psi> on every row
+        # that the truncation leaves complete.
+        psi = squeezed_coherent_vector(SqueezedCoherentParams(alpha, r, theta), dim).coefficients
+        a = annihilation_matrix(dim)
+        lhs = (math.cosh(r) * a + cmath.exp(1j * theta) * math.sinh(r) * a.T) @ psi
+        assert np.abs(lhs - alpha * psi)[:-1].max() <= 1e-12
+
+    def test_extreme_squeezing_is_finite_and_normalized(self):
+        state = squeezed_coherent_vector(SqueezedCoherentParams(0.0, 1000.0, 0.3), dim=80)
+        assert np.isfinite(state.coefficients).all()
+        assert abs(np.linalg.norm(state.coefficients) - 1.0) < 1e-12
+        assert not state.truncation_healthy
+
+    def test_large_coherent_amplitude_matches_log_space_reference(self):
+        # Amplitudes alpha^k / sqrt(k!) pass 1e600 before level 200: the
+        # recurrence has to rescale on the way up.
+        alpha, dim = 1e4 * cmath.exp(0.7j), 200
+        state = squeezed_coherent_vector(SqueezedCoherentParams(alpha, 0.0, 0.0), dim)
+        assert np.isfinite(state.coefficients).all()
+        assert abs(np.linalg.norm(state.coefficients) - 1.0) < 1e-12
+        k = np.arange(dim)
+        log_abs = k * math.log(abs(alpha)) - 0.5 * gammaln(k + 1.0)
+        expected = np.exp(log_abs - log_abs.max() + 1j * k * cmath.phase(alpha))
+        expected /= np.linalg.norm(expected)
+        np.testing.assert_allclose(state.coefficients, expected, rtol=0, atol=1e-12)
+
+
+def splitter_by_photon_number(vec, mu1, mu2):
+    """Reference: map each |n, 0> to sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>."""
+    dim = vec.size
+    out = np.zeros((dim, dim), dtype=complex)
+    log_mu1 = -np.inf if mu1 == 0 else math.log(abs(mu1))
+    log_mu2 = -np.inf if mu2 == 0 else math.log(abs(mu2))
+    ph1 = mu1 / abs(mu1) if mu1 != 0 else 0.0
+    ph2 = mu2 / abs(mu2) if mu2 != 0 else 0.0
+
+    def power_log(exponent, logval):
+        # exponent * logval with the convention 0 * (-inf) = 0 (mu^0 = 1).
+        with np.errstate(invalid="ignore"):
+            product = exponent * logval
+        return np.where(exponent == 0, 0.0, product)
+
+    for n in range(dim):
+        k = np.arange(n + 1)
+        log_binom_half = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+        magnitude = np.exp(log_binom_half + power_log(k, log_mu1) + power_log(n - k, log_mu2))
+        out[k, n - k] += vec[n] * magnitude * ph1**k * ph2 ** (n - k)
+    return out
+
 
 class TestApplyBeamSplitter:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0 / math.sqrt(2.0), 0.95, 1.0])
+    def test_table_matches_per_photon_number_map(self, t):
+        rng = np.random.default_rng(31)
+        for dim in (2, 17, 80):
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            vec /= np.linalg.norm(vec)
+            bs = BeamSplitterParams.from_transmission(t, rng.uniform(0.0, 2.0 * math.pi))
+            mu1, mu2 = _creation_images(bs)
+            np.testing.assert_allclose(
+                _apply_beam_splitter_images(vec, mu1, mu2),
+                splitter_by_photon_number(vec, mu1, mu2),
+                rtol=0, atol=1e-14,
+            )
+
     def test_vacuum_stays_vacuum(self):
         out = apply_beam_splitter(fock_basis_state(6, 0), BeamSplitterParams.balanced())
         assert abs(out.coefficients[0, 0]) == pytest.approx(1.0)
