@@ -128,12 +128,21 @@ def _cmd_squeezed_sweep(args) -> int:
 
 
 def _cmd_dicke_sweep(args) -> int:
-    if args.steps < 2:
-        sys.stderr.write("steps must be >= 2\n")
-        return 1
-    if args.g_max < args.g_min or args.g_min < 0.0:
-        sys.stderr.write("need 0 <= g-min <= g-max\n")
-        return 1
+    # Chained comparisons are False for NaN, so these also reject it.
+    checks = [
+        (args.steps >= 2, "steps must be >= 2"),
+        (0.0 <= args.g_min <= args.g_max < math.inf, "need finite 0 <= g-min <= g-max"),
+        (args.n_atoms >= 1, "n-atoms must be >= 1"),
+        (args.fock_dim >= 2, "fock-dim must be >= 2"),
+        (0.0 < args.omega < math.inf and 0.0 < args.omega_eg < math.inf,
+         "omega and omega-eg must be finite and > 0"),
+        (0.0 < args.tol < math.inf, "tol must be finite and > 0"),
+        (args.max_iter >= 1, "max-iter must be >= 1"),
+    ]
+    for ok, message in checks:
+        if not ok:
+            sys.stderr.write(message + "\n")
+            return 1
     header = [
         "g", "g_over_gc", "ground_energy", "mean_photon",
         "E_N", "lambda_simon", "degenerate_flag",
@@ -281,7 +290,7 @@ def _build_parser() -> _ArgumentParser:
     )
     dicke.add_argument(
         "--mix-degenerate", action="store_true",
-        help="return the equal-weight mix of a degenerate ground pair",
+        help="return the equal-weight mix of a degenerate ground pair, with real <a> >= 0",
     )
     dicke.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of the eigensolver")
     dicke.add_argument("--max-iter", type=int, default=100_000)

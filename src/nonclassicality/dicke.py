@@ -6,13 +6,15 @@ the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
 2^N * fock_dim.  The field's ground-state moments feed the nonclassicality
 measure.
 
-The ground state is found block by block where H allows it.  Without the
-counter-rotating terms H conserves k = m + n, so it splits into N + fock_dim - 1
-blocks of at most min(N + 1, fock_dim) states, each diagonalized densely; the
-vacuum below g_c is then the exact 1-state block k = 0.  With them only the
-parity (-1)^(m + n) is conserved: its two sectors are diagonalized densely up
-to a total of 2 * DENSE_CUTOFF states, and above that the whole matrix goes to
-sparse Lanczos iteration.
+The ground state is found in the sectors of the quantum number each model
+conserves, read from the DickeConfig the Hamiltonian records.  Without the
+counter-rotating terms H conserves k = m + n: ordered by (k, m) it is one
+tridiagonal matrix whose off-diagonal vanishes between the N + fock_dim - 1
+blocks, and one LAPACK call gives its two lowest levels.  The vacuum below
+g_c is then the exact 1-state block k = 0.  With them only the parity
+(-1)^(m + n) is conserved: each of its two sectors is diagonalized densely up
+to DENSE_CUTOFF states and by sparse Lanczos iteration above that, and the
+two sector ground energies decide the degeneracy flag.
 
 In units hbar = 1:
 
@@ -32,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg import eigh_tridiagonal
 
 from .moments import SingleModeMoments
 
-#: Largest connected block of H solved by dense diagonalization when
-#: method="auto"; an operator with a larger block goes to Lanczos whole.  The
-#: counter-rotating model splits into two parity sectors of dim / 2 states, so
-#: 256 keeps its boundary at a total of 512 states, where it always was.
+#: Largest parity sector of the counter-rotating model, and largest operator
+#: that records no model, solved by dense diagonalization when method="auto";
+#: larger ones go to Lanczos.  A sector holds dim / 2 states, so the model's
+#: boundary stays at a total of 512 states, where it always was.
 DENSE_CUTOFF = 256
 
 #: Ground pairs closer than this in energy are reported as degenerate.
@@ -81,16 +84,24 @@ class DickeConfig:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Hermitian operator in compressed sparse row form (all entries real)."""
+    """Hermitian operator in compressed sparse row form (all entries real).
+
+    ``config`` is the model the matrix was built from; ground_state reads the
+    sectors of its conserved quantum number from it.  An operator without one
+    is solved whole.
+    """
 
     dim: int
     matrix: sparse.csr_matrix
+    config: DickeConfig | None = None
 
     def __post_init__(self):
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match dim {self.dim}"
             )
+        if self.config is not None and self.config.dim != self.dim:
+            raise ValueError(f"config has dim {self.config.dim}, operator has {self.dim}")
 
     def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
         diff = self.matrix - self.matrix.T
@@ -101,9 +112,11 @@ class SparseOperator:
 class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
-    ``iterations`` counts operator applications for the iterative path and is
-    0 for dense and block solves.  ``degenerate`` is set when the two lowest
-    values sit within DEGENERACY_TOL of each other.
+    ``iterations`` counts operator applications of the Lanczos runs, summed
+    over the parity sectors, and is 0 for dense and tridiagonal solves.
+    ``degenerate`` is set when the two lowest values (for the counter-rotating
+    model, the two sector ground energies) sit within DEGENERACY_TOL of each
+    other.
     """
 
     energy: float
@@ -142,7 +155,7 @@ def build_hamiltonian(cfg: DickeConfig) -> SparseOperator:
     matrix = sparse.csr_matrix(
         sparse.coo_matrix((vals, (rows, cols)), shape=(cfg.dim, cfg.dim))
     )
-    return SparseOperator(dim=cfg.dim, matrix=matrix)
+    return SparseOperator(dim=cfg.dim, matrix=matrix, config=cfg)
 
 
 def _fix_gauge(vector: np.ndarray) -> np.ndarray:
@@ -151,46 +164,87 @@ def _fix_gauge(vector: np.ndarray) -> np.ndarray:
     return -vector if vector[pivot] < 0.0 else vector
 
 
+def _quantum_numbers(cfg: DickeConfig):
+    """Excited atoms m and photons n of every state in the atom-major layout."""
+    return np.divmod(np.arange(cfg.dim), cfg.fock_dim)
+
+
+def _lower_field(psi: np.ndarray) -> np.ndarray:
+    """a applied to the field factor of psi, shaped (n_atoms + 1, fock_dim)."""
+    a_psi = np.zeros_like(psi)
+    a_psi[:, :-1] = np.sqrt(np.arange(1, psi.shape[1]))[None, :] * psi[:, 1:]
+    return a_psi
+
+
+def _lowest_pair_excitation(matrix: sparse.csr_matrix, cfg: DickeConfig):
+    """Two lowest eigenpairs of the co-rotating model from one tridiagonal solve.
+
+    Ordered by (k = m + n, m), H is tridiagonal: S_+ a links (m, n) only to
+    (m + 1, n - 1), the next state of the same block, and the off-diagonal is
+    exactly 0 between blocks.  LAPACK's bisection and inverse iteration split
+    the matrix there, so each vector lies inside one block.  When the two
+    lowest levels are degenerate, every level within DEGENERACY_TOL of the
+    lowest is taken and the two of lowest k are kept, lower k first: at
+    g = g_c the vacuum (k = 0) and the lowest k = 1 level cross, and the
+    vacuum is reported with its own energy.
+    """
+    m, n = _quantum_numbers(cfg)
+    k = m + n
+    order = np.lexsort((m, k))
+    diagonal = matrix.diagonal()[order]
+    off_diagonal = np.asarray(matrix[order[:-1], order[1:]]).ravel()
+    energies, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
+    if energies[1] - energies[0] < DEGENERACY_TOL:
+        # A tie can span more than two blocks, as when omega << omega_eg.
+        margin = max(DEGENERACY_TOL, 4.0 * np.spacing(abs(energies[0])))
+        energies, vectors = eigh_tridiagonal(
+            diagonal, off_diagonal, select="v",
+            select_range=(energies[0] - margin, energies[0] + margin),
+        )
+        by_k = np.argsort(k[order][np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
+        energies, vectors = energies[by_k], vectors[:, by_k]
+    pair = np.zeros((cfg.dim, len(energies)))
+    pair[order] = vectors
+    return energies, pair, 0, True
+
+
+def _lowest_pair_parity(matrix: sparse.csr_matrix, cfg: DickeConfig, tol: float, max_iter: int):
+    """Ground pair of each parity sector of the counter-rotating model.
+
+    H conserves the parity (-1)^(m + n).  A sector of at most DENSE_CUTOFF
+    states is diagonalized densely; a larger one goes to k = 1 Lanczos started
+    from (-1)^m.  In that gauge the off-diagonals of H are <= 0, so the ground
+    vector of a connected sector is positive (Perron-Frobenius) and cannot be
+    orthogonal to the start vector.  The even sector comes first unless the
+    odd one lies lower.
+    """
+    m, n = _quantum_numbers(cfg)
+    energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
+    matvecs, converged = 0, True
+    for parity in (0, 1):
+        states = np.flatnonzero((m + n) % 2 == parity)
+        sector = matrix[states][:, states]
+        if len(states) <= DENSE_CUTOFF:
+            values, vectors = np.linalg.eigh(sector.toarray())
+        else:
+            start = np.where(m[states] % 2, -1.0, 1.0) / math.sqrt(len(states))
+            values, vectors, count, done = _lowest_lanczos(sector, tol, max_iter, 1, start)
+            matvecs, converged = matvecs + count, converged and done
+            if values is None:
+                return None, None, matvecs, False
+        energies[parity], pair[states, parity] = values[0], vectors[:, 0]
+    if energies[1] < energies[0]:
+        return energies[::-1], pair[:, ::-1], matvecs, converged
+    return energies, pair, matvecs, converged
+
+
 def _lowest_pair_dense(matrix: sparse.csr_matrix):
     energies, vectors = np.linalg.eigh(matrix.toarray())
-    return energies[:2], vectors[:, :2]
+    return energies[:2], vectors[:, :2], 0, True
 
 
-def _lowest_pair_blocks(matrix: sparse.csr_matrix, labels: np.ndarray):
-    """Two lowest eigenpairs from a dense eigh of every connected block.
-
-    Blocks are laid out by (size, label), so each size is one contiguous
-    diagonal range of the permuted matrix and one batched eigh.  Energy ties
-    break by block label, then by level within the block, so reruns pick the
-    same pair.  The stacks hold at most DENSE_CUTOFF * dim entries.
-    """
-    dim = matrix.shape[0]
-    sizes = np.bincount(labels)
-    order = np.lexsort((np.arange(dim), labels, sizes[labels]))
-    permuted = matrix[order][:, order]
-    candidates = []  # (energy, label, level, block states, block vector)
-    start = 0
-    for size, count in zip(*np.unique(sizes, return_counts=True)):
-        stop = start + size * count
-        lo, hi = permuted.indptr[start], permuted.indptr[stop]
-        rows = np.repeat(np.arange(size * count), np.diff(permuted.indptr[start:stop + 1]))
-        cols = permuted.indices[lo:hi] - start
-        stack = np.zeros((count, size, size))
-        stack[rows // size, rows % size, cols % size] = permuted.data[lo:hi]
-        energies, vectors = np.linalg.eigh(stack)
-        for block, states in enumerate(order[start:stop].reshape(count, size)):
-            for level in range(min(2, size)):
-                candidates.append((energies[block, level], labels[states[0]], level,
-                                   states, vectors[block, :, level]))
-        start = stop
-    lowest = sorted(candidates, key=lambda c: c[:3])[:2]
-    pair = np.zeros((dim, len(lowest)))
-    for j, (_, _, _, states, vector) in enumerate(lowest):
-        pair[states, j] = vector
-    return np.array([c[0] for c in lowest]), pair
-
-
-def _lowest_pair_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int):
+def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int, v0: np.ndarray):
+    """k lowest eigenpairs by ARPACK Lanczos from v0, ascending, with the matvec count."""
     dim = matrix.shape[0]
     matvecs = [0]
 
@@ -199,18 +253,17 @@ def _lowest_pair_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int):
         return matrix @ x
 
     operator = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
     ncv = min(dim, 40)
     # ARPACK's tolerance is relative to the Ritz value, so the requested
     # absolute residual is divided by the matrix norm.  It is additionally
-    # floored at 1e-11: a loosely converged run can return a correct ground
-    # value next to a wrong-order second value, silently skipping the
-    # quasi-degenerate partner the degeneracy flag exists to detect.
+    # floored at 1e-11: the degeneracy flag compares two lowest values to
+    # DEGENERACY_TOL, and a loosely converged run can return a wrong-order
+    # second value or sector energies too coarse for that comparison.
     norm_1 = float(np.abs(matrix).sum(axis=0).max())
     arpack_tol = min(tol / max(1.0, norm_1), 1e-11)
     try:
         energies, vectors = sparse_linalg.eigsh(
-            operator, k=2, which="SA", v0=v0, tol=arpack_tol,
+            operator, k=k, which="SA", v0=v0, tol=arpack_tol,
             maxiter=max_iter, ncv=ncv,
         )
     except sparse_linalg.ArpackNoConvergence as exc:
@@ -231,59 +284,65 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian sparse operator.
 
-    method: "auto" finds the connected blocks of H's sparsity pattern.  When
-    none has more than DENSE_CUTOFF states, every block is diagonalized
-    densely and the two lowest levels over all blocks are kept, with the
-    vectors embedded in the full space.  Otherwise the whole matrix goes to
-    Lanczos (ARPACK, deterministic uniform positive start vector).  Unlike
-    Lanczos, the block path cannot miss a ground state orthogonal to that
-    start vector, such as the co-rotating k = 1 level just above g_c.
-    "dense" and "iterative" force a whole-matrix dense or Lanczos solve; they
-    are the cross-checks of the block path.
+    method: "auto" solves an operator from build_hamiltonian in the sectors
+    of the quantum number its model conserves.  The co-rotating model is one
+    tridiagonal matrix ordered by excitation number k = m + n, and the two
+    lowest levels over all blocks come from one LAPACK call.  The
+    counter-rotating model is solved in its two parity sectors, and the two
+    sector ground energies are the pair compared for degeneracy.  Neither
+    path can miss a ground state orthogonal to a start vector, such as the
+    co-rotating k = 1 level just above g_c or the odd member of the parity
+    doublet above g_c.  An operator that records no model is solved whole:
+    densely up to DENSE_CUTOFF states, by Lanczos (ARPACK, uniform positive
+    start vector) above that.  "dense" and "iterative" force a whole-matrix
+    dense or Lanczos solve; they are the cross-checks of the sector paths.
 
     The two lowest values are always computed so near-degenerate ground
-    spaces are detected rather than silently resolved.  By default the
-    converged Ritz vector is returned as-is; ``mix_degenerate=True`` instead
-    returns the equal-weight sum of the two vectors when they are degenerate,
-    emulating symmetry-broken numerics.  The global sign is fixed by making
-    the largest-magnitude coefficient positive.
+    spaces are detected rather than silently resolved.  By default the first
+    member of the pair is returned: the lowest value, the lower k or the even
+    sector on a tie.  ``mix_degenerate=True`` instead returns the normalized
+    sum of the two vectors when they are degenerate, emulating
+    symmetry-broken numerics; for an operator from build_hamiltonian the
+    relative sign makes <a> the larger of the two choices, so the exact
+    (psi_even +- psi_odd) / sqrt(2) has real <a> >= 0.  The global sign is
+    fixed by making the largest-magnitude coefficient positive.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if not operator.is_hermitian(tol=1e-12):
         raise ValueError("operator is not Hermitian")
-    matrix = operator.matrix
-    labels = None
-    if method == "auto":
-        # Imported here: csgraph adds about 1 MB that the other commands never use.
-        from scipy.sparse.csgraph import connected_components
-
-        labels = connected_components(matrix, directed=False)[1]
-        if np.bincount(labels).max() > DENSE_CUTOFF:
-            labels = None
-    if labels is not None:
-        energies, vectors = _lowest_pair_blocks(matrix, labels)
-        iterations, converged = 0, True
-    elif method == "dense":
-        energies, vectors = _lowest_pair_dense(matrix)
-        iterations, converged = 0, True
-    else:
-        energies, vectors, iterations, converged = _lowest_pair_lanczos(
-            matrix, tol, max_iter
+    matrix, cfg = operator.matrix, operator.config
+    try:
+        if method == "auto" and cfg is not None and cfg.counter_rotating:
+            solved = _lowest_pair_parity(matrix, cfg, tol, max_iter)
+        elif method == "auto" and cfg is not None:
+            solved = _lowest_pair_excitation(matrix, cfg)
+        elif method == "dense" or (method == "auto" and operator.dim <= DENSE_CUTOFF):
+            solved = _lowest_pair_dense(matrix)
+        else:
+            uniform = np.full(operator.dim, 1.0 / math.sqrt(operator.dim))
+            solved = _lowest_lanczos(matrix, tol, max_iter, 2, uniform)
+    except np.linalg.LinAlgError:  # LAPACK did not converge, e.g. on entries near overflow
+        solved = None, None, 0, False
+    energies, vectors, iterations, converged = solved
+    if energies is None:
+        return GroundStateResult(
+            energy=math.nan, vector=np.full(operator.dim, np.nan), residual=math.inf,
+            iterations=iterations, converged=False, degenerate=False,
         )
-        if energies is None:
-            nan_vec = np.full(operator.dim, np.nan)
-            return GroundStateResult(
-                energy=math.nan, vector=nan_vec, residual=math.inf,
-                iterations=iterations, converged=False, degenerate=False,
-            )
 
     energy = float(energies[0])
-    gap = float(energies[1] - energies[0]) if len(energies) > 1 else math.inf
-    degenerate = gap < DEGENERACY_TOL
+    degenerate = len(energies) > 1 and abs(energies[1] - energies[0]) < DEGENERACY_TOL
     vector = _fix_gauge(vectors[:, 0])
     if mix_degenerate and degenerate:
-        pair = _fix_gauge(vectors[:, 0]) + _fix_gauge(vectors[:, 1])
+        other = _fix_gauge(vectors[:, 1])
+        if cfg is not None:
+            shape = (cfg.n_atoms + 1, cfg.fock_dim)
+            u, w = vector.reshape(shape), other.reshape(shape)
+            # <a> of (u + s w) / sqrt(2) is its diagonal part plus s times this.
+            if np.vdot(u, _lower_field(w)) + np.vdot(w, _lower_field(u)) < 0.0:
+                other = -other
+        pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
     residual = float(np.linalg.norm(matrix @ vector - energy * vector))
     if converged and residual > tol:
@@ -294,7 +353,7 @@ def ground_state(
         residual=residual,
         iterations=iterations,
         converged=converged,
-        degenerate=degenerate,
+        degenerate=bool(degenerate),
     )
 
 
@@ -312,11 +371,8 @@ def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
 def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:
     """<a>, <a^2>, <a^dag a> of the field factor of a ground-state vector."""
     psi = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
-    root_n = np.sqrt(np.arange(1, cfg.fock_dim))
-    a_psi = np.zeros_like(psi)
-    a_psi[:, :-1] = root_n[None, :] * psi[:, 1:]
-    aa_psi = np.zeros_like(psi)
-    aa_psi[:, :-1] = root_n[None, :] * a_psi[:, 1:]
+    a_psi = _lower_field(psi)
+    aa_psi = _lower_field(a_psi)
     return SingleModeMoments(
         mean_a=complex(np.vdot(psi, a_psi)),
         a_squared=complex(np.vdot(psi, aa_psi)),

@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import HealthCheck, settings
+
+import nonclassicality
 
 settings.register_profile(
     "numeric",
@@ -16,3 +21,9 @@ def random_physical_centered(rng: np.random.Generator, n_max: float = 3.0):
     v = rng.uniform(0.0, 1.0) * np.sqrt(n * (n + 1.0))
     theta = rng.uniform(0.0, 2.0 * np.pi)
     return v, theta, n
+
+
+def subprocess_env() -> dict:
+    """The environment with this package's source directory on PYTHONPATH."""
+    src = str(Path(nonclassicality.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -284,6 +284,32 @@ class TestDickeSweep:
         _, rows = parse_csv(out)
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--g-max", "nan"),
+            ("--g-max", "inf"),
+            ("--g-min", "nan"),
+            ("--omega", "nan"),
+            ("--omega", "0"),
+            ("--omega-eg", "inf"),
+            ("--omega-eg", "-1"),
+            ("--n-atoms", "0"),
+            ("--fock-dim", "1"),
+            ("--tol", "nan"),
+            ("--tol", "-1"),
+            ("--max-iter", "0"),
+        ],
+    )
+    def test_malformed_arguments_exit_1_before_any_row(self, capsys, option, value):
+        code, out, err = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
+            option, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
     def test_healthy_sweep_prints_no_warning(self, capsys):
         code, _, err = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "30",

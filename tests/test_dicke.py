@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
+from conftest import subprocess_env
 from nonclassicality import (
     CenteredMoments,
     DickeConfig,
@@ -12,6 +16,8 @@ from nonclassicality import (
     field_moments,
     ground_state,
 )
+from nonclassicality.cli import main as cli_main
+from nonclassicality.dicke import DEGENERACY_TOL
 
 
 def total_excitation_operator(cfg):
@@ -168,6 +174,8 @@ class TestGroundState:
 
 
 class TestBlockGroundState:
+    """The sector paths of method="auto" against whole-matrix solves."""
+
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, g, counter_rotating",
         [
@@ -195,11 +203,17 @@ class TestBlockGroundState:
 
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, counter_rotating, block_path",
-        [(20, 36, False, True), (80, 142, False, True), (20, 36, True, False)],
+        [
+            (20, 36, False, True),
+            (80, 142, False, True),
+            (20, 36, True, False),
+            (8, 40, True, True),
+        ],
     )
     def test_path_selection(self, n_atoms, fock_dim, counter_rotating, block_path):
-        # Excitation blocks hold at most min(N + 1, fock_dim) states; the two
-        # parity sectors of the counter-rotating model hold dim / 2 = 378.
+        # The co-rotating model is one tridiagonal solve at any size.  The
+        # parity sectors of the counter-rotating model hold dim / 2 states:
+        # 378 go to Lanczos, 180 to a dense eigh.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=counter_rotating)
         result = ground_state(build_hamiltonian(cfg), tol=1e-9)
         assert result.converged
@@ -207,12 +221,14 @@ class TestBlockGroundState:
         assert result.residual <= 1e-9
 
     def test_block_path_is_deterministic(self):
-        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.3)
-        op = build_hamiltonian(cfg)
-        first, second = ground_state(op, tol=1e-10), ground_state(op, tol=1e-10)
-        assert first.vector.tobytes() == second.vector.tobytes()
-        assert first.energy == second.energy
-        assert first.converged and first.residual <= 1e-10
+        for counter_rotating in (False, True):
+            cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.3, counter_rotating=counter_rotating)
+            op = build_hamiltonian(cfg)
+            first, second = ground_state(op, tol=1e-10), ground_state(op, tol=1e-10)
+            assert first.vector.tobytes() == second.vector.tobytes()
+            assert first.energy == second.energy
+            assert first.iterations == second.iterations
+            assert first.converged and first.residual <= 1e-10
 
     def test_ground_level_outside_the_start_vector(self):
         # At N = 20 and g = 1.02 the ground state (|0,1> - |1,0>)/sqrt(2) of
@@ -222,6 +238,85 @@ class TestBlockGroundState:
         result = ground_state(build_hamiltonian(cfg))
         assert abs(result.energy - (-10.02)) < 1e-12
         assert abs(field_moments(result, cfg).photon_number - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n_atoms, fock_dim", [(20, 36), (80, 142)])
+    def test_corotating_crossing_keeps_exact_vacuum(self, n_atoms, fock_dim):
+        # At g = g_c the vacuum (k = 0) and the lowest k = 1 level cross; the
+        # lower k is reported, with its own energy.
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.0)
+        result = ground_state(build_hamiltonian(cfg), tol=1e-9)
+        assert result.degenerate and result.converged
+        assert result.energy == -n_atoms / 2.0
+        m = field_moments(result, cfg)
+        assert m.photon_number == 0.0 and m.mean_a == 0.0 and m.a_squared == 0.0
+
+    def test_tie_of_many_blocks_reports_the_lowest_k(self):
+        # With omega = 1e-300 every |m=0, n> rounds to the vacuum energy, so
+        # all eight blocks tie at g = 0; the vacuum (k = 0) must win.
+        cfg = DickeConfig(n_atoms=2, fock_dim=8, omega=1e-300, g=0.0)
+        result = ground_state(build_hamiltonian(cfg))
+        assert result.degenerate and result.energy == -1.0
+        assert field_moments(result, cfg).photon_number == 0.0
+
+    def test_lapack_failure_is_nonconvergence(self):
+        # At g = 1e200 the squared off-diagonal overflows and LAPACK's
+        # bisection fails; the row is reported unconverged, not raised.
+        cfg = DickeConfig(n_atoms=2, fock_dim=8, g=1e200)
+        result = ground_state(build_hamiltonian(cfg))
+        assert not result.converged and math.isnan(result.energy)
+
+    @pytest.mark.parametrize(
+        "n_atoms, fock_dim, g", [(20, 36, 0.3), (20, 36, 0.6), (20, 36, 1.5), (8, 40, 1.5)]
+    )
+    def test_counter_rotating_vector_has_definite_parity(self, n_atoms, fock_dim, g):
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=True)
+        vector = ground_state(build_hamiltonian(cfg), tol=1e-9).vector
+        m, n = np.divmod(np.arange(cfg.dim), cfg.fock_dim)
+        odd = (m + n) % 2 == 1
+        assert np.all(vector[odd] == 0.0) or np.all(vector[~odd] == 0.0)
+
+    def test_degenerate_flag_matches_dense_gap(self, tmp_path):
+        # Every row of the counter-rotating N = 20 sweep is flagged exactly
+        # when a whole-matrix dense solve finds its two lowest levels closer
+        # than DEGENERACY_TOL.  The nearest rows sit a factor 2 either side.
+        out = tmp_path / "counter.csv"
+        assert cli_main(["dicke-sweep", "--n-atoms", "20", "--fock-dim", "36",
+                         "--counter-rotating", "--output", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        expected = []
+        for g in rows[:, 0]:
+            cfg = DickeConfig(n_atoms=20, fock_dim=36, g=g, counter_rotating=True)
+            h = build_hamiltonian(cfg).matrix.toarray()
+            low = scipy.linalg.eigh(h, subset_by_index=(0, 1), eigvals_only=True, driver="evx")
+            expected.append(low[1] - low[0] < DEGENERACY_TOL)
+        assert sum(expected) == 60
+        np.testing.assert_array_equal(rows[:, 6] == 1.0, expected)
+
+    @pytest.mark.parametrize("n_atoms, fock_dim", [(20, 36), (8, 40)])
+    def test_mixed_doublet_breaks_the_symmetry(self, n_atoms, fock_dim):
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=True)
+        op = build_hamiltonian(cfg)
+        plain = ground_state(op, tol=1e-9)
+        mixed = ground_state(op, tol=1e-9, mix_degenerate=True)
+        assert plain.degenerate and mixed.degenerate and mixed.converged
+        assert abs(np.linalg.norm(mixed.vector) - 1.0) < 1e-14
+        assert abs(mixed.vector @ (op.matrix @ mixed.vector) - plain.energy) < DEGENERACY_TOL
+        assert field_moments(plain, cfg).mean_a == 0.0
+        mean_a = field_moments(mixed, cfg).mean_a
+        assert mean_a.imag == 0.0 and mean_a.real > 1.0
+
+    def test_sweep_does_not_load_csgraph(self):
+        script = (
+            "import sys; from nonclassicality.cli import main; "
+            "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3']) == 0; "
+            "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3', "
+            "'--counter-rotating']) == 0; "
+            "sys.exit('scipy.sparse.csgraph' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def holstein_primakoff_field(g, omega=1.0, omega_eg=1.0):
