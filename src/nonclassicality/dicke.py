@@ -7,14 +7,17 @@ the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
 measure.
 
 The ground state is found in the sectors of the quantum number each model
-conserves, read from the DickeConfig the Hamiltonian records.  Without the
-counter-rotating terms H conserves k = m + n: ordered by (k, m) it is one
-tridiagonal matrix whose off-diagonal vanishes between the N + fock_dim - 1
-blocks, and one LAPACK call gives its two lowest levels.  The vacuum below
-g_c is then the exact 1-state block k = 0.  With them only the parity
-(-1)^(m + n) is conserved: each of its two sectors is diagonalized densely up
-to DENSE_CUTOFF states and by sparse Lanczos iteration above that, and the
-two sector ground energies decide the degeneracy flag.
+conserves, built straight from the amplitudes of the DickeConfig the
+Hamiltonian records.  Without the counter-rotating terms H conserves
+k = m + n: ordered by (k, m) it is one tridiagonal matrix whose off-diagonal
+vanishes between the N + fock_dim - 1 blocks, and one LAPACK call gives its
+two lowest levels.  The vacuum below g_c is then the exact 1-state block
+k = 0.  With them only the parity (-1)^(m + n) is conserved: each of its two
+sectors is assembled from the entries of its own rows, diagonalized densely
+up to DENSE_CUTOFF states and by sparse Lanczos iteration above that, and
+the two sector ground energies decide the degeneracy flag.  The whole sparse
+matrix is assembled only when something reads it, such as the dense and
+iterative cross-checks.
 
 In units hbar = 1:
 
@@ -28,7 +31,9 @@ or explicit mixing of a degenerate ground pair; both are exposed.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,8 @@ DENSE_CUTOFF = 256
 DEGENERACY_TOL = 1e-10
 
 _HERMITICITY_TOL = 1e-14
+#: Largest asymmetry ground_state accepts in a matrix it diagonalizes.
+_SOLVE_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,14 +69,18 @@ class DickeConfig:
     counter_rotating: bool = False
 
     def __post_init__(self):
+        for name in ("n_atoms", "fock_dim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.fock_dim < 2:
             raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
-        if self.omega <= 0.0 or self.omega_eg <= 0.0:
-            raise ValueError("omega and omega_eg must be > 0")
-        if self.g < 0.0:
-            raise ValueError(f"coupling must be >= 0, got {self.g}")
+        # Chained comparisons are False for NaN, so these also reject it.
+        if not (0.0 < self.omega < math.inf and 0.0 < self.omega_eg < math.inf):
+            raise ValueError("omega and omega_eg must be finite and > 0")
+        if not 0.0 <= self.g < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.g}")
 
     @property
     def g_critical(self) -> float:
@@ -82,30 +93,38 @@ class DickeConfig:
         return (self.n_atoms + 1) * self.fock_dim
 
 
-@dataclass(frozen=True)
 class SparseOperator:
     """Hermitian operator in compressed sparse row form (all entries real).
 
-    ``config`` is the model the matrix was built from; ground_state reads the
-    sectors of its conserved quantum number from it.  An operator without one
-    is solved whole.
+    Built by hand from an explicit ``matrix``, or by build_hamiltonian from a
+    ``config``, the model whose sectors ground_state builds straight from its
+    amplitudes.  An operator from a config assembles ``matrix`` on first
+    access and keeps it, so a sector solve never builds it.  An operator
+    without a config is solved whole.
     """
 
-    dim: int
-    matrix: sparse.csr_matrix
-    config: DickeConfig | None = None
+    def __init__(
+        self,
+        dim: int,
+        matrix: sparse.csr_matrix | None = None,
+        config: DickeConfig | None = None,
+    ):
+        if (matrix is None) == (config is None):
+            raise ValueError("give exactly one of matrix and config")
+        if matrix is not None:
+            if matrix.shape != (dim, dim):
+                raise ValueError(f"matrix shape {matrix.shape} does not match dim {dim}")
+            self.matrix = matrix
+        elif config.dim != dim:
+            raise ValueError(f"config has dim {config.dim}, operator has {dim}")
+        self.dim, self.config = dim, config
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match dim {self.dim}"
-            )
-        if self.config is not None and self.config.dim != self.dim:
-            raise ValueError(f"config has dim {self.config.dim}, operator has {self.dim}")
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        return _csr(*_entries(self.config), self.dim)
 
     def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
-        diff = self.matrix - self.matrix.T
-        return diff.nnz == 0 or float(np.abs(diff.data).max()) <= tol
+        return _is_hermitian(self.matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -128,34 +147,55 @@ class GroundStateResult:
 
 
 def build_hamiltonian(cfg: DickeConfig) -> SparseOperator:
-    """Assemble H on the symmetric-ladder (x) Fock basis.
+    """H on the symmetric-ladder (x) Fock basis, with its CSR matrix assembled lazily.
 
     Ladder amplitudes: S_+|m> = sqrt((N - m)(m + 1)) |m+1> and S_z|m> =
     (m - N/2)|m>, with a|n> = sqrt(n)|n-1>.  Without counter-rotating terms
     each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
     Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
+    The operator records cfg; ground_state(method="auto") solves it from the
+    amplitudes, and ``.matrix`` is assembled only when read.
     """
-    n_atoms, fock_dim = cfg.n_atoms, cfg.fock_dim
-    coupling = cfg.g / math.sqrt(n_atoms)
-    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
-    index = np.arange(cfg.dim).reshape(n_atoms + 1, fock_dim)
+    return SparseOperator(dim=cfg.dim, config=cfg)
+
+
+def _amplitudes(cfg: DickeConfig):
+    """Diagonal of H and the amplitude of each coupling, the one source of both.
+
+    diagonal[m, n] = omega n + omega_eg (m - N/2) for every state |m, n>, and
+    hop[m, n - 1] = (g / sqrt(N)) sqrt((N - m)(m + 1)) sqrt(n) for m < N and
+    n >= 1 is both <m+1, n-1| S_+ a |m, n> and <m+1, n| S_+ a^dag |m, n-1>.
+    """
+    n_atoms = cfg.n_atoms
     m = np.arange(n_atoms + 1)[:, None]
-    n = np.arange(fock_dim)
+    n = np.arange(cfg.fock_dim)
     diagonal = cfg.omega * n + cfg.omega_eg * (m - n_atoms / 2.0)
-    # <m+1, n-1| S_+ a |m, n> and <m+1, n| S_+ a^dag |m, n-1> share one
-    # amplitude array over m < N, n >= 1.
-    amp = coupling * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
+    hop = cfg.g / math.sqrt(n_atoms) * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
+    return diagonal, hop
+
+
+def _entries(cfg: DickeConfig):
+    """(rows, cols, values) of every stored entry of H, both triangles."""
+    diagonal, hop = _amplitudes(cfg)
+    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
+    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
     raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a
     if cfg.counter_rotating:  # S_+ a^dag
         raised.append(index[1:, 1:])
         lowered.append(index[:-1, :-1])
     rows = np.concatenate([index, *raised, *lowered], axis=None)
     cols = np.concatenate([index, *lowered, *raised], axis=None)
-    vals = np.concatenate([diagonal, *[amp] * (2 * len(raised))], axis=None)
-    matrix = sparse.csr_matrix(
-        sparse.coo_matrix((vals, (rows, cols)), shape=(cfg.dim, cfg.dim))
-    )
-    return SparseOperator(dim=cfg.dim, matrix=matrix, config=cfg)
+    values = np.concatenate([diagonal, *[hop] * (2 * len(raised))], axis=None)
+    return rows, cols, values
+
+
+def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
+    return sparse.csr_matrix(sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)))
+
+
+def _is_hermitian(matrix: sparse.csr_matrix, tol: float) -> bool:
+    diff = matrix - matrix.T
+    return diff.nnz == 0 or float(np.abs(diff.data).max()) <= tol
 
 
 def _fix_gauge(vector: np.ndarray) -> np.ndarray:
@@ -176,23 +216,36 @@ def _lower_field(psi: np.ndarray) -> np.ndarray:
     return a_psi
 
 
-def _lowest_pair_excitation(matrix: sparse.csr_matrix, cfg: DickeConfig):
+def _excitation_chain(cfg: DickeConfig):
+    """The co-rotating H as one tridiagonal matrix over the states ordered by (k = m + n, m).
+
+    Returns the atom-major index and the k of each ordered state, the
+    diagonal d and the off-diagonal e.  S_+ a links (m, n) only to
+    (m + 1, n - 1), the next state of the same block, so e is exactly 0
+    between blocks.
+    """
+    diagonal, hop = _amplitudes(cfg)
+    m, n = _quantum_numbers(cfg)
+    k = m + n
+    order = np.lexsort((m, k))
+    m, n, k = m[order], n[order], k[order]
+    inside = np.flatnonzero(k[1:] == k[:-1])
+    off_diagonal = np.zeros(cfg.dim - 1)
+    off_diagonal[inside] = hop[m[inside], n[inside] - 1]
+    return order, k, diagonal.ravel()[order], off_diagonal
+
+
+def _lowest_pair_excitation(cfg: DickeConfig):
     """Two lowest eigenpairs of the co-rotating model from one tridiagonal solve.
 
-    Ordered by (k = m + n, m), H is tridiagonal: S_+ a links (m, n) only to
-    (m + 1, n - 1), the next state of the same block, and the off-diagonal is
-    exactly 0 between blocks.  LAPACK's bisection and inverse iteration split
-    the matrix there, so each vector lies inside one block.  When the two
+    LAPACK's bisection and inverse iteration split the chain where its
+    off-diagonal is 0, so each vector lies inside one block.  When the two
     lowest levels are degenerate, every level within DEGENERACY_TOL of the
     lowest is taken and the two of lowest k are kept, lower k first: at
     g = g_c the vacuum (k = 0) and the lowest k = 1 level cross, and the
     vacuum is reported with its own energy.
     """
-    m, n = _quantum_numbers(cfg)
-    k = m + n
-    order = np.lexsort((m, k))
-    diagonal = matrix.diagonal()[order]
-    off_diagonal = np.asarray(matrix[order[:-1], order[1:]]).ravel()
+    order, k, diagonal, off_diagonal = _excitation_chain(cfg)
     energies, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
     if energies[1] - energies[0] < DEGENERACY_TOL:
         # A tie can span more than two blocks, as when omega << omega_eg.
@@ -201,14 +254,44 @@ def _lowest_pair_excitation(matrix: sparse.csr_matrix, cfg: DickeConfig):
             diagonal, off_diagonal, select="v",
             select_range=(energies[0] - margin, energies[0] + margin),
         )
-        by_k = np.argsort(k[order][np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
+        by_k = np.argsort(k[np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
         energies, vectors = energies[by_k], vectors[:, by_k]
     pair = np.zeros((cfg.dim, len(energies)))
     pair[order] = vectors
-    return energies, pair, 0, True
+
+    def apply(x):  # H x: in the chain's order the tridiagonal matrix is H
+        chained = x[order]
+        h_chained = diagonal * chained
+        h_chained[:-1] += off_diagonal * chained[1:]
+        h_chained[1:] += off_diagonal * chained[:-1]
+        h_x = np.empty_like(x)
+        h_x[order] = h_chained
+        return h_x
+
+    return energies, pair, 0, True, apply
 
 
-def _lowest_pair_parity(matrix: sparse.csr_matrix, cfg: DickeConfig, tol: float, max_iter: int):
+def _parity_sectors(cfg: DickeConfig):
+    """(states, CSR matrix) of each parity sector (m + n) mod 2, even first.
+
+    Each sector is assembled from the entries of its own rows: H conserves
+    the parity, so their columns lie in the same sector.
+    """
+    m, n = _quantum_numbers(cfg)
+    parity = (m + n) % 2
+    rows, cols, values = _entries(cfg)
+    position = np.empty(cfg.dim, dtype=np.intp)  # index of each state inside its sector
+    sectors = []
+    for p in (0, 1):
+        states = np.flatnonzero(parity == p)
+        position[states] = np.arange(len(states))
+        keep = parity[rows] == p
+        matrix = _csr(position[rows[keep]], position[cols[keep]], values[keep], len(states))
+        sectors.append((states, matrix))
+    return sectors
+
+
+def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
     """Ground pair of each parity sector of the counter-rotating model.
 
     H conserves the parity (-1)^(m + n).  A sector of at most DENSE_CUTOFF
@@ -218,29 +301,43 @@ def _lowest_pair_parity(matrix: sparse.csr_matrix, cfg: DickeConfig, tol: float,
     orthogonal to the start vector.  The even sector comes first unless the
     odd one lies lower.
     """
-    m, n = _quantum_numbers(cfg)
+    sectors = _parity_sectors(cfg)
+    if not all(_is_hermitian(matrix, _SOLVE_HERMITICITY_TOL) for _, matrix in sectors):
+        raise ValueError("operator is not Hermitian")
+
+    def apply(x):
+        h_x = np.empty_like(x)
+        for states, matrix in sectors:
+            h_x[states] = matrix @ x[states]
+        return h_x
+
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
     matvecs, converged = 0, True
-    for parity in (0, 1):
-        states = np.flatnonzero((m + n) % 2 == parity)
-        sector = matrix[states][:, states]
+    for parity, (states, matrix) in enumerate(sectors):
         if len(states) <= DENSE_CUTOFF:
-            values, vectors = np.linalg.eigh(sector.toarray())
+            values, vectors = np.linalg.eigh(matrix.toarray())
         else:
-            start = np.where(m[states] % 2, -1.0, 1.0) / math.sqrt(len(states))
-            values, vectors, count, done = _lowest_lanczos(sector, tol, max_iter, 1, start)
+            start = np.where(states // cfg.fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
+            values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, 1, start)
             matvecs, converged = matvecs + count, converged and done
             if values is None:
-                return None, None, matvecs, False
+                return None, None, matvecs, False, apply
         energies[parity], pair[states, parity] = values[0], vectors[:, 0]
     if energies[1] < energies[0]:
-        return energies[::-1], pair[:, ::-1], matvecs, converged
-    return energies, pair, matvecs, converged
+        return energies[::-1], pair[:, ::-1], matvecs, converged, apply
+    return energies, pair, matvecs, converged, apply
 
 
-def _lowest_pair_dense(matrix: sparse.csr_matrix):
-    energies, vectors = np.linalg.eigh(matrix.toarray())
-    return energies[:2], vectors[:, :2], 0, True
+def _lowest_pair_whole(operator: SparseOperator, method: str, tol: float, max_iter: int):
+    """Two lowest eigenpairs of the whole matrix, dense or by k = 2 Lanczos."""
+    matrix = operator.matrix
+    if not _is_hermitian(matrix, _SOLVE_HERMITICITY_TOL):
+        raise ValueError("operator is not Hermitian")
+    if method == "dense" or (method == "auto" and operator.dim <= DENSE_CUTOFF):
+        energies, vectors = np.linalg.eigh(matrix.toarray())
+        return energies[:2], vectors[:, :2], 0, True, matrix.__matmul__
+    uniform = np.full(operator.dim, 1.0 / math.sqrt(operator.dim))
+    return (*_lowest_lanczos(matrix, tol, max_iter, 2, uniform), matrix.__matmul__)
 
 
 def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int, v0: np.ndarray):
@@ -253,7 +350,6 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int
         return matrix @ x
 
     operator = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    ncv = min(dim, 40)
     # ARPACK's tolerance is relative to the Ritz value, so the requested
     # absolute residual is divided by the matrix norm.  It is additionally
     # floored at 1e-11: the degeneracy flag compares two lowest values to
@@ -264,7 +360,7 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int
     try:
         energies, vectors = sparse_linalg.eigsh(
             operator, k=k, which="SA", v0=v0, tol=arpack_tol,
-            maxiter=max_iter, ncv=ncv,
+            maxiter=max_iter,
         )
     except sparse_linalg.ArpackNoConvergence as exc:
         if exc.eigenvalues is not None and len(exc.eigenvalues) > 0:
@@ -292,10 +388,14 @@ def ground_state(
     sector ground energies are the pair compared for degeneracy.  Neither
     path can miss a ground state orthogonal to a start vector, such as the
     co-rotating k = 1 level just above g_c or the odd member of the parity
-    doublet above g_c.  An operator that records no model is solved whole:
-    densely up to DENSE_CUTOFF states, by Lanczos (ARPACK, uniform positive
-    start vector) above that.  "dense" and "iterative" force a whole-matrix
-    dense or Lanczos solve; they are the cross-checks of the sector paths.
+    doublet above g_c.  Both paths build what they diagonalize from the
+    model's amplitudes and never assemble the whole matrix; the residual is
+    still that of the whole H.  An operator that records no model is solved
+    whole: densely up to DENSE_CUTOFF states, by Lanczos (ARPACK, uniform
+    positive start vector) above that.  "dense" and "iterative" force a
+    whole-matrix dense or Lanczos solve; they are the cross-checks of the
+    sector paths.  Every explicit or sector matrix must be symmetric to
+    within 1e-12, or ValueError is raised.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the first
@@ -309,22 +409,17 @@ def ground_state(
     """
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    if not operator.is_hermitian(tol=1e-12):
-        raise ValueError("operator is not Hermitian")
-    matrix, cfg = operator.matrix, operator.config
+    cfg = operator.config
     try:
         if method == "auto" and cfg is not None and cfg.counter_rotating:
-            solved = _lowest_pair_parity(matrix, cfg, tol, max_iter)
+            solved = _lowest_pair_parity(cfg, tol, max_iter)
         elif method == "auto" and cfg is not None:
-            solved = _lowest_pair_excitation(matrix, cfg)
-        elif method == "dense" or (method == "auto" and operator.dim <= DENSE_CUTOFF):
-            solved = _lowest_pair_dense(matrix)
+            solved = _lowest_pair_excitation(cfg)
         else:
-            uniform = np.full(operator.dim, 1.0 / math.sqrt(operator.dim))
-            solved = _lowest_lanczos(matrix, tol, max_iter, 2, uniform)
+            solved = _lowest_pair_whole(operator, method, tol, max_iter)
     except np.linalg.LinAlgError:  # LAPACK did not converge, e.g. on entries near overflow
-        solved = None, None, 0, False
-    energies, vectors, iterations, converged = solved
+        solved = None, None, 0, False, None
+    energies, vectors, iterations, converged, apply = solved
     if energies is None:
         return GroundStateResult(
             energy=math.nan, vector=np.full(operator.dim, np.nan), residual=math.inf,
@@ -344,7 +439,7 @@ def ground_state(
                 other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
-    residual = float(np.linalg.norm(matrix @ vector - energy * vector))
+    residual = float(np.linalg.norm(apply(vector) - energy * vector))
     if converged and residual > tol:
         converged = False
     return GroundStateResult(

@@ -2,9 +2,9 @@
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summaries.  Criterion 7 is the full-scale ground-state sweep and dominates
-the suite's runtime (about 15 s on 2 cores, nearly all of it the Lanczos
+the suite's runtime (about 13 s on 2 cores, nearly all of it the Lanczos
 runs in the two parity sectors of the counter-rotating sweep; the
-co-rotating sweep takes under 1 s); everything else finishes in seconds.
+co-rotating sweep takes about 0.4 s); everything else finishes in seconds.
 """
 
 import math

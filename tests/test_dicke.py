@@ -11,13 +11,14 @@ from conftest import subprocess_env
 from nonclassicality import (
     CenteredMoments,
     DickeConfig,
+    SparseOperator,
     build_hamiltonian,
     build_report,
     field_moments,
     ground_state,
 )
 from nonclassicality.cli import main as cli_main
-from nonclassicality.dicke import DEGENERACY_TOL
+from nonclassicality.dicke import DEGENERACY_TOL, _excitation_chain, _parity_sectors
 
 
 def total_excitation_operator(cfg):
@@ -149,8 +150,6 @@ class TestGroundState:
         assert not result.converged
 
     def test_non_hermitian_rejected(self):
-        from nonclassicality import SparseOperator
-
         bad = SparseOperator(
             dim=2, matrix=sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         )
@@ -319,6 +318,93 @@ class TestBlockGroundState:
         assert proc.returncode == 0, proc.stderr
 
 
+SECTOR_CASES = [
+    # n_atoms, fock_dim, omega, omega_eg, g
+    (1, 2, 1.0, 1.0, 0.0),
+    (5, 7, 1.3, 0.7, 0.0),
+    (4, 9, 0.4, 2.1, 2.5),
+    (6, 11, 1.0, 1.0, 1.02),
+    (20, 36, 1.0, 1.0, 1.3),
+]
+
+
+class TestSectorNativeOperators:
+    """The auto path builds its sectors from the amplitudes, never from the CSR."""
+
+    @pytest.mark.parametrize("n_atoms, fock_dim, omega, omega_eg, g", SECTOR_CASES)
+    def test_excitation_chain_is_the_matrix(self, n_atoms, fock_dim, omega, omega_eg, g):
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, omega_eg=omega_eg, g=g)
+        order, k, diagonal, off_diagonal = _excitation_chain(cfg)
+        chain = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+        permuted_back = np.empty_like(chain)
+        permuted_back[np.ix_(order, order)] = chain
+        assert np.array_equal(permuted_back, build_hamiltonian(cfg).matrix.toarray())
+        m, n = np.divmod(order, fock_dim)
+        assert np.array_equal(k, m + n)
+        assert np.all(off_diagonal[k[1:] != k[:-1]] == 0.0)
+
+    @pytest.mark.parametrize("n_atoms, fock_dim, omega, omega_eg, g", SECTOR_CASES)
+    def test_parity_sectors_are_the_matrix_blocks(self, n_atoms, fock_dim, omega, omega_eg, g):
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, omega_eg=omega_eg,
+                          g=g, counter_rotating=True)
+        matrix = build_hamiltonian(cfg).matrix
+        m, n = np.divmod(np.arange(cfg.dim), fock_dim)
+        sectors = _parity_sectors(cfg)
+        for parity, (states, sector) in enumerate(sectors):
+            assert np.array_equal(states, np.flatnonzero((m + n) % 2 == parity))
+            expected = matrix[states][:, states]
+            # Same stored entries in the same order, so the same matvec rounding.
+            assert np.array_equal(sector.indptr, expected.indptr)
+            assert np.array_equal(sector.indices, expected.indices)
+            assert np.array_equal(sector.data, expected.data)
+        assert sum(sector.nnz for _, sector in sectors) == matrix.nnz
+
+    @pytest.mark.parametrize("counter_rotating", [False, True])
+    def test_auto_path_leaves_the_matrix_unassembled(self, counter_rotating):
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.3, counter_rotating=counter_rotating)
+        op = build_hamiltonian(cfg)
+        result = ground_state(op, tol=1e-9, mix_degenerate=True)
+        assert "matrix" not in vars(op)
+        assert result.converged
+        # The residual from the sectors is that of the whole matrix.
+        whole = np.linalg.norm(op.matrix @ result.vector - result.energy * result.vector)
+        assert abs(result.residual - whole) < 1e-14
+        assert "matrix" in vars(op)
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_cross_checks_assemble_the_matrix(self, method):
+        cfg = DickeConfig(n_atoms=4, fock_dim=12, g=1.3)
+        op = build_hamiltonian(cfg)
+        result = ground_state(op, method=method)
+        assert "matrix" in vars(op)
+        assert result.converged
+        assert abs(result.energy - ground_state(build_hamiltonian(cfg)).energy) < 1e-9
+        bad = SparseOperator(
+            dim=300, matrix=sparse.random(300, 300, density=0.02, format="csr", random_state=1)
+        )
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ground_state(bad, method=method)
+
+    def test_matrix_and_config_are_exclusive(self):
+        cfg = DickeConfig(n_atoms=2, fock_dim=4)
+        with pytest.raises(ValueError):
+            SparseOperator(dim=cfg.dim, matrix=build_hamiltonian(cfg).matrix, config=cfg)
+        with pytest.raises(ValueError):
+            SparseOperator(dim=cfg.dim)
+        with pytest.raises(ValueError):
+            SparseOperator(dim=cfg.dim + 1, config=cfg)
+        op = SparseOperator(dim=cfg.dim, config=cfg)
+        assert op.matrix is op.matrix  # assembled once, then kept
+
+    def test_hand_built_operator_is_solved_whole(self):
+        cfg = DickeConfig(n_atoms=4, fock_dim=12, g=1.3, counter_rotating=True)
+        matrix = build_hamiltonian(cfg).matrix
+        hand_built = ground_state(SparseOperator(dim=cfg.dim, matrix=matrix))
+        dense = ground_state(build_hamiltonian(cfg), method="dense")
+        assert hand_built.energy == dense.energy
+        assert np.array_equal(hand_built.vector, dense.vector)
+
+
 def holstein_primakoff_field(g, omega=1.0, omega_eg=1.0):
     """Centered (v, n) of the field in the normal-phase N -> infinity ground state.
 
@@ -431,9 +517,27 @@ class TestDickeConfig:
         assert abs(photons(g) / mean_field - 1.0) < 0.05
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DickeConfig(n_atoms=0, fock_dim=4)
-        with pytest.raises(ValueError):
-            DickeConfig(n_atoms=2, fock_dim=1)
-        with pytest.raises(ValueError):
-            DickeConfig(n_atoms=2, fock_dim=4, g=-0.1)
+        invalid = [
+            {"n_atoms": 0},
+            {"fock_dim": 1},
+            {"g": -0.1},
+            {"g": math.nan},
+            {"g": math.inf},
+            {"omega": math.nan},
+            {"omega": 0.0},
+            {"omega": math.inf},
+            {"omega_eg": math.inf},
+            {"omega_eg": math.nan},
+            {"omega_eg": -1.0},
+            {"n_atoms": 2.5},
+            {"n_atoms": 2.0},
+            {"fock_dim": 4.5},
+            {"fock_dim": "4"},
+        ]
+        for kwargs in invalid:
+            with pytest.raises(ValueError):
+                DickeConfig(**{"n_atoms": 2, "fock_dim": 4, **kwargs})
+
+    def test_integer_sizes_of_any_integer_type(self):
+        cfg = DickeConfig(n_atoms=np.int64(3), fock_dim=np.int32(5), omega=2, g=1)
+        assert cfg.dim == 20
