@@ -11,7 +11,6 @@ collectively coupled atomic ensemble.
 from .dicke import (
     DickeConfig,
     GroundStateResult,
-    SparseOperator,
     build_hamiltonian,
     field_moments,
     ground_state,
@@ -66,7 +65,6 @@ __all__ = [
     "NonclassicalityReport",
     "OptimizationResult",
     "SingleModeMoments",
-    "SparseOperator",
     "SqueezedCoherentParams",
     "TwoModeVector",
     "UnphysicalMomentsError",

@@ -7,17 +7,17 @@ the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
 measure.
 
 The ground state is found in the sectors of the quantum number each model
-conserves, built straight from the amplitudes of the DickeConfig the
-Hamiltonian records.  Without the counter-rotating terms H conserves
-k = m + n: ordered by (k, m) it is one tridiagonal matrix whose off-diagonal
-vanishes between the N + fock_dim - 1 blocks, and one LAPACK call gives its
-two lowest levels.  The vacuum below g_c is then the exact 1-state block
-k = 0.  With them only the parity (-1)^(m + n) is conserved: each of its two
-sectors is assembled from the entries of its own rows, diagonalized densely
-up to DENSE_CUTOFF states and by sparse Lanczos iteration above that, and
-the two sector ground energies decide the degeneracy flag.  The whole sparse
-matrix is assembled only when something reads it, such as the dense and
-iterative cross-checks.
+conserves, built straight from the amplitudes of its DickeConfig.  Without
+the counter-rotating terms H conserves k = m + n: ordered by (k, m) it is
+one tridiagonal matrix whose off-diagonal vanishes between the
+N + fock_dim - 1 blocks, and one LAPACK call gives its two lowest levels.
+The vacuum below g_c is then the exact 1-state block k = 0.  With them only
+the parity (-1)^(m + n) is conserved: each of its two sectors is assembled
+from the entries of its own rows, diagonalized densely up to DENSE_CUTOFF
+states and by sparse Lanczos iteration above that, and the two sector
+ground energies decide the degeneracy flag.  The whole sparse matrix is
+assembled only by build_hamiltonian and by the dense and iterative
+cross-checks.
 
 In units hbar = 1:
 
@@ -31,7 +31,6 @@ or explicit mixing of a degenerate ground pair; both are exposed.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,20 +40,17 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import eigh_tridiagonal
 
+from .fock import _lower, _tail_weight
 from .moments import SingleModeMoments
 
-#: Largest parity sector of the counter-rotating model, and largest operator
-#: that records no model, solved by dense diagonalization when method="auto";
-#: larger ones go to Lanczos.  A sector holds dim / 2 states, so the model's
-#: boundary stays at a total of 512 states, where it always was.
+#: Largest parity sector of the counter-rotating model solved by dense
+#: diagonalization when method="auto"; larger ones go to Lanczos.  A sector
+#: holds dim / 2 states, so the model's boundary stays at a total of 512
+#: states, where it always was.
 DENSE_CUTOFF = 256
 
 #: Ground pairs closer than this in energy are reported as degenerate.
 DEGENERACY_TOL = 1e-10
-
-_HERMITICITY_TOL = 1e-14
-#: Largest asymmetry ground_state accepts in a matrix it diagonalizes.
-_SOLVE_HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,14 @@ class DickeConfig:
             raise ValueError("omega and omega_eg must be finite and > 0")
         if not 0.0 <= self.g < math.inf:
             raise ValueError(f"coupling must be finite and >= 0, got {self.g}")
+        # Solvers subtract diagonal entries, so their spread must be finite too.
+        n_atoms, top = self.n_atoms, self.fock_dim - 1
+        spread = self.omega * top + self.omega_eg * n_atoms
+        m = (n_atoms - 1) // 2  # where (N - m)(m + 1), the S_+ amplitude squared, peaks
+        coupling = self.g / math.sqrt(n_atoms) * math.sqrt((n_atoms - m) * (m + 1)) * math.sqrt(top)
+        if not (math.isfinite(spread) and math.isfinite(coupling)):
+            raise ValueError(f"Hamiltonian entries overflow: omega (fock_dim - 1) + omega_eg "
+                             f"n_atoms = {spread:g}, largest coupling {coupling:g}")
 
     @property
     def g_critical(self) -> float:
@@ -91,40 +95,6 @@ class DickeConfig:
     @property
     def dim(self) -> int:
         return (self.n_atoms + 1) * self.fock_dim
-
-
-class SparseOperator:
-    """Hermitian operator in compressed sparse row form (all entries real).
-
-    Built by hand from an explicit ``matrix``, or by build_hamiltonian from a
-    ``config``, the model whose sectors ground_state builds straight from its
-    amplitudes.  An operator from a config assembles ``matrix`` on first
-    access and keeps it, so a sector solve never builds it.  An operator
-    without a config is solved whole.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        matrix: sparse.csr_matrix | None = None,
-        config: DickeConfig | None = None,
-    ):
-        if (matrix is None) == (config is None):
-            raise ValueError("give exactly one of matrix and config")
-        if matrix is not None:
-            if matrix.shape != (dim, dim):
-                raise ValueError(f"matrix shape {matrix.shape} does not match dim {dim}")
-            self.matrix = matrix
-        elif config.dim != dim:
-            raise ValueError(f"config has dim {config.dim}, operator has {dim}")
-        self.dim, self.config = dim, config
-
-    @functools.cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        return _csr(*_entries(self.config), self.dim)
-
-    def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
-        return _is_hermitian(self.matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -146,17 +116,18 @@ class GroundStateResult:
     degenerate: bool
 
 
-def build_hamiltonian(cfg: DickeConfig) -> SparseOperator:
-    """H on the symmetric-ladder (x) Fock basis, with its CSR matrix assembled lazily.
+def build_hamiltonian(cfg: DickeConfig) -> sparse.csr_matrix:
+    """H on the symmetric-ladder (x) Fock basis, as a CSR matrix.
 
     Ladder amplitudes: S_+|m> = sqrt((N - m)(m + 1)) |m+1> and S_z|m> =
     (m - N/2)|m>, with a|n> = sqrt(n)|n-1>.  Without counter-rotating terms
     each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
     Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
-    The operator records cfg; ground_state(method="auto") solves it from the
-    amplitudes, and ``.matrix`` is assembled only when read.
+    Each coupling and its transpose are written from the same amplitude, so
+    the matrix is exactly symmetric.  ground_state(cfg) does not need it:
+    method="auto" builds its sectors from the amplitudes.
     """
-    return SparseOperator(dim=cfg.dim, config=cfg)
+    return _csr(*_entries(cfg), cfg.dim)
 
 
 def _amplitudes(cfg: DickeConfig):
@@ -193,11 +164,6 @@ def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
     return sparse.csr_matrix(sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)))
 
 
-def _is_hermitian(matrix: sparse.csr_matrix, tol: float) -> bool:
-    diff = matrix - matrix.T
-    return diff.nnz == 0 or float(np.abs(diff.data).max()) <= tol
-
-
 def _fix_gauge(vector: np.ndarray) -> np.ndarray:
     # Deterministic global sign: largest-magnitude coefficient made positive.
     pivot = int(np.argmax(np.abs(vector)))
@@ -207,13 +173,6 @@ def _fix_gauge(vector: np.ndarray) -> np.ndarray:
 def _quantum_numbers(cfg: DickeConfig):
     """Excited atoms m and photons n of every state in the atom-major layout."""
     return np.divmod(np.arange(cfg.dim), cfg.fock_dim)
-
-
-def _lower_field(psi: np.ndarray) -> np.ndarray:
-    """a applied to the field factor of psi, shaped (n_atoms + 1, fock_dim)."""
-    a_psi = np.zeros_like(psi)
-    a_psi[:, :-1] = np.sqrt(np.arange(1, psi.shape[1]))[None, :] * psi[:, 1:]
-    return a_psi
 
 
 def _excitation_chain(cfg: DickeConfig):
@@ -295,15 +254,11 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
     """Ground pair of each parity sector of the counter-rotating model.
 
     H conserves the parity (-1)^(m + n).  A sector of at most DENSE_CUTOFF
-    states is diagonalized densely; a larger one goes to k = 1 Lanczos started
-    from (-1)^m.  In that gauge the off-diagonals of H are <= 0, so the ground
-    vector of a connected sector is positive (Perron-Frobenius) and cannot be
-    orthogonal to the start vector.  The even sector comes first unless the
-    odd one lies lower.
+    states is diagonalized densely; a larger one goes to k = 1 Lanczos from
+    the alternating start vector.  The even sector comes first unless the odd
+    one lies lower.
     """
     sectors = _parity_sectors(cfg)
-    if not all(_is_hermitian(matrix, _SOLVE_HERMITICITY_TOL) for _, matrix in sectors):
-        raise ValueError("operator is not Hermitian")
 
     def apply(x):
         h_x = np.empty_like(x)
@@ -317,7 +272,7 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
         if len(states) <= DENSE_CUTOFF:
             values, vectors = np.linalg.eigh(matrix.toarray())
         else:
-            start = np.where(states // cfg.fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
+            start = _alternating_start(states, cfg.fock_dim)
             values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, 1, start)
             matvecs, converged = matvecs + count, converged and done
             if values is None:
@@ -328,16 +283,23 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
     return energies, pair, matvecs, converged, apply
 
 
-def _lowest_pair_whole(operator: SparseOperator, method: str, tol: float, max_iter: int):
+def _alternating_start(states: np.ndarray, fock_dim: int) -> np.ndarray:
+    """Normalized (-1)^m over the given states: the Lanczos start vector.
+
+    In that gauge the off-diagonals of H are <= 0, so a connected block's or
+    sector's ground vector is positive (Perron-Frobenius), never orthogonal to it.
+    """
+    return np.where(states // fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
+
+
+def _lowest_pair_whole(cfg: DickeConfig, method: str, tol: float, max_iter: int):
     """Two lowest eigenpairs of the whole matrix, dense or by k = 2 Lanczos."""
-    matrix = operator.matrix
-    if not _is_hermitian(matrix, _SOLVE_HERMITICITY_TOL):
-        raise ValueError("operator is not Hermitian")
-    if method == "dense" or (method == "auto" and operator.dim <= DENSE_CUTOFF):
+    matrix = _csr(*_entries(cfg), cfg.dim)
+    if method == "dense":
         energies, vectors = np.linalg.eigh(matrix.toarray())
         return energies[:2], vectors[:, :2], 0, True, matrix.__matmul__
-    uniform = np.full(operator.dim, 1.0 / math.sqrt(operator.dim))
-    return (*_lowest_lanczos(matrix, tol, max_iter, 2, uniform), matrix.__matmul__)
+    start = _alternating_start(np.arange(cfg.dim), cfg.fock_dim)
+    return (*_lowest_lanczos(matrix, tol, max_iter, 2, start), matrix.__matmul__)
 
 
 def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int, v0: np.ndarray):
@@ -372,57 +334,48 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int
 
 
 def ground_state(
-    operator: SparseOperator,
+    cfg: DickeConfig,
     tol: float = 1e-10,
     max_iter: int = 100_000,
     method: str = "auto",
     mix_degenerate: bool = False,
 ) -> GroundStateResult:
-    """Lowest eigenpair of a Hermitian sparse operator.
+    """Lowest eigenpair of the Hamiltonian of cfg.
 
-    method: "auto" solves an operator from build_hamiltonian in the sectors
-    of the quantum number its model conserves.  The co-rotating model is one
-    tridiagonal matrix ordered by excitation number k = m + n, and the two
-    lowest levels over all blocks come from one LAPACK call.  The
-    counter-rotating model is solved in its two parity sectors, and the two
-    sector ground energies are the pair compared for degeneracy.  Neither
-    path can miss a ground state orthogonal to a start vector, such as the
-    co-rotating k = 1 level just above g_c or the odd member of the parity
-    doublet above g_c.  Both paths build what they diagonalize from the
-    model's amplitudes and never assemble the whole matrix; the residual is
-    still that of the whole H.  An operator that records no model is solved
-    whole: densely up to DENSE_CUTOFF states, by Lanczos (ARPACK, uniform
-    positive start vector) above that.  "dense" and "iterative" force a
-    whole-matrix dense or Lanczos solve; they are the cross-checks of the
-    sector paths.  Every explicit or sector matrix must be symmetric to
-    within 1e-12, or ValueError is raised.
+    method: "auto" solves H in the sectors of the quantum number the model
+    conserves, built from its amplitudes as the module docstring describes;
+    the whole matrix is never assembled, but the residual is that of the
+    whole H.  No ground state is missed there for being orthogonal to a
+    start vector, such as the co-rotating k = 1 level just above g_c or the
+    odd member of the parity doublet.  "dense" and "iterative" are the
+    cross-checks: they assemble the whole matrix and solve it densely or by
+    k = 2 Lanczos (ARPACK) from the alternating start vector.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the first
     member of the pair is returned: the lowest value, the lower k or the even
     sector on a tie.  ``mix_degenerate=True`` instead returns the normalized
     sum of the two vectors when they are degenerate, emulating
-    symmetry-broken numerics; for an operator from build_hamiltonian the
-    relative sign makes <a> the larger of the two choices, so the exact
-    (psi_even +- psi_odd) / sqrt(2) has real <a> >= 0.  The global sign is
-    fixed by making the largest-magnitude coefficient positive.
+    symmetry-broken numerics; the relative sign makes <a> the larger of the
+    two choices, so the exact (psi_even +- psi_odd) / sqrt(2) has real
+    <a> >= 0.  The global sign is fixed by making the largest-magnitude
+    coefficient positive.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    cfg = operator.config
     try:
-        if method == "auto" and cfg is not None and cfg.counter_rotating:
+        if method != "auto":
+            solved = _lowest_pair_whole(cfg, method, tol, max_iter)
+        elif cfg.counter_rotating:
             solved = _lowest_pair_parity(cfg, tol, max_iter)
-        elif method == "auto" and cfg is not None:
-            solved = _lowest_pair_excitation(cfg)
         else:
-            solved = _lowest_pair_whole(operator, method, tol, max_iter)
+            solved = _lowest_pair_excitation(cfg)
     except np.linalg.LinAlgError:  # LAPACK did not converge, e.g. on entries near overflow
         solved = None, None, 0, False, None
     energies, vectors, iterations, converged, apply = solved
     if energies is None:
         return GroundStateResult(
-            energy=math.nan, vector=np.full(operator.dim, np.nan), residual=math.inf,
+            energy=math.nan, vector=np.full(cfg.dim, np.nan), residual=math.inf,
             iterations=iterations, converged=False, degenerate=False,
         )
 
@@ -431,17 +384,15 @@ def ground_state(
     vector = _fix_gauge(vectors[:, 0])
     if mix_degenerate and degenerate:
         other = _fix_gauge(vectors[:, 1])
-        if cfg is not None:
-            shape = (cfg.n_atoms + 1, cfg.fock_dim)
-            u, w = vector.reshape(shape), other.reshape(shape)
-            # <a> of (u + s w) / sqrt(2) is its diagonal part plus s times this.
-            if np.vdot(u, _lower_field(w)) + np.vdot(w, _lower_field(u)) < 0.0:
-                other = -other
+        shape = (cfg.n_atoms + 1, cfg.fock_dim)
+        u, w = vector.reshape(shape), other.reshape(shape)
+        # <a> of (u + s w) / sqrt(2) is its diagonal part plus s times this.
+        if np.vdot(u, _lower(w)) + np.vdot(w, _lower(u)) < 0.0:
+            other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
     residual = float(np.linalg.norm(apply(vector) - energy * vector))
-    if converged and residual > tol:
-        converged = False
+    converged = converged and residual <= tol  # False for a NaN residual too
     return GroundStateResult(
         energy=energy,
         vector=vector,
@@ -459,15 +410,14 @@ def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
     FockVector.truncation_healthy: two levels, because a parity-symmetric
     ground state leaves every other level empty.
     """
-    psi = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
-    return float(np.max(np.abs(psi[:, -2:]) ** 2))
+    return _tail_weight(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))
 
 
 def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:
     """<a>, <a^2>, <a^dag a> of the field factor of a ground-state vector."""
     psi = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
-    a_psi = _lower_field(psi)
-    aa_psi = _lower_field(a_psi)
+    a_psi = _lower(psi)
+    aa_psi = _lower(a_psi)
     return SingleModeMoments(
         mean_a=complex(np.vdot(psi, a_psi)),
         a_squared=complex(np.vdot(psi, aa_psi)),

@@ -52,8 +52,7 @@ class FockVector:
         states put exactly zero on every other level, which would defeat a
         single-level probe.
         """
-        top = np.abs(self.coefficients[-2:]) ** 2
-        return float(top.max()) < TAIL_TOL
+        return _tail_weight(self.coefficients) < TAIL_TOL
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,22 @@ class TwoModeVector:
     @property
     def dims(self) -> tuple[int, int]:
         return self.coefficients.shape
+
+
+def _tail_weight(psi: np.ndarray) -> float:
+    """Largest squared amplitude on the two highest Fock levels of the last axis."""
+    return float(np.max(np.abs(psi[..., -2:]) ** 2))
+
+
+def _lower(psi: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting."""
+    out = np.zeros_like(psi)
+    sqrt_n = np.sqrt(np.arange(1, psi.shape[axis]))
+    if axis % psi.ndim == psi.ndim - 1:
+        out[..., :-1] = sqrt_n * psi[..., 1:]
+    else:
+        out[:-1] = sqrt_n[:, None] * psi[1:]
+    return out
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -128,11 +143,8 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
 def moments_from_vector(state: FockVector) -> SingleModeMoments:
     """Measure <a>, <a^2>, <a^dag a> directly on a Fock-basis state."""
     psi = state.coefficients
-    n = np.arange(state.dim)
-    a_psi = np.zeros_like(psi)
-    a_psi[:-1] = np.sqrt(n[1:]) * psi[1:]
-    aa_psi = np.zeros_like(psi)
-    aa_psi[:-1] = np.sqrt(n[1:]) * a_psi[1:]
+    a_psi = _lower(psi)
+    aa_psi = _lower(a_psi)
     return SingleModeMoments(
         mean_a=np.vdot(psi, a_psi),
         a_squared=np.vdot(psi, aa_psi),
@@ -198,17 +210,6 @@ def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVec
     """
     mu1, mu2 = _creation_images(bs)
     return TwoModeVector(_apply_beam_splitter_images(state.coefficients, mu1, mu2))
-
-
-def _lower(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator of one mode by index shifting."""
-    out = np.zeros_like(psi)
-    n = np.arange(1, psi.shape[axis])
-    if axis == 0:
-        out[:-1, :] = np.sqrt(n)[:, None] * psi[1:, :]
-    else:
-        out[:, :-1] = np.sqrt(n)[None, :] * psi[:, 1:]
-    return out
 
 
 def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:

@@ -7,7 +7,6 @@ import pytest
 
 from nonclassicality import (
     DickeConfig,
-    build_hamiltonian,
     build_report,
     cli,
     field_moments,
@@ -257,7 +256,7 @@ class TestDickeSweep:
             assert row[4] == "0" and row[5] == "0" and row[6] == "0", row
         for g in (0.3, 0.98):
             cfg = DickeConfig(n_atoms=20, fock_dim=36, g=g)
-            moments = field_moments(ground_state(build_hamiltonian(cfg)), cfg)
+            moments = field_moments(ground_state(cfg), cfg)
             assert build_report(moments).dgcz_simple is False
 
     def test_counter_rotating_runs(self, capsys):
@@ -294,6 +293,8 @@ class TestDickeSweep:
             ("--omega", "0"),
             ("--omega-eg", "inf"),
             ("--omega-eg", "-1"),
+            ("--omega", "1e308"),  # finite, but omega (fock_dim - 1) overflows
+            ("--omega-eg", "1e308"),  # finite, but the diagonal's spread overflows
             ("--n-atoms", "0"),
             ("--fock-dim", "1"),
             ("--tol", "nan"),
@@ -302,13 +303,43 @@ class TestDickeSweep:
         ],
     )
     def test_malformed_arguments_exit_1_before_any_row(self, capsys, option, value):
-        code, out, err = run_cli(
+        for model in ([], ["--counter-rotating"]):
+            code, out, err = run_cli(
+                capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
+                *model, option, value,
+            )
+            assert code == 1, model
+            assert out == ""
+            assert len(err.splitlines()) == 1
+
+    def test_solver_overflow_exits_3(self, capsys):
+        # Finite entries, but LAPACK loses the g = 2 vector to NaNs: the row
+        # is unconverged instead of failing in the moments.
+        code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
-            option, value,
+            "--omega", "1e307",
         )
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
+        assert code == 3
+        _, rows = parse_csv(out)
+        assert math.isnan(float(rows[1][2]))
+
+    @pytest.mark.parametrize("model", [[], ["--counter-rotating"]])
+    def test_cross_check_methods_match_auto(self, capsys, model):
+        args = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", *model]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        _, auto = parse_csv(out)
+        for method in ("dense", "iterative"):
+            code, out, _ = run_cli(capsys, *args, "--method", method)
+            assert code == 0, method
+            _, rows = parse_csv(out)
+            assert len(rows) == len(auto)
+            for row, auto_row in zip(rows, auto):
+                assert abs(float(row[2]) - float(auto_row[2])) < 1e-9, (method, row)
+            flags_differ = [row[0] for row, auto_row in zip(rows, auto) if row[6] != auto_row[6]]
+            # A Krylov space holds one vector of an exactly degenerate level,
+            # so whole-matrix Lanczos cannot see the co-rotating crossing at g = g_c.
+            assert flags_differ == (["1"] if method == "iterative" and not model else [])
 
     def test_healthy_sweep_prints_no_warning(self, capsys):
         code, _, err = run_cli(
