@@ -10,6 +10,7 @@ arguments, 2 unphysical moments, 3 eigensolver non-convergence in a sweep,
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -58,6 +59,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _failed_check(checks) -> bool:
+    """Write the message of the first failed (ok, message) check to stderr; True if one failed."""
+    for ok, message in checks:
+        if not ok:
+            sys.stderr.write(message + "\n")
+            return True
+    return False
+
+
 def _write_csv(stream, header, rows):
     stream.write(",".join(header) + "\n")
     for row in rows:
@@ -96,11 +106,13 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_squeezed_sweep(args) -> int:
-    if args.steps < 2:
-        sys.stderr.write("steps must be >= 2\n")
-        return 1
-    if args.r_max < args.r_min or args.r_min < 0.0:
-        sys.stderr.write("need 0 <= r-min <= r-max\n")
+    if _failed_check([
+        (args.steps >= 2, "steps must be >= 2"),
+        (math.isfinite(args.r_min) and math.isfinite(args.r_max), "r-min and r-max must be finite"),
+        (0.0 <= args.r_min <= args.r_max, "need 0 <= r-min <= r-max"),
+        (math.isfinite(args.theta), "theta must be finite"),
+        (cmath.isfinite(args.alpha), "alpha must be finite"),
+    ]):
         return 1
     header = ["r", "E_N_fixed_theta", "E_N_optimized_theta", "best_t", "best_phi"]
     rows = []
@@ -129,16 +141,13 @@ def _cmd_squeezed_sweep(args) -> int:
 
 def _cmd_dicke_sweep(args) -> int:
     # Chained comparisons are False for NaN, so these also reject it.
-    checks = [
+    if _failed_check([
         (args.steps >= 2, "steps must be >= 2"),
         (0.0 <= args.g_min <= args.g_max < math.inf, "need finite 0 <= g-min <= g-max"),
         (0.0 < args.tol < math.inf, "tol must be finite and > 0"),
         (args.max_iter >= 1, "max-iter must be >= 1"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            sys.stderr.write(message + "\n")
-            return 1
+    ]):
+        return 1
     try:
         # The model's own checks; its amplitudes grow with g, so a model
         # valid at g-max is valid on every row.
@@ -165,7 +174,6 @@ def _cmd_dicke_sweep(args) -> int:
             cfg,
             tol=args.tol,
             max_iter=args.max_iter,
-            method=args.method,
             mix_degenerate=args.mix_degenerate,
         )
         if not result.converged:
@@ -205,17 +213,13 @@ def _cmd_dicke_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.trials < 1:
-        sys.stderr.write("trials must be >= 1\n")
-        return 1
-    if args.dim < 2:
-        sys.stderr.write("dim must be >= 2\n")
-        return 1
-    if not 0.0 <= args.r_max < math.inf:
-        sys.stderr.write("r-max must be finite and >= 0\n")
-        return 1
-    if not math.isfinite(args.alpha_max):
-        sys.stderr.write("alpha-max must be finite\n")
+    if _failed_check([
+        (args.trials >= 1, "trials must be >= 1"),
+        (args.dim >= 2, "dim must be >= 2"),
+        (args.seed >= 0, "seed must be >= 0"),
+        (0.0 <= args.r_max < math.inf, "r-max must be finite and >= 0"),
+        (math.isfinite(args.alpha_max), "alpha-max must be finite"),
+    ]):
         return 1
     worst = covariance_check(
         trials=args.trials,
@@ -296,7 +300,6 @@ def _build_parser() -> _ArgumentParser:
     )
     dicke.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of the eigensolver")
     dicke.add_argument("--max-iter", type=int, default=100_000)
-    dicke.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     dicke.add_argument("--output", default=None)
     dicke.set_defaults(func=_cmd_dicke_sweep)
 

@@ -16,8 +16,7 @@ the parity (-1)^(m + n) is conserved: each of its two sectors is assembled
 from the entries of its own rows, diagonalized densely up to DENSE_CUTOFF
 states and by sparse Lanczos iteration above that, and the two sector
 ground energies decide the degeneracy flag.  The whole sparse matrix is
-assembled only by build_hamiltonian and by the dense and iterative
-cross-checks.
+assembled only by build_hamiltonian, the reference the tests solve densely.
 
 In units hbar = 1:
 
@@ -40,13 +39,13 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import eigh_tridiagonal
 
-from .fock import _lower, _tail_weight
+from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
 
 #: Largest parity sector of the counter-rotating model solved by dense
-#: diagonalization when method="auto"; larger ones go to Lanczos.  A sector
-#: holds dim / 2 states, so the model's boundary stays at a total of 512
-#: states, where it always was.
+#: diagonalization; larger ones go to Lanczos.  A sector holds dim / 2
+#: states, so the model's boundary stays at a total of 512 states, where it
+#: always was.
 DENSE_CUTOFF = 256
 
 #: Ground pairs closer than this in energy are reported as degenerate.
@@ -124,8 +123,9 @@ def build_hamiltonian(cfg: DickeConfig) -> sparse.csr_matrix:
     each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
     Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
     Each coupling and its transpose are written from the same amplitude, so
-    the matrix is exactly symmetric.  ground_state(cfg) does not need it:
-    method="auto" builds its sectors from the amplitudes.
+    the matrix is exactly symmetric.  ground_state(cfg) does not need it: it
+    builds its sectors from the amplitudes, so this matrix serves as the
+    independent reference of the tests.
     """
     return _csr(*_entries(cfg), cfg.dim)
 
@@ -273,7 +273,7 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
             values, vectors = np.linalg.eigh(matrix.toarray())
         else:
             start = _alternating_start(states, cfg.fock_dim)
-            values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, 1, start)
+            values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, start)
             matvecs, converged = matvecs + count, converged and done
             if values is None:
                 return None, None, matvecs, False, apply
@@ -292,18 +292,8 @@ def _alternating_start(states: np.ndarray, fock_dim: int) -> np.ndarray:
     return np.where(states // fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
 
 
-def _lowest_pair_whole(cfg: DickeConfig, method: str, tol: float, max_iter: int):
-    """Two lowest eigenpairs of the whole matrix, dense or by k = 2 Lanczos."""
-    matrix = _csr(*_entries(cfg), cfg.dim)
-    if method == "dense":
-        energies, vectors = np.linalg.eigh(matrix.toarray())
-        return energies[:2], vectors[:, :2], 0, True, matrix.__matmul__
-    start = _alternating_start(np.arange(cfg.dim), cfg.fock_dim)
-    return (*_lowest_lanczos(matrix, tol, max_iter, 2, start), matrix.__matmul__)
-
-
-def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int, v0: np.ndarray):
-    """k lowest eigenpairs by ARPACK Lanczos from v0, ascending, with the matvec count."""
+def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, v0: np.ndarray):
+    """Lowest eigenpair by ARPACK Lanczos from v0, with the matvec count."""
     dim = matrix.shape[0]
     matvecs = [0]
 
@@ -314,42 +304,38 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, k: int
     operator = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=float)
     # ARPACK's tolerance is relative to the Ritz value, so the requested
     # absolute residual is divided by the matrix norm.  It is additionally
-    # floored at 1e-11: the degeneracy flag compares two lowest values to
-    # DEGENERACY_TOL, and a loosely converged run can return a wrong-order
-    # second value or sector energies too coarse for that comparison.
+    # floored at 1e-11: the degeneracy flag compares the two sector ground
+    # energies to DEGENERACY_TOL, and a loosely converged run leaves them
+    # too coarse for that comparison.
     norm_1 = float(np.abs(matrix).sum(axis=0).max())
     arpack_tol = min(tol / max(1.0, norm_1), 1e-11)
     try:
         energies, vectors = sparse_linalg.eigsh(
-            operator, k=k, which="SA", v0=v0, tol=arpack_tol,
+            operator, k=1, which="SA", v0=v0, tol=arpack_tol,
             maxiter=max_iter,
         )
     except sparse_linalg.ArpackNoConvergence as exc:
         if exc.eigenvalues is not None and len(exc.eigenvalues) > 0:
-            order = np.argsort(exc.eigenvalues)
-            return exc.eigenvalues[order], exc.eigenvectors[:, order], matvecs[0], False
+            return exc.eigenvalues, exc.eigenvectors, matvecs[0], False
         return None, None, matvecs[0], False
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order], matvecs[0], True
+    return energies, vectors, matvecs[0], True
 
 
 def ground_state(
     cfg: DickeConfig,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    method: str = "auto",
     mix_degenerate: bool = False,
 ) -> GroundStateResult:
     """Lowest eigenpair of the Hamiltonian of cfg.
 
-    method: "auto" solves H in the sectors of the quantum number the model
-    conserves, built from its amplitudes as the module docstring describes;
-    the whole matrix is never assembled, but the residual is that of the
-    whole H.  No ground state is missed there for being orthogonal to a
-    start vector, such as the co-rotating k = 1 level just above g_c or the
-    odd member of the parity doublet.  "dense" and "iterative" are the
-    cross-checks: they assemble the whole matrix and solve it densely or by
-    k = 2 Lanczos (ARPACK) from the alternating start vector.
+    H is solved in the sectors of the quantum number the model conserves,
+    built from its amplitudes as the module docstring describes; the whole
+    matrix is never assembled, but the residual is that of the whole H.  No
+    ground state is missed for being orthogonal to a start vector, such as
+    the co-rotating k = 1 level just above g_c or the odd member of the
+    parity doublet.  tol and max_iter steer the Lanczos runs of the large
+    counter-rotating sectors, and tol also bounds the reported residual.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the first
@@ -361,12 +347,8 @@ def ground_state(
     <a> >= 0.  The global sign is fixed by making the largest-magnitude
     coefficient positive.
     """
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     try:
-        if method != "auto":
-            solved = _lowest_pair_whole(cfg, method, tol, max_iter)
-        elif cfg.counter_rotating:
+        if cfg.counter_rotating:
             solved = _lowest_pair_parity(cfg, tol, max_iter)
         else:
             solved = _lowest_pair_excitation(cfg)
@@ -415,11 +397,4 @@ def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
 
 def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:
     """<a>, <a^2>, <a^dag a> of the field factor of a ground-state vector."""
-    psi = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
-    a_psi = _lower(psi)
-    aa_psi = _lower(a_psi)
-    return SingleModeMoments(
-        mean_a=complex(np.vdot(psi, a_psi)),
-        a_squared=complex(np.vdot(psi, aa_psi)),
-        photon_number=float(np.vdot(a_psi, a_psi).real),
-    )
+    return _mode_moments(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))

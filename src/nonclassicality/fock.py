@@ -142,7 +142,11 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
 
 def moments_from_vector(state: FockVector) -> SingleModeMoments:
     """Measure <a>, <a^2>, <a^dag a> directly on a Fock-basis state."""
-    psi = state.coefficients
+    return _mode_moments(state.coefficients)
+
+
+def _mode_moments(psi: np.ndarray) -> SingleModeMoments:
+    """<a>, <a^2>, <a^dag a> of the mode on the last axis of a normalized state."""
     a_psi = _lower(psi)
     aa_psi = _lower(a_psi)
     return SingleModeMoments(

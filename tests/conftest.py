@@ -23,6 +23,11 @@ def random_physical_centered(rng: np.random.Generator, n_max: float = 3.0):
     return v, theta, n
 
 
+def dense_reference(cfg: nonclassicality.DickeConfig):
+    """Ascending energies and eigenvectors of the whole dense build_hamiltonian(cfg)."""
+    return np.linalg.eigh(nonclassicality.build_hamiltonian(cfg).toarray())
+
+
 def subprocess_env() -> dict:
     """The environment with this package's source directory on PYTHONPATH."""
     src = str(Path(nonclassicality.__file__).resolve().parents[1])

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_physical_centered
+from conftest import dense_reference, random_physical_centered
 from nonclassicality import (
     BALANCED_T,
     BeamSplitterParams,
@@ -185,17 +185,22 @@ def test_criterion_5_phase_covariance():
 def test_criterion_6_dicke_desk_scale():
     started = time.perf_counter()
     energies_match = 0.0
-    for g in np.linspace(0.0, 2.0, 11):
-        cfg = DickeConfig(n_atoms=8, fock_dim=40, g=float(g))
-        dense = ground_state(cfg, method="dense")
-        iterative = ground_state(cfg, tol=1e-10, method="iterative")
-        assert iterative.converged
-        energies_match = max(energies_match, abs(dense.energy - iterative.energy))
+    # The co-rotating model is one tridiagonal solve.  The counter-rotating
+    # parity sectors hold 315 > DENSE_CUTOFF states each, so Lanczos runs.
+    for counter_rotating, fock_dim in ((False, 40), (True, 70)):
+        for g in np.linspace(0.0, 2.0, 11):
+            cfg = DickeConfig(n_atoms=8, fock_dim=fock_dim, g=float(g),
+                              counter_rotating=counter_rotating)
+            result = ground_state(cfg)
+            assert result.converged
+            assert (result.iterations > 0) == counter_rotating
+            energies, _ = dense_reference(cfg)
+            energies_match = max(energies_match, abs(result.energy - energies[0]))
     assert energies_match < 1e-9
 
     def mean_photon(g):
         cfg = DickeConfig(n_atoms=8, fock_dim=40, g=g)
-        return field_moments(ground_state(cfg, method="dense"), cfg).photon_number
+        return field_moments(ground_state(cfg), cfg).photon_number
 
     ratio = mean_photon(2.0) / max(mean_photon(0.5), 1e-3)
     assert ratio > 10.0

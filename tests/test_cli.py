@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import dense_reference
 from nonclassicality import (
     DickeConfig,
     build_report,
@@ -13,6 +14,7 @@ from nonclassicality import (
     ground_state,
 )
 from nonclassicality.cli import main
+from nonclassicality.dicke import DEGENERACY_TOL
 from nonclassicality.moments import UnphysicalMomentsError
 
 REPORT_KEYS = [
@@ -190,6 +192,24 @@ class TestSqueezedSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--r-min", "nan"),
+            ("--r-max", "nan"),
+            ("--r-max", "inf"),
+            ("--theta", "nan"),
+            ("--theta", "inf"),
+            ("--alpha", "nan+0j"),
+            ("--alpha", "1+infj"),
+        ],
+    )
+    def test_non_finite_arguments_exit_1_before_any_row(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "squeezed-sweep", "--steps", "3", option, value)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestDickeSweep:
     def test_small_sweep(self, capsys):
@@ -222,13 +242,13 @@ class TestDickeSweep:
 
     def test_nonconvergence_exits_3_with_nan_row(self, capsys):
         code, out, _ = run_cli(
-            capsys, "dicke-sweep", "--n-atoms", "6", "--fock-dim", "30",
+            capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", "--counter-rotating",
             "--g-min", "1", "--g-max", "2", "--steps", "2",
-            "--method", "iterative", "--max-iter", "1", "--tol", "1e-12",
+            "--max-iter", "1", "--tol", "1e-12",
         )
         assert code == 3
         _, rows = parse_csv(out)
-        assert any(math.isnan(float(row[2])) for row in rows)
+        assert all(math.isnan(float(row[2])) for row in rows)
 
     def test_unphysical_row_exits_2(self, capsys, monkeypatch):
         def reject(moments):
@@ -324,22 +344,26 @@ class TestDickeSweep:
         assert math.isnan(float(rows[1][2]))
 
     @pytest.mark.parametrize("model", [[], ["--counter-rotating"]])
-    def test_cross_check_methods_match_auto(self, capsys, model):
-        args = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", *model]
-        code, out, _ = run_cli(capsys, *args)
+    def test_sweep_matches_dense_reference(self, capsys, model):
+        # Energies and degeneracy flags of the default grid against dense
+        # solves of the whole matrix.  The one flagged row is the co-rotating
+        # crossing at g = g_c; at N = 4 the parity doublet stays split.
+        code, out, _ = run_cli(capsys, "dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", *model)
         assert code == 0
-        _, auto = parse_csv(out)
-        for method in ("dense", "iterative"):
-            code, out, _ = run_cli(capsys, *args, "--method", method)
-            assert code == 0, method
-            _, rows = parse_csv(out)
-            assert len(rows) == len(auto)
-            for row, auto_row in zip(rows, auto):
-                assert abs(float(row[2]) - float(auto_row[2])) < 1e-9, (method, row)
-            flags_differ = [row[0] for row, auto_row in zip(rows, auto) if row[6] != auto_row[6]]
-            # A Krylov space holds one vector of an exactly degenerate level,
-            # so whole-matrix Lanczos cannot see the co-rotating crossing at g = g_c.
-            assert flags_differ == (["1"] if method == "iterative" and not model else [])
+        _, rows = parse_csv(out)
+        assert len(rows) == 101
+        for row in rows:
+            cfg = DickeConfig(n_atoms=4, fock_dim=12, g=float(row[0]), counter_rotating=bool(model))
+            energies, _ = dense_reference(cfg)
+            assert abs(float(row[2]) - energies[0]) < 1e-9, row
+            assert row[6] == str(int(energies[1] - energies[0] < DEGENERACY_TOL)), row
+        assert [row[0] for row in rows if row[6] == "1"] == ([] if model else ["1"])
+
+    def test_method_option_is_gone(self, capsys):
+        code, out, _ = run_cli(capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8",
+                               "--method", "dense")
+        assert code == 1
+        assert out == ""
 
     def test_healthy_sweep_prints_no_warning(self, capsys):
         code, _, err = run_cli(
@@ -382,6 +406,7 @@ class TestOracleCheck:
             ("--trials", "-3"),
             ("--dim", "1"),
             ("--dim", "0"),
+            ("--seed", "-1"),
             ("--r-max", "-1"),
             ("--r-max", "nan"),
             ("--alpha-max", "inf"),

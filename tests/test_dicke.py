@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from conftest import subprocess_env
+from conftest import dense_reference, subprocess_env
 from nonclassicality import (
     CenteredMoments,
     DickeConfig,
@@ -45,7 +45,7 @@ class TestBuildHamiltonian:
         # sector's lowest level is 1/2 - g).
         for g in (0.2, 0.6, 0.9):
             cfg = DickeConfig(n_atoms=1, fock_dim=10, g=g)
-            result = ground_state(cfg, method="dense")
+            result = ground_state(cfg)
             assert math.isclose(result.energy, -0.5, rel_tol=0, abs_tol=1e-12)
 
     def test_entry_count_scaling(self):
@@ -106,7 +106,7 @@ class TestBuildHamiltonian:
 class TestGroundState:
     def test_decoupled_ground_state(self):
         cfg = DickeConfig(n_atoms=6, fock_dim=8, g=0.0)
-        result = ground_state(cfg, method="dense")
+        result = ground_state(cfg)
         assert result.energy == pytest.approx(-3.0, abs=1e-12)
         expected = np.zeros(cfg.dim)
         expected[0] = 1.0
@@ -115,24 +115,25 @@ class TestGroundState:
 
     @pytest.mark.parametrize("g_factor", [0.5, 1.0, 1.8])
     def test_iterative_matches_dense(self, g_factor):
-        cfg = DickeConfig(n_atoms=4, fock_dim=12, g=g_factor)
-        dense = ground_state(cfg, method="dense")
-        iterative = ground_state(cfg, tol=1e-10, method="iterative")
+        # Both parity sectors hold 270 > DENSE_CUTOFF states, so Lanczos runs.
+        cfg = DickeConfig(n_atoms=8, fock_dim=60, g=g_factor, counter_rotating=True)
+        energies, _ = dense_reference(cfg)
+        iterative = ground_state(cfg, tol=1e-10)
         assert iterative.converged
-        assert abs(iterative.energy - dense.energy) < 1e-9
+        assert abs(iterative.energy - energies[0]) < 1e-9
         assert iterative.residual <= 1e-10
         assert iterative.iterations > 0
 
     def test_variational_bound(self):
         for g in np.linspace(0.0, 2.0, 9):
             cfg = DickeConfig(n_atoms=8, fock_dim=30, g=float(g))
-            result = ground_state(cfg, method="dense")
+            result = ground_state(cfg)
             assert result.energy <= -cfg.omega_eg * cfg.n_atoms / 2.0 + 1e-12
 
     def test_superradiant_excitation_ratio(self):
         def mean_photon(g):
             cfg = DickeConfig(n_atoms=8, fock_dim=40, g=g)
-            result = ground_state(cfg, method="dense")
+            result = ground_state(cfg)
             return field_moments(result, cfg).photon_number
 
         assert mean_photon(2.0) / max(mean_photon(0.5), 1e-3) > 10.0
@@ -140,31 +141,32 @@ class TestGroundState:
     def test_below_threshold_stays_unexcited(self):
         for g in (0.2, 0.5, 0.8):
             cfg = DickeConfig(n_atoms=8, fock_dim=30, g=g)
-            result = ground_state(cfg, method="dense")
+            result = ground_state(cfg)
             assert field_moments(result, cfg).photon_number < 0.1
 
     def test_nonconvergence_reported(self):
-        cfg = DickeConfig(n_atoms=6, fock_dim=30, g=1.0)
-        result = ground_state(cfg, tol=1e-12, max_iter=1, method="iterative")
+        # The parity sectors hold 378 states each, so one Lanczos restart cannot reach 1e-12.
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.0, counter_rotating=True)
+        result = ground_state(cfg, tol=1e-12, max_iter=1)
         assert not result.converged
 
     def test_gauge_fixed_sign(self):
         cfg = DickeConfig(n_atoms=3, fock_dim=9, g=1.4)
-        result = ground_state(cfg, method="dense")
+        result = ground_state(cfg)
         assert result.vector[np.argmax(np.abs(result.vector))] > 0.0
 
     def test_degenerate_pair_detected_and_mixable(self):
         # Counter-rotating well above threshold: parity doublet.
         cfg = DickeConfig(n_atoms=8, fock_dim=40, g=2.0, counter_rotating=True)
-        plain = ground_state(cfg, method="dense")
+        plain = ground_state(cfg)
         assert plain.degenerate
-        mixed = ground_state(cfg, method="dense", mix_degenerate=True)
+        mixed = ground_state(cfg, mix_degenerate=True)
         assert abs(np.linalg.norm(mixed.vector) - 1.0) < 1e-12
         assert mixed.residual < 1e-8
 
 
 class TestBlockGroundState:
-    """The sector paths of method="auto" against whole-matrix solves."""
+    """The sector paths of ground_state against dense solves of the whole matrix."""
 
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, g, counter_rotating",
@@ -183,12 +185,12 @@ class TestBlockGroundState:
     def test_auto_matches_whole_matrix_dense(self, n_atoms, fock_dim, g, counter_rotating):
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=counter_rotating)
         blocks = ground_state(cfg)
-        dense = ground_state(cfg, method="dense")
+        energies, vectors = dense_reference(cfg)
         assert blocks.iterations == 0 and blocks.converged
-        assert abs(blocks.energy - dense.energy) < 1e-12
-        assert blocks.degenerate == dense.degenerate
-        if not dense.degenerate:
-            assert abs(abs(np.vdot(blocks.vector, dense.vector)) - 1.0) < 1e-12
+        assert abs(blocks.energy - energies[0]) < 1e-12
+        assert blocks.degenerate == (energies[1] - energies[0] < DEGENERACY_TOL)
+        if not blocks.degenerate:
+            assert abs(abs(np.vdot(blocks.vector, vectors[:, 0])) - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, counter_rotating, block_path",
@@ -364,17 +366,6 @@ class TestSectorNativeOperators:
         whole = np.linalg.norm(build_hamiltonian(cfg) @ result.vector - result.energy * result.vector)
         assert abs(result.residual - whole) < 1e-14
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_cross_checks_assemble_the_matrix(self, method, monkeypatch):
-        cfg = DickeConfig(n_atoms=4, fock_dim=12, g=1.3)
-        monkeypatch.setattr(dicke, "_csr", _whole_matrix_refused(dicke._csr, cfg.dim))
-        with pytest.raises(AssertionError, match="whole matrix assembled"):
-            ground_state(cfg, method=method)
-        monkeypatch.undo()
-        result = ground_state(cfg, method=method)
-        assert result.converged
-        assert abs(result.energy - ground_state(cfg).energy) < 1e-9
-
 
 def _whole_matrix_refused(csr, dim):
     """dicke._csr that fails on a dim x dim matrix and builds anything smaller."""
@@ -449,13 +440,13 @@ class TestThermodynamicLimit:
 class TestFieldMoments:
     def test_decoupled_vacuum_moments(self):
         cfg = DickeConfig(n_atoms=4, fock_dim=8, g=0.0)
-        m = field_moments(ground_state(cfg, method="dense"), cfg)
+        m = field_moments(ground_state(cfg), cfg)
         assert m.mean_a == 0.0 and m.a_squared == 0.0 and m.photon_number == 0.0
 
     def test_definite_excitation_sector_has_no_field_phase(self):
         # The excitation-conserving model's eigenstates carry no <a> or <a^2>.
         cfg = DickeConfig(n_atoms=4, fock_dim=14, g=3.0)
-        result = ground_state(cfg, method="dense")
+        result = ground_state(cfg)
         assert not result.degenerate
         m = field_moments(result, cfg)
         assert abs(m.mean_a) < 1e-10
@@ -464,7 +455,7 @@ class TestFieldMoments:
 
     def test_counter_rotating_generates_second_moment(self):
         cfg = DickeConfig(n_atoms=8, fock_dim=40, g=1.5, counter_rotating=True)
-        result = ground_state(cfg, method="dense")
+        result = ground_state(cfg)
         m = field_moments(result, cfg)
         assert abs(m.a_squared) > 1.0
 
@@ -487,7 +478,7 @@ class TestDickeConfig:
 
         def photons(g):
             cfg = config(g)
-            return field_moments(ground_state(cfg, method="dense"), cfg).photon_number
+            return field_moments(ground_state(cfg), cfg).photon_number
 
         assert config(0.0).g_critical == g_critical
         assert photons(0.5 * g_critical) < 0.05
