@@ -48,7 +48,6 @@ from .moments import (
     UnphysicalMomentsError,
     center,
     squeezed_coherent_moments,
-    validate_physical,
 )
 from .optimize import OptimizationResult, maximize_EN
 
@@ -90,5 +89,4 @@ __all__ = [
     "squeezed_coherent_vector",
     "symplectic_eta",
     "two_mode_covariance",
-    "validate_physical",
 ]

@@ -28,7 +28,6 @@ from .moments import (
     SqueezedCoherentParams,
     UnphysicalMomentsError,
     squeezed_coherent_moments,
-    validate_physical,
 )
 
 ORACLE_THRESHOLD = 1e-6
@@ -77,17 +76,12 @@ def _write_csv(stream, header, rows):
 def _cmd_measure(args) -> int:
     try:
         c = CenteredMoments(v=args.v, theta=args.theta, n=args.n)
+    except UnphysicalMomentsError as exc:
+        sys.stderr.write(f"unphysical moments: {exc}\n")
+        return 2
     except ValueError as exc:
         sys.stderr.write(f"invalid moments: {exc}\n")
         return 2
-    if not validate_physical(c):
-        sys.stderr.write(
-            "unphysical moments: need finite n >= 0 and v^2 <= n(n+1), with (n(n+1))^2 "
-            f"within double precision, got v={c.v}, n={c.n}\n"
-        )
-        return 2
-    # An occupation within tolerance below zero is clamped, as center() does.
-    c = dataclasses.replace(c, n=max(c.n, 0.0))
     bs = None
     if args.mode == "fixed":
         try:

@@ -13,10 +13,10 @@ one tridiagonal matrix whose off-diagonal vanishes between the
 N + fock_dim - 1 blocks, and one LAPACK call gives its two lowest levels.
 The vacuum below g_c is then the exact 1-state block k = 0.  With them only
 the parity (-1)^(m + n) is conserved: each of its two sectors is assembled
-from the entries of its own rows, diagonalized densely up to DENSE_CUTOFF
-states and by sparse Lanczos iteration above that, and the two sector
-ground energies decide the degeneracy flag.  The whole sparse matrix is
-assembled only by build_hamiltonian, the reference the tests solve densely.
+from the entries of its own rows and solved by sparse Lanczos iteration,
+and the two sector ground energies decide the degeneracy flag.  The whole
+sparse matrix is assembled only by build_hamiltonian, the reference the
+tests solve densely.
 
 In units hbar = 1:
 
@@ -41,12 +41,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
-
-#: Largest parity sector of the counter-rotating model solved by dense
-#: diagonalization; larger ones go to Lanczos.  A sector holds dim / 2
-#: states, so the model's boundary stays at a total of 512 states, where it
-#: always was.
-DENSE_CUTOFF = 256
 
 #: Ground pairs closer than this in energy are reported as degenerate.
 DEGENERACY_TOL = 1e-10
@@ -101,7 +95,7 @@ class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
     ``iterations`` counts operator applications of the Lanczos runs, summed
-    over the parity sectors, and is 0 for dense and tridiagonal solves.
+    over the parity sectors, and is 0 for the co-rotating tridiagonal solve.
     ``degenerate`` is set when the two lowest values (for the counter-rotating
     model, the two sector ground energies) sit within DEGENERACY_TOL of each
     other.
@@ -253,10 +247,9 @@ def _parity_sectors(cfg: DickeConfig):
 def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
     """Ground pair of each parity sector of the counter-rotating model.
 
-    H conserves the parity (-1)^(m + n).  A sector of at most DENSE_CUTOFF
-    states is diagonalized densely; a larger one goes to k = 1 Lanczos from
-    the alternating start vector.  The even sector comes first unless the odd
-    one lies lower.
+    H conserves the parity (-1)^(m + n).  Each sector, down to the 2 states
+    of the smallest model, goes to k = 1 Lanczos from the alternating start
+    vector.  The even sector comes first unless the odd one lies lower.
     """
     sectors = _parity_sectors(cfg)
 
@@ -269,14 +262,11 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
     matvecs, converged = 0, True
     for parity, (states, matrix) in enumerate(sectors):
-        if len(states) <= DENSE_CUTOFF:
-            values, vectors = np.linalg.eigh(matrix.toarray())
-        else:
-            start = _alternating_start(states, cfg.fock_dim)
-            values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, start)
-            matvecs, converged = matvecs + count, converged and done
-            if values is None:
-                return None, None, matvecs, False, apply
+        start = _alternating_start(states, cfg.fock_dim)
+        values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, start)
+        matvecs, converged = matvecs + count, converged and done
+        if values is None:
+            return None, None, matvecs, False, apply
         energies[parity], pair[states, parity] = values[0], vectors[:, 0]
     if energies[1] < energies[0]:
         return energies[::-1], pair[:, ::-1], matvecs, converged, apply
@@ -318,6 +308,14 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, v0: np
         if exc.eigenvalues is not None and len(exc.eigenvalues) > 0:
             return exc.eigenvalues, exc.eigenvectors, matvecs[0], False
         return None, None, matvecs[0], False
+    except sparse_linalg.ArpackError:
+        # ARPACK stops where H v0 = 0, as in the odd sector of N = 1 and
+        # fock_dim = 2 at g = g_c.  An eigenvector v0 is positive in the gauge
+        # of _alternating_start, so it is the ground one (Perron-Frobenius).
+        h_v0 = matvec(v0)
+        energy = v0 @ h_v0
+        done = bool(np.linalg.norm(h_v0 - energy * v0) <= tol)
+        return np.array([energy]), v0[:, None], matvecs[0], done
     return energies, vectors, matvecs[0], True
 
 
@@ -334,7 +332,7 @@ def ground_state(
     matrix is never assembled, but the residual is that of the whole H.  No
     ground state is missed for being orthogonal to a start vector, such as
     the co-rotating k = 1 level just above g_c or the odd member of the
-    parity doublet.  tol and max_iter steer the Lanczos runs of the large
+    parity doublet.  tol and max_iter steer the Lanczos runs of the
     counter-rotating sectors, and tol also bounds the reported residual.
 
     The two lowest values are always computed so near-degenerate ground

@@ -30,7 +30,6 @@ from .moments import (
     SingleModeMoments,
     UnphysicalMomentsError,
     center,
-    validate_physical,
 )
 
 #: Transmission amplitude of the balanced (50:50) splitter.
@@ -250,11 +249,7 @@ def covariance_from_input(
         B   = same with r^2 and phase theta,
         C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
                    [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
-
-    Raises UnphysicalMomentsError for inputs failing validate_physical.
     """
-    if not validate_physical(c):
-        raise UnphysicalMomentsError(f"unphysical centered moments: v={c.v}, n={c.n}")
     a11, a12, a22, b11, b12, b22, c11, c12, c21, c22 = _block_entries(
         c.v, c.theta, c.n, bs.t, bs.phi, r=bs.r
     )
@@ -366,14 +361,12 @@ def build_report(
     (t^2 y + 1/2), det B the same with r, det C = t^2 r^2 x y and det V =
     (x + 1/2)(y + 1/2)/4, so the :func:`simon_lambda` combination
     det V + 1/16 - (det A + det B + 2 |det C|)/4 is exactly
-    t^2 r^2 min(0, x y).  Raises UnphysicalMomentsError for unphysical
-    centered moments and where the covariance matrix has det V <= 0.
+    t^2 r^2 min(0, x y).  The moments are physical by construction, but
+    UnphysicalMomentsError is raised where rounding leaves det V <= 0.
     """
     if isinstance(m, CenteredMoments):
-        if not validate_physical(m):
-            raise UnphysicalMomentsError(f"unphysical centered moments: v={m.v}, n={m.n}")
         c, hz = m, False
-    else:  # SingleModeMoments are physical by construction
+    else:
         c, hz = center(m), hz_condition(m)
     if bs is None:
         bs = maximizing_splitter(c)

@@ -2,8 +2,9 @@
 
 Every criterion in this package consumes a mode through the pair
 (<a^2>, <a^dag a>), optionally after subtracting first moments.  This module
-owns the containers for those numbers and the physicality checks that guard
-the downstream Gaussian formulas.
+owns the containers for those numbers and the physicality check that guards
+the downstream Gaussian formulas: both containers refuse to hold unphysical
+moments, so nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -66,11 +67,16 @@ class SingleModeMoments:
             raise UnphysicalMomentsError(
                 f"photon number must be >= 0, got {self.photon_number}"
             )
-        d2 = self.a_squared - self.mean_a * self.mean_a
-        n = self.photon_number - abs(self.mean_a) ** 2
-        if not _is_physical(abs(d2), n):
+        try:
+            v = abs(self.a_squared - self.mean_a * self.mean_a)
+            n = self.photon_number - abs(self.mean_a) ** 2
+        except OverflowError as exc:
             raise UnphysicalMomentsError(
-                f"centered moments violate v^2 <= n(n+1): v={abs(d2)}, n={n}"
+                f"centered moments overflow double precision: <a>={self.mean_a}"
+            ) from exc
+        if not _is_physical(v, n):
+            raise UnphysicalMomentsError(
+                f"centered moments violate v^2 <= n(n+1): v={v}, n={n}"
             )
 
 
@@ -79,9 +85,9 @@ class CenteredMoments:
     """Centered second moments in polar form.
 
     v and theta are the magnitude and phase of <a^2> - <a>^2, n is the
-    centered occupation <a^dag a> - |<a>|^2.  Physicality is deliberately not
-    enforced here so that :func:`validate_physical` can act as a predicate;
-    operations consuming these values reject unphysical instances themselves.
+    centered occupation <a^dag a> - |<a>|^2.  Construction rejects (v, n)
+    that no quantum state has, within the physicality tolerance, and clamps
+    an n within tolerance below zero to zero.
     """
 
     v: float
@@ -93,10 +99,17 @@ class CenteredMoments:
             raise ValueError(f"v is a magnitude and must be >= 0, got {self.v}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        theta = 0.0 if self.v < ZERO_MAGNITUDE_CUTOFF else self.theta % TWO_PI
-        object.__setattr__(self, "v", float(self.v))
+        v, n = float(self.v), float(self.n)
+        if not _is_physical(v, n):
+            raise UnphysicalMomentsError(
+                "need finite n >= 0 and v^2 <= n(n+1), with (n(n+1))^2 "
+                f"within double precision, got v={v}, n={n}"
+            )
+        # A second % maps a tiny negative theta, which rounds up to 2 pi, to 0.
+        theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else self.theta % TWO_PI % TWO_PI
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "n", float(self.n))
+        object.__setattr__(self, "n", max(n, 0.0))
 
     def a_squared(self) -> complex:
         """Centered <a^2> as a complex number, v * exp(i theta)."""
@@ -137,22 +150,31 @@ def squeezed_coherent_moments(params: SqueezedCoherentParams) -> SingleModeMomen
                      - C S (e^{i theta} alpha*^2 + e^{-i theta} alpha^2)
 
     The sum of the first two terms in <a^2> is required by the alpha -> 0
-    limit (squeezed vacuum has <a^2> = -C S e^{i theta}).
+    limit (squeezed vacuum has <a^2> = -C S e^{i theta}).  Raises
+    UnphysicalMomentsError where cosh r (from r ~ 710) or |alpha|^2 (from
+    |alpha| ~ 1e154) overflows; SingleModeMoments rejects moments that
+    overflow to inf or NaN, or whose centered values overflow.
     """
     alpha = params.alpha
-    c = math.cosh(params.strength)
-    s = math.sinh(params.strength)
+    try:
+        c = math.cosh(params.strength)
+        s = math.sinh(params.strength)
+        alpha_sq = abs(alpha) ** 2
+    except OverflowError as exc:
+        raise UnphysicalMomentsError(
+            f"moments overflow double precision at alpha={alpha}, strength={params.strength}"
+        ) from exc
     ph = cmath.exp(1j * params.angle)
     ac = alpha.conjugate()
     mean_a = c * alpha - s * ph * ac
     a_squared = (
         c * c * alpha * alpha
         + s * s * ph * ph * ac * ac
-        - c * s * ph * (2.0 * abs(alpha) ** 2 + 1.0)
+        - c * s * ph * (2.0 * alpha_sq + 1.0)
     )
     photon_number = (
-        c * c * abs(alpha) ** 2
-        + s * s * (1.0 + abs(alpha) ** 2)
+        c * c * alpha_sq
+        + s * s * (1.0 + alpha_sq)
         - c * s * (ph * ac * ac + ph.conjugate() * alpha * alpha).real
     )
     return SingleModeMoments(mean_a, a_squared, photon_number)
@@ -162,16 +184,9 @@ def center(m: SingleModeMoments) -> CenteredMoments:
     """Subtract first moments: v e^{i theta} = <a^2> - <a>^2, n = <a^dag a> - |<a>|^2.
 
     SingleModeMoments has already checked these centered values at
-    construction, so no check is repeated here.  A centered occupation within
-    tolerance below zero is clamped to zero.
+    construction.  CenteredMoments zeroes the phase of a vanishing v and
+    clamps an occupation within tolerance below zero to zero.
     """
     d2 = m.a_squared - m.mean_a * m.mean_a
     n = m.photon_number - abs(m.mean_a) ** 2
-    v = abs(d2)
-    theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else cmath.phase(d2) % TWO_PI
-    return CenteredMoments(v=v, theta=theta, n=max(n, 0.0))
-
-
-def validate_physical(c: CenteredMoments) -> bool:
-    """True iff (v, n) could come from a quantum state, within tolerance."""
-    return _is_physical(c.v, c.n)
+    return CenteredMoments(v=abs(d2), theta=cmath.phase(d2), n=n)

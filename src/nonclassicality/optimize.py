@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import BALANCED_T, eta_minus_sq, log_negativity_from_eta_sq
-from .moments import TWO_PI, CenteredMoments, UnphysicalMomentsError, validate_physical
+from .moments import TWO_PI, CenteredMoments
 
 DEFAULT_GRID_T = 33
 DEFAULT_GRID_PHI = 64
@@ -71,8 +71,6 @@ def maximize_EN(
     """
     if grid_t < 8 or grid_phi < 8:
         raise ValueError(f"grids must have >= 8 points, got ({grid_t}, {grid_phi})")
-    if not validate_physical(c):
-        raise UnphysicalMomentsError(f"unphysical centered moments: v={c.v}, n={c.n}")
 
     ts = np.unique(np.append(np.linspace(0.0, 1.0, grid_t), BALANCED_T))
     phis = np.linspace(0.0, TWO_PI, grid_phi, endpoint=False)

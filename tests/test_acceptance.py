@@ -185,8 +185,8 @@ def test_criterion_5_phase_covariance():
 def test_criterion_6_dicke_desk_scale():
     started = time.perf_counter()
     energies_match = 0.0
-    # The co-rotating model is one tridiagonal solve.  The counter-rotating
-    # parity sectors hold 315 > DENSE_CUTOFF states each, so Lanczos runs.
+    # The co-rotating model is one tridiagonal solve; the counter-rotating
+    # parity sectors (315 states each) go to Lanczos.
     for counter_rotating, fock_dim in ((False, 40), (True, 70)):
         for g in np.linspace(0.0, 2.0, 11):
             cfg = DickeConfig(n_atoms=8, fock_dim=fock_dim, g=float(g),

@@ -176,13 +176,21 @@ class TestSqueezedSweep:
 
     def test_squeezing_beyond_moment_rounding_exits_2(self, capsys):
         # From r ~ 10 on, lambda- = e^{-2r}/2 is below the rounding of n and v.
-        code, out, err = run_cli(
-            capsys, "squeezed-sweep", "--r-min", "10", "--r-max", "14", "--steps", "9"
-        )
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("unphysical moments at r=")
+        # Further out the moments overflow: to NaN at r = 400, and in an
+        # OverflowError of cosh r at r = 1000, of |alpha|^2 at alpha = 1e200
+        # and of |<a>|^2 = (e^r alpha)^2 at r = 200, alpha = 1e100, theta = pi.
+        for args in (
+            ("--r-min", "10", "--r-max", "14", "--steps", "9"),
+            ("--steps", "2", "--r-max", "400"),
+            ("--steps", "2", "--r-max", "1000"),
+            ("--steps", "2", "--alpha", "1e200"),
+            ("--steps", "2", "--r-max", "200", "--alpha", "1e100", "--theta", "3.14159"),
+        ):
+            code, out, err = run_cli(capsys, "squeezed-sweep", *args)
+            assert code == 2, args
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("unphysical moments at r="), args
 
     def test_bad_range_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "squeezed-sweep", "--steps", "1")
@@ -333,15 +341,17 @@ class TestDickeSweep:
             assert len(err.splitlines()) == 1
 
     def test_solver_overflow_exits_3(self, capsys):
-        # Finite entries, but LAPACK loses the g = 2 vector to NaNs: the row
+        # Finite entries, but the g = 2 vector overflows: LAPACK's tridiagonal
+        # solve loses it to NaNs and Lanczos to an infinite residual.  The row
         # is unconverged instead of failing in the moments.
-        code, out, _ = run_cli(
-            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
-            "--omega", "1e307",
-        )
-        assert code == 3
-        _, rows = parse_csv(out)
-        assert math.isnan(float(rows[1][2]))
+        for model in ([], ["--counter-rotating"]):
+            code, out, _ = run_cli(
+                capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
+                "--omega", "1e307", *model,
+            )
+            assert code == 3, model
+            _, rows = parse_csv(out)
+            assert math.isnan(float(rows[1][2])), model
 
     @pytest.mark.parametrize("model", [[], ["--counter-rotating"]])
     def test_sweep_matches_dense_reference(self, capsys, model):

@@ -12,7 +12,6 @@ from nonclassicality import (
     UnphysicalMomentsError,
     center,
     squeezed_coherent_moments,
-    validate_physical,
 )
 
 alphas = st.builds(
@@ -50,6 +49,15 @@ class TestSqueezedCoherentMoments:
         with pytest.raises(ValueError):
             SqueezedCoherentParams(0.0, -0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha, r, theta", [(0.0, 1000.0, 0.0), (1e200, 0.0, 0.0), (1e100, 200.0, math.pi)]
+    )
+    def test_overflow_is_unphysical(self, alpha, r, theta):
+        # cosh(1000), |alpha|^2 = 1e400 and |<a>|^2 = (e^200 1e100)^2 raise
+        # OverflowError in float arithmetic.
+        with pytest.raises(UnphysicalMomentsError, match="overflow double precision"):
+            squeezed_coherent_moments(SqueezedCoherentParams(alpha, r, theta))
+
 
 class TestCenter:
     def test_coherent_state_centers_to_vacuum(self):
@@ -75,28 +83,45 @@ class TestCenter:
 
     @given(alpha=alphas, r=strengths, theta=angles)
     def test_squeezed_coherent_family_is_physical(self, alpha, r, theta):
+        # center() builds CenteredMoments, which would raise on unphysical values.
         c = center(squeezed_coherent_moments(SqueezedCoherentParams(alpha, r, theta)))
-        assert validate_physical(c)
+        assert c.n >= 0.0
 
     def test_unphysical_input_reported(self):
         with pytest.raises(UnphysicalMomentsError):
             SingleModeMoments(0.0, 2.0, 1.0)
         with pytest.raises(UnphysicalMomentsError):
             SingleModeMoments(0.0, 0.0, -0.5)
+        for mean_a, a_squared in ((1e200, 0.0), (0.0, 1.5e308 + 1.5e308j)):
+            with pytest.raises(UnphysicalMomentsError, match="overflow double precision"):
+                SingleModeMoments(mean_a, a_squared, 1.0)
 
 
 class TestValidatePhysical:
+    """CenteredMoments validates physicality where it is built."""
+
     def test_vacuum(self):
-        assert validate_physical(CenteredMoments(0.0, 0.0, 0.0))
+        assert CenteredMoments(0.0, 0.0, 0.0).n == 0.0
 
     def test_boundary_equality_case(self):
-        assert validate_physical(CenteredMoments(math.sqrt(2.0), 0.0, 1.0))
+        assert CenteredMoments(math.sqrt(2.0), 0.0, 1.0).v == math.sqrt(2.0)
 
     def test_violation(self):
-        assert not validate_physical(CenteredMoments(2.0, 0.0, 1.0))
+        with pytest.raises(UnphysicalMomentsError, match=r"v\^2 <= n\(n\+1\)"):
+            CenteredMoments(2.0, 0.0, 1.0)
 
     def test_negative_occupation(self):
-        assert not validate_physical(CenteredMoments(0.0, 0.0, -1.0))
+        with pytest.raises(UnphysicalMomentsError):
+            CenteredMoments(0.0, 0.0, -1.0)
+
+    def test_occupation_within_tolerance_below_zero_is_clamped(self):
+        n = CenteredMoments(0.0, 0.0, -1e-10).n
+        assert n == 0.0 and math.copysign(1.0, n) == 1.0
+
+    @pytest.mark.parametrize("v, n", [(math.nan, 1.0), (0.0, math.inf), (1e200, 1e200)])
+    def test_non_finite_or_overflowing_rejected(self, v, n):
+        with pytest.raises(UnphysicalMomentsError):
+            CenteredMoments(v, 0.0, n)
 
 
 class TestCenteredMoments:
@@ -107,6 +132,10 @@ class TestCenteredMoments:
 
     def test_zero_magnitude_gets_zero_phase(self):
         assert CenteredMoments(0.0, 1.234, 2.0).theta == 0.0
+
+    def test_tiny_negative_phase_stays_below_the_period(self):
+        # -1e-20 % 2 pi rounds up to exactly 2 pi.
+        assert CenteredMoments(1.0, -1e-20, 2.0).theta == 0.0
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
