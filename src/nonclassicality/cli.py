@@ -34,10 +34,10 @@ ORACLE_THRESHOLD = 1e-6
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse parser that exits 1 (not 2) on malformed arguments."""
+    """argparse parser that exits 1 (not 2) on malformed arguments, with one
+    stderr line like the CLI's own argument checks (usage is under --help)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -138,8 +138,6 @@ def _cmd_dicke_sweep(args) -> int:
     if _failed_check([
         (args.steps >= 2, "steps must be >= 2"),
         (0.0 <= args.g_min <= args.g_max < math.inf, "need finite 0 <= g-min <= g-max"),
-        (0.0 < args.tol < math.inf, "tol must be finite and > 0"),
-        (args.max_iter >= 1, "max-iter must be >= 1"),
     ]):
         return 1
     try:
@@ -164,12 +162,7 @@ def _cmd_dicke_sweep(args) -> int:
     any_unconverged = False
     for g in np.linspace(args.g_min, args.g_max, args.steps):
         cfg = dataclasses.replace(model, g=float(g))
-        result = ground_state(
-            cfg,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            mix_degenerate=args.mix_degenerate,
-        )
+        result = ground_state(cfg, mix_degenerate=args.mix_degenerate)
         if not result.converged:
             any_unconverged = True
             nan = _fmt(math.nan)
@@ -292,8 +285,6 @@ def _build_parser() -> _ArgumentParser:
         "--mix-degenerate", action="store_true",
         help="return the equal-weight mix of a degenerate ground pair, with real <a> >= 0",
     )
-    dicke.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of the eigensolver")
-    dicke.add_argument("--max-iter", type=int, default=100_000)
     dicke.add_argument("--output", default=None)
     dicke.set_defaults(func=_cmd_dicke_sweep)
 

@@ -45,6 +45,9 @@ from .moments import SingleModeMoments
 #: Ground pairs closer than this in energy are reported as degenerate.
 DEGENERACY_TOL = 1e-10
 
+#: Largest whole-H residual ||H v - E v|| of a converged ground state.
+RESIDUAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DickeConfig:
@@ -95,10 +98,12 @@ class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
     ``iterations`` counts operator applications of the Lanczos runs, summed
-    over the parity sectors, and is 0 for the co-rotating tridiagonal solve.
-    ``degenerate`` is set when the two lowest values (for the counter-rotating
-    model, the two sector ground energies) sit within DEGENERACY_TOL of each
-    other.
+    over the parity sectors, and is 0 for the co-rotating tridiagonal solve
+    and when a solver raised.  ``degenerate`` is set when the two lowest
+    values (for the counter-rotating model, the two sector ground energies)
+    sit within DEGENERACY_TOL of each other.  An unconverged result
+    (``converged`` False) carries NaN energy and vector and is never
+    degenerate.
     """
 
     energy: float
@@ -221,7 +226,7 @@ def _lowest_pair_excitation(cfg: DickeConfig):
         h_x[order] = h_chained
         return h_x
 
-    return energies, pair, 0, True, apply
+    return energies, pair, 0, apply
 
 
 def _parity_sectors(cfg: DickeConfig):
@@ -244,7 +249,7 @@ def _parity_sectors(cfg: DickeConfig):
     return sectors
 
 
-def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
+def _lowest_pair_parity(cfg: DickeConfig):
     """Ground pair of each parity sector of the counter-rotating model.
 
     H conserves the parity (-1)^(m + n).  Each sector, down to the 2 states
@@ -260,17 +265,14 @@ def _lowest_pair_parity(cfg: DickeConfig, tol: float, max_iter: int):
         return h_x
 
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
-    matvecs, converged = 0, True
+    matvecs = 0
     for parity, (states, matrix) in enumerate(sectors):
         start = _alternating_start(states, cfg.fock_dim)
-        values, vectors, count, done = _lowest_lanczos(matrix, tol, max_iter, start)
-        matvecs, converged = matvecs + count, converged and done
-        if values is None:
-            return None, None, matvecs, False, apply
-        energies[parity], pair[states, parity] = values[0], vectors[:, 0]
+        energies[parity], pair[states, parity], count = _lowest_lanczos(matrix, start)
+        matvecs += count
     if energies[1] < energies[0]:
-        return energies[::-1], pair[:, ::-1], matvecs, converged, apply
-    return energies, pair, matvecs, converged, apply
+        return energies[::-1], pair[:, ::-1], matvecs, apply
+    return energies, pair, matvecs, apply
 
 
 def _alternating_start(states: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -282,8 +284,11 @@ def _alternating_start(states: np.ndarray, fock_dim: int) -> np.ndarray:
     return np.where(states // fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
 
 
-def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, v0: np.ndarray):
-    """Lowest eigenpair by ARPACK Lanczos from v0, with the matvec count."""
+def _lowest_lanczos(matrix: sparse.csr_matrix, v0: np.ndarray):
+    """Lowest eigenvalue and vector by ARPACK Lanczos from v0, with the matvec count.
+
+    Raises ArpackNoConvergence when ARPACK runs out of restarts.
+    """
     dim = matrix.shape[0]
     matvecs = [0]
 
@@ -292,39 +297,27 @@ def _lowest_lanczos(matrix: sparse.csr_matrix, tol: float, max_iter: int, v0: np
         return matrix @ x
 
     operator = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    # ARPACK's tolerance is relative to the Ritz value, so the requested
-    # absolute residual is divided by the matrix norm.  It is additionally
+    # ARPACK's tolerance is relative to the Ritz value, so the absolute
+    # residual tolerance is divided by the matrix norm.  It is additionally
     # floored at 1e-11: the degeneracy flag compares the two sector ground
     # energies to DEGENERACY_TOL, and a loosely converged run leaves them
     # too coarse for that comparison.
     norm_1 = float(np.abs(matrix).sum(axis=0).max())
-    arpack_tol = min(tol / max(1.0, norm_1), 1e-11)
+    arpack_tol = min(RESIDUAL_TOL / max(1.0, norm_1), 1e-11)
     try:
-        energies, vectors = sparse_linalg.eigsh(
-            operator, k=1, which="SA", v0=v0, tol=arpack_tol,
-            maxiter=max_iter,
-        )
-    except sparse_linalg.ArpackNoConvergence as exc:
-        if exc.eigenvalues is not None and len(exc.eigenvalues) > 0:
-            return exc.eigenvalues, exc.eigenvectors, matvecs[0], False
-        return None, None, matvecs[0], False
+        energies, vectors = sparse_linalg.eigsh(operator, k=1, which="SA", v0=v0, tol=arpack_tol)
+    except sparse_linalg.ArpackNoConvergence:
+        raise  # a subclass of ArpackError, but not the failure handled below
     except sparse_linalg.ArpackError:
         # ARPACK stops where H v0 = 0, as in the odd sector of N = 1 and
         # fock_dim = 2 at g = g_c.  An eigenvector v0 is positive in the gauge
         # of _alternating_start, so it is the ground one (Perron-Frobenius).
-        h_v0 = matvec(v0)
-        energy = v0 @ h_v0
-        done = bool(np.linalg.norm(h_v0 - energy * v0) <= tol)
-        return np.array([energy]), v0[:, None], matvecs[0], done
-    return energies, vectors, matvecs[0], True
+        # Whether v0 is one is left to the residual check of ground_state.
+        return v0 @ matvec(v0), v0, matvecs[0]
+    return energies[0], vectors[:, 0], matvecs[0]
 
 
-def ground_state(
-    cfg: DickeConfig,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    mix_degenerate: bool = False,
-) -> GroundStateResult:
+def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateResult:
     """Lowest eigenpair of the Hamiltonian of cfg.
 
     H is solved in the sectors of the quantum number the model conserves,
@@ -332,8 +325,11 @@ def ground_state(
     matrix is never assembled, but the residual is that of the whole H.  No
     ground state is missed for being orthogonal to a start vector, such as
     the co-rotating k = 1 level just above g_c or the odd member of the
-    parity doublet.  tol and max_iter steer the Lanczos runs of the
-    counter-rotating sectors, and tol also bounds the reported residual.
+    parity doublet.
+
+    Convergence is decided here alone: a result whose whole-H residual
+    exceeds RESIDUAL_TOL or is NaN, or whose solver raised, is returned
+    with NaN energy and vector, converged=False and degenerate=False.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the first
@@ -347,17 +343,13 @@ def ground_state(
     """
     try:
         if cfg.counter_rotating:
-            solved = _lowest_pair_parity(cfg, tol, max_iter)
+            energies, vectors, iterations, apply = _lowest_pair_parity(cfg)
         else:
-            solved = _lowest_pair_excitation(cfg)
-    except np.linalg.LinAlgError:  # LAPACK did not converge, e.g. on entries near overflow
-        solved = None, None, 0, False, None
-    energies, vectors, iterations, converged, apply = solved
-    if energies is None:
-        return GroundStateResult(
-            energy=math.nan, vector=np.full(cfg.dim, np.nan), residual=math.inf,
-            iterations=iterations, converged=False, degenerate=False,
-        )
+            energies, vectors, iterations, apply = _lowest_pair_excitation(cfg)
+    except (sparse_linalg.ArpackNoConvergence, np.linalg.LinAlgError):
+        # ARPACK ran out of restarts, or LAPACK did not converge, e.g. on
+        # entries near overflow.
+        return _unconverged(cfg, math.inf, 0)
 
     energy = float(energies[0])
     degenerate = len(energies) > 1 and abs(energies[1] - energies[0]) < DEGENERACY_TOL
@@ -371,15 +363,25 @@ def ground_state(
             other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
-    residual = float(np.linalg.norm(apply(vector) - energy * vector))
-    converged = converged and residual <= tol  # False for a NaN residual too
+    # An overflowing vector gives an inf or NaN residual, which fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(apply(vector) - energy * vector))
+    if not residual <= RESIDUAL_TOL:  # NaN included
+        return _unconverged(cfg, residual, iterations)
     return GroundStateResult(
         energy=energy,
         vector=vector,
         residual=residual,
         iterations=iterations,
-        converged=converged,
+        converged=True,
         degenerate=bool(degenerate),
+    )
+
+
+def _unconverged(cfg: DickeConfig, residual: float, iterations: int) -> GroundStateResult:
+    return GroundStateResult(
+        energy=math.nan, vector=np.full(cfg.dim, np.nan), residual=residual,
+        iterations=iterations, converged=False, degenerate=False,
     )
 
 

@@ -66,10 +66,6 @@ class BeamSplitterParams:
         """Build parameters from t alone, with r = sqrt(1 - t^2)."""
         return cls(t=t, r=math.sqrt(max(0.0, 1.0 - float(t) ** 2)), phi=phi)
 
-    @classmethod
-    def balanced(cls, phi: float = 0.0) -> "BeamSplitterParams":
-        return cls(t=BALANCED_T, r=BALANCED_T, phi=phi)
-
 
 @dataclass(frozen=True)
 class CovarianceBlocks:

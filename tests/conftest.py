@@ -2,9 +2,12 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.sparse.linalg as sparse_linalg
 from hypothesis import HealthCheck, settings
 
 import nonclassicality
+from nonclassicality import dicke
 
 settings.register_profile(
     "numeric",
@@ -32,3 +35,13 @@ def subprocess_env() -> dict:
     """The environment with this package's source directory on PYTHONPATH."""
     src = str(Path(nonclassicality.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.fixture
+def arpack_no_convergence(monkeypatch):
+    """Every Lanczos run ends out of restarts, holding a partial eigenpair."""
+
+    def no_convergence(operator, k, v0, **kwargs):
+        raise sparse_linalg.ArpackNoConvergence("no convergence", np.array([-1.0]), v0[:, None])
+
+    monkeypatch.setattr(dicke.sparse_linalg, "eigsh", no_convergence)

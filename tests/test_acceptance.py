@@ -35,6 +35,8 @@ from nonclassicality.cli import main
 from nonclassicality.entanglement import eta_minus_sq
 
 ANCHOR_STRENGTHS = (0.25, 0.5, 1.0, 1.5, 2.0)
+#: The balanced splitter as maximizing_splitter builds it, r from t.
+BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
 
 
 def test_criterion_1_closed_form_anchor():
@@ -43,7 +45,7 @@ def test_criterion_1_closed_form_anchor():
     worst = 0.0
     for r in ANCHOR_STRENGTHS:
         moments = squeezed_coherent_moments(SqueezedCoherentParams(0.0, r, 0.0))
-        blocks = covariance_from_input(center(moments), BeamSplitterParams.balanced())
+        blocks = covariance_from_input(center(moments), BALANCED)
         eta_m, _ = symplectic_eta(blocks)
         assert abs(2.0 * eta_m - math.exp(-r)) < 1e-9
         assert abs(-math.log(2.0 * eta_m) - r) < 1e-9
@@ -60,9 +62,7 @@ def test_criterion_1_fock_oracle_rederivation():
     for r, dim in [(0.25, 140), (0.5, 140), (1.0, 140), (1.5, 340), (2.0, 700)]:
         state = squeezed_coherent_vector(SqueezedCoherentParams(0.0, r, 0.0), dim)
         assert state.truncation_healthy
-        blocks = two_mode_covariance(
-            apply_beam_splitter(state, BeamSplitterParams.balanced())
-        )
+        blocks = two_mode_covariance(apply_beam_splitter(state, BALANCED))
         eta_m, _ = symplectic_eta(blocks)
         assert abs(2.0 * eta_m - math.exp(-r)) < 1e-6
         worst = max(worst, abs(2.0 * eta_m - math.exp(-r)))
@@ -220,7 +220,7 @@ def test_criterion_7_dicke_full_scale(tmp_path):
         args = [
             "dicke-sweep", "--n-atoms", "80", "--fock-dim", "142",
             "--g-min", "0", "--g-max", "2", "--steps", "101",
-            "--tol", "1e-9", "--output", str(out),
+            "--output", str(out),
         ]
         if flag:
             args.append("--counter-rotating")

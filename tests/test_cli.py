@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import dense_reference
+from conftest import dense_reference, subprocess_env
 from nonclassicality import (
     DickeConfig,
     build_report,
@@ -248,15 +248,16 @@ class TestDickeSweep:
         _, rows = parse_csv(out)
         assert float(rows[2][1]) == pytest.approx(0.5)  # g=1, g_c=2
 
-    def test_nonconvergence_exits_3_with_nan_row(self, capsys):
+    def test_nonconvergence_exits_3_with_nan_row(self, capsys, arpack_no_convergence):
         code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", "--counter-rotating",
             "--g-min", "1", "--g-max", "2", "--steps", "2",
-            "--max-iter", "1", "--tol", "1e-12",
         )
         assert code == 3
         _, rows = parse_csv(out)
-        assert all(math.isnan(float(row[2])) for row in rows)
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isnan(float(x)) for x in row[2:6]) and row[6] == "0", row
 
     def test_unphysical_row_exits_2(self, capsys, monkeypatch):
         def reject(moments):
@@ -325,6 +326,7 @@ class TestDickeSweep:
             ("--omega-eg", "1e308"),  # finite, but the diagonal's spread overflows
             ("--n-atoms", "0"),
             ("--fock-dim", "1"),
+            # The solver's tolerance is fixed: these exit 1 as unrecognized.
             ("--tol", "nan"),
             ("--tol", "-1"),
             ("--max-iter", "0"),
@@ -353,6 +355,19 @@ class TestDickeSweep:
             _, rows = parse_csv(out)
             assert math.isnan(float(rows[1][2])), model
 
+    def test_overflow_rows_are_reproducible(self):
+        # ARPACK's unconverged energies on these entries differ from process
+        # to process; the rows, their flags and the silent stderr must not.
+        args = [sys.executable, "-m", "nonclassicality", "dicke-sweep", "--n-atoms", "2",
+                "--fock-dim", "8", "--g-min", "1", "--g-max", "2", "--steps", "2",
+                "--omega", "1e307", "--counter-rotating"]
+        runs = [subprocess.run(args, capture_output=True, text=True, env=subprocess_env())
+                for _ in range(3)]
+        for run in runs:
+            assert (run.returncode, run.stdout, run.stderr) == (3, runs[0].stdout, "")
+        _, rows = parse_csv(runs[0].stdout)
+        assert [(row[2], row[6]) for row in rows] == [("nan", "0")] * 2
+
     @pytest.mark.parametrize("model", [[], ["--counter-rotating"]])
     def test_sweep_matches_dense_reference(self, capsys, model):
         # Energies and degeneracy flags of the default grid against dense
@@ -374,6 +389,14 @@ class TestDickeSweep:
                                "--method", "dense")
         assert code == 1
         assert out == ""
+
+    def test_solver_options_are_gone(self, capsys):
+        for option, value in (("--tol", "1e-9"), ("--max-iter", "100000")):
+            code, out, err = run_cli(capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8",
+                                     option, value)
+            assert code == 1, option
+            assert out == ""
+            assert f"unrecognized arguments: {option} {value}" in err
 
     def test_healthy_sweep_prints_no_warning(self, capsys):
         code, _, err = run_cli(

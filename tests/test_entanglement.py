@@ -34,6 +34,8 @@ OMEGA = np.array(
     [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
 )
 PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
+#: The balanced splitter as maximizing_splitter builds it, r from t.
+BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
 
 
 def pt_eigenvalue_oracle(blocks):
@@ -74,7 +76,7 @@ class TestBeamSplitterParams:
         assert math.isclose(bs.r, 0.8, rel_tol=1e-15)
 
     def test_phi_wrapped(self):
-        assert BeamSplitterParams.balanced(phi=-1.0).phi == pytest.approx(
+        assert BeamSplitterParams.from_transmission(BALANCED_T, phi=-1.0).phi == pytest.approx(
             2.0 * math.pi - 1.0
         )
 
@@ -91,9 +93,7 @@ class TestCovarianceFromInput:
     def test_thermal_like_input_balanced(self):
         # Direct substitution with v=0, n=3, t=r=1/sqrt(2), phi=0.
         n = 3.0
-        blocks = covariance_from_input(
-            CenteredMoments(0.0, 0.0, n), BeamSplitterParams.balanced()
-        )
+        blocks = covariance_from_input(CenteredMoments(0.0, 0.0, n), BALANCED)
         np.testing.assert_allclose(blocks.A, (n / 2 + 0.5) * np.eye(2), rtol=1e-14)
         np.testing.assert_allclose(blocks.B, (n / 2 + 0.5) * np.eye(2), rtol=1e-14)
         np.testing.assert_allclose(blocks.C, -(n / 2) * np.eye(2), rtol=1e-14, atol=1e-16)
@@ -102,9 +102,7 @@ class TestCovarianceFromInput:
     def test_squeezed_vacuum_closed_form_blocks(self, r):
         # Substitution with e^{+-r} = cosh r +- sinh r.
         s = math.sinh(r)
-        blocks = covariance_from_input(
-            squeezed_vacuum_centered(r), BeamSplitterParams.balanced()
-        )
+        blocks = covariance_from_input(squeezed_vacuum_centered(r), BALANCED)
         expected_mode = np.diag(
             [(1.0 - s * math.exp(-r)) / 2.0, (1.0 + s * math.exp(r)) / 2.0]
         )
@@ -115,9 +113,7 @@ class TestCovarianceFromInput:
 
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalMomentsError):
-            covariance_from_input(
-                CenteredMoments(2.0, 0.0, 1.0), BeamSplitterParams.balanced()
-            )
+            covariance_from_input(CenteredMoments(2.0, 0.0, 1.0), BALANCED)
 
     def test_assembled_matrix_is_symmetric(self):
         blocks = covariance_from_input(
@@ -147,9 +143,7 @@ class TestSymplecticEta:
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 1.5, 2.0])
     def test_squeezed_vacuum_balanced_splitter(self, r):
         # sigma = 1/2 + sinh^2 r and det V = 1/16 give 2 eta^- = e^{-r}.
-        blocks = covariance_from_input(
-            squeezed_vacuum_centered(r), BeamSplitterParams.balanced()
-        )
+        blocks = covariance_from_input(squeezed_vacuum_centered(r), BALANCED)
         eta_m, _ = symplectic_eta(blocks)
         assert math.isclose(2 * eta_m, math.exp(-r), rel_tol=1e-12)
 
@@ -216,9 +210,7 @@ class TestSimonLambda:
         assert simon_lambda(blocks) == 0.0
 
     def test_squeezed_vacuum_is_negative(self):
-        blocks = covariance_from_input(
-            squeezed_vacuum_centered(1.0), BeamSplitterParams.balanced()
-        )
+        blocks = covariance_from_input(squeezed_vacuum_centered(1.0), BALANCED)
         assert simon_lambda(blocks) < 0.0
 
     def test_sign_agrees_with_eta_outside_guard_band(self):
@@ -249,18 +241,18 @@ class TestSimonLambda:
 
 class TestDgczLambda:
     def test_vacuum_input(self):
-        assert dgcz_lambda(CenteredMoments(0.0, 0.0, 0.0), BeamSplitterParams.balanced()) == 0.0
+        assert dgcz_lambda(CenteredMoments(0.0, 0.0, 0.0), BALANCED) == 0.0
 
     def test_thermal_like_input(self):
         # c* = 1; 2 * 1 * 1/2 + 2 * 1/2 + 0 = 2.
-        lam = dgcz_lambda(CenteredMoments(0.0, 0.0, 1.0), BeamSplitterParams.balanced())
+        lam = dgcz_lambda(CenteredMoments(0.0, 0.0, 1.0), BALANCED)
         assert math.isclose(lam, 2.0, rel_tol=1e-14)
 
     @pytest.mark.parametrize("r", [0.2, 0.9, 1.8])
     def test_squeezed_vacuum_goes_negative(self, r):
         # With phi aligning the cross term: 2 (sinh^2 - cosh sinh) < 0.
         c, s = math.cosh(r), math.sinh(r)
-        lam = dgcz_lambda(squeezed_vacuum_centered(r), BeamSplitterParams.balanced(phi=0.0))
+        lam = dgcz_lambda(squeezed_vacuum_centered(r), BALANCED)
         assert math.isclose(lam, 2.0 * (s * s - c * s), rel_tol=1e-12)
         assert lam < 0.0
 
@@ -364,7 +356,7 @@ class TestBalancedSplitterClosedForm:
 class TestBuildReport:
     def test_report_fields_consistent(self):
         m = squeezed_coherent_moments(SqueezedCoherentParams(0.0, 1.0, 0.0))
-        report = build_report(m, BeamSplitterParams.balanced())
+        report = build_report(m, BALANCED)
         assert math.isclose(report.E_N, 1.0, rel_tol=1e-12)
         assert report.E_N == log_negativity(report.eta_minus)
         assert report.eta_minus <= report.eta_plus

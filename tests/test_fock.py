@@ -7,6 +7,7 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from nonclassicality import (
+    BALANCED_T,
     BeamSplitterParams,
     FockVector,
     SqueezedCoherentParams,
@@ -28,6 +29,9 @@ from nonclassicality.fock import (
 
 #: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
+
+#: The balanced splitter as maximizing_splitter builds it, r from t.
+BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
 
 
 def fock_basis_state(dim, n):
@@ -177,7 +181,7 @@ class TestApplyBeamSplitter:
             )
 
     def test_vacuum_stays_vacuum(self):
-        out = apply_beam_splitter(fock_basis_state(6, 0), BeamSplitterParams.balanced())
+        out = apply_beam_splitter(fock_basis_state(6, 0), BALANCED)
         assert abs(out.coefficients[0, 0]) == pytest.approx(1.0)
         assert np.linalg.norm(out.coefficients.ravel()[1:]) == pytest.approx(0.0)
 
@@ -188,7 +192,7 @@ class TestApplyBeamSplitter:
         assert abs(out.coefficients[1, 0]) == pytest.approx(1.0)
 
     def test_single_photon_balanced(self):
-        out = apply_beam_splitter(fock_basis_state(6, 1), BeamSplitterParams.balanced())
+        out = apply_beam_splitter(fock_basis_state(6, 1), BALANCED)
         weights = np.abs(out.coefficients) ** 2
         assert weights[1, 0] == pytest.approx(0.5)
         assert weights[0, 1] == pytest.approx(0.5)
@@ -236,7 +240,7 @@ class TestApplyBeamSplitter:
 
 class TestTwoModeCovariance:
     def test_two_mode_vacuum(self):
-        out = apply_beam_splitter(fock_basis_state(5, 0), BeamSplitterParams.balanced())
+        out = apply_beam_splitter(fock_basis_state(5, 0), BALANCED)
         blocks = two_mode_covariance(out)
         np.testing.assert_allclose(blocks.A, 0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(blocks.B, 0.5 * np.eye(2), atol=1e-14)
@@ -244,12 +248,9 @@ class TestTwoModeCovariance:
 
     def test_squeezed_vacuum_matches_closed_form_blocks(self):
         params = SqueezedCoherentParams(0.0, 0.8, 0.0)
-        bs = BeamSplitterParams.balanced()
         state = squeezed_coherent_vector(params, dim=90)
-        measured = two_mode_covariance(apply_beam_splitter(state, bs))
-        predicted = covariance_from_input(
-            center(squeezed_coherent_moments(params)), bs
-        )
+        measured = two_mode_covariance(apply_beam_splitter(state, BALANCED))
+        predicted = covariance_from_input(center(squeezed_coherent_moments(params)), BALANCED)
         np.testing.assert_allclose(measured.A, predicted.A, atol=1e-6)
         np.testing.assert_allclose(measured.B, predicted.B, atol=1e-6)
         np.testing.assert_allclose(measured.C, predicted.C, atol=1e-6)
@@ -258,7 +259,7 @@ class TestTwoModeCovariance:
         # |1> has <a^2> = 0, so the Gaussian measure sees no entanglement.
         from nonclassicality import symplectic_eta
 
-        out = apply_beam_splitter(fock_basis_state(6, 1), BeamSplitterParams.balanced())
+        out = apply_beam_splitter(fock_basis_state(6, 1), BALANCED)
         blocks = two_mode_covariance(out)
         eta_m, _ = symplectic_eta(blocks)
         assert 2.0 * eta_m >= 1.0 - 1e-12
