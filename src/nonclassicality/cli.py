@@ -85,7 +85,7 @@ def _cmd_measure(args) -> int:
     bs = None
     if args.mode == "fixed":
         try:
-            bs = BeamSplitterParams.from_transmission(args.t, args.phi)
+            bs = BeamSplitterParams(args.t, args.phi)
         except ValueError as exc:
             sys.stderr.write(f"invalid splitter: {exc}\n")
             return 1

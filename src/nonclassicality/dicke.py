@@ -73,14 +73,16 @@ class DickeConfig:
             raise ValueError("omega and omega_eg must be finite and > 0")
         if not 0.0 <= self.g < math.inf:
             raise ValueError(f"coupling must be finite and >= 0, got {self.g}")
-        # Solvers subtract diagonal entries, so their spread must be finite too.
+        # The diagonal's spread plus the four couplings a row can hold bound
+        # ||H||; double precision must resolve energies of that size to the
+        # degeneracy tolerance.  Then no solver or residual overflows either.
         n_atoms, top = self.n_atoms, self.fock_dim - 1
-        spread = self.omega * top + self.omega_eg * n_atoms
         m = (n_atoms - 1) // 2  # where (N - m)(m + 1), the S_+ amplitude squared, peaks
         coupling = self.g / math.sqrt(n_atoms) * math.sqrt((n_atoms - m) * (m + 1)) * math.sqrt(top)
-        if not (math.isfinite(spread) and math.isfinite(coupling)):
-            raise ValueError(f"Hamiltonian entries overflow: omega (fock_dim - 1) + omega_eg "
-                             f"n_atoms = {spread:g}, largest coupling {coupling:g}")
+        bound = self.omega * top + self.omega_eg * n_atoms + 4.0 * coupling
+        if not bound * np.finfo(float).eps <= DEGENERACY_TOL:
+            raise ValueError(f"omega (fock_dim - 1) + omega_eg n_atoms + 4 x largest coupling = "
+                             f"{bound:g} is too large to resolve {DEGENERACY_TOL:g} in double precision")
 
     @property
     def g_critical(self) -> float:
@@ -330,6 +332,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     Convergence is decided here alone: a result whose whole-H residual
     exceeds RESIDUAL_TOL or is NaN, or whose solver raised, is returned
     with NaN energy and vector, converged=False and degenerate=False.
+    DickeConfig admits only models whose energies double precision resolves
+    to DEGENERACY_TOL, so no entry, vector or residual here can overflow.
 
     The two lowest values are always computed so near-degenerate ground
     spaces are detected rather than silently resolved.  By default the first
@@ -347,8 +351,7 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
         else:
             energies, vectors, iterations, apply = _lowest_pair_excitation(cfg)
     except (sparse_linalg.ArpackNoConvergence, np.linalg.LinAlgError):
-        # ARPACK ran out of restarts, or LAPACK did not converge, e.g. on
-        # entries near overflow.
+        # ARPACK ran out of restarts, or LAPACK did not converge.
         return _unconverged(cfg, math.inf, 0)
 
     energy = float(energies[0])
@@ -363,9 +366,7 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
             other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
-    # An overflowing vector gives an inf or NaN residual, which fails the check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(apply(vector) - energy * vector))
+    residual = float(np.linalg.norm(apply(vector) - energy * vector))
     if not residual <= RESIDUAL_TOL:  # NaN included
         return _unconverged(cfg, residual, iterations)
     return GroundStateResult(

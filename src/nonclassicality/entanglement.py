@@ -20,7 +20,7 @@ reads 2 eta^- >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,27 +44,26 @@ _SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BeamSplitterParams:
-    """Transmission t, reflection r and phase phi with t^2 + r^2 = 1."""
+    """Transmission t and phase phi; the reflection r = sqrt(1 - t^2) is derived.
+
+    Needs finite t >= 0 with t^2 - 1 <= 1e-12 (a t rounded just above 1 gets
+    r = 0) and finite phi, which is wrapped into [0, 2 pi).
+    """
 
     t: float
-    r: float
     phi: float = 0.0
+    r: float = field(init=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.t, self.r, self.phi)):
-            raise ValueError(f"t, r and phi must be finite, got {self.t}, {self.r}, {self.phi}")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "r", float(self.r))
+        if not (math.isfinite(self.t) and math.isfinite(self.phi)):
+            raise ValueError(f"t and phi must be finite, got {self.t}, {self.phi}")
+        t = float(self.t)
+        # t * t, unlike t**2, gives inf instead of raising OverflowError.
+        if t < 0.0 or t * t - 1.0 > _SYMMETRY_TOL:
+            raise ValueError(f"need 0 <= t <= 1, got t={t}")
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-        if self.t < 0.0 or self.r < 0.0:
-            raise ValueError(f"t and r must be >= 0, got t={self.t}, r={self.r}")
-        if abs(self.t * self.t + self.r * self.r - 1.0) > _SYMMETRY_TOL:
-            raise ValueError(f"t^2 + r^2 must equal 1, got {self.t**2 + self.r**2}")
-
-    @classmethod
-    def from_transmission(cls, t: float, phi: float = 0.0) -> "BeamSplitterParams":
-        """Build parameters from t alone, with r = sqrt(1 - t^2)."""
-        return cls(t=t, r=math.sqrt(max(0.0, 1.0 - float(t) ** 2)), phi=phi)
+        object.__setattr__(self, "r", math.sqrt(max(0.0, 1.0 - t**2)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
     entangles at no setting; it gets (t, phi) = (0, 0), the tie-break of the
     grid oracle :func:`nonclassicality.optimize.maximize_EN`.
     """
-    return BeamSplitterParams.from_transmission(BALANCED_T if c.v > c.n else 0.0)
+    return BeamSplitterParams(BALANCED_T if c.v > c.n else 0.0)
 
 
 def log_negativity_from_eta_sq(eta_sq):

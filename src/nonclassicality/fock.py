@@ -70,10 +70,6 @@ class TwoModeVector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.coefficients.shape
-
 
 def _tail_weight(psi: np.ndarray) -> float:
     """Largest squared amplitude on the two highest Fock levels of the last axis."""
@@ -265,8 +261,8 @@ def covariance_check(
     closed-form blocks evaluated on those same measured input moments.  That
     isolates the transformation formulas from preparation truncation.
 
-    ``corrupt_phase`` flips the sign of the reflected creation-operator image
-    and serves as a negative control: the discrepancy must become large.
+    ``corrupt_phase`` simulates the splitter at phi + pi but predicts it at
+    phi, and serves as a negative control: the discrepancy must become large.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -281,16 +277,11 @@ def covariance_check(
             strength=rng.uniform(0.0, r_max),
             angle=rng.uniform(0.0, 2.0 * math.pi),
         )
-        bs = BeamSplitterParams.from_transmission(
-            t=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * math.pi)
-        )
+        bs = BeamSplitterParams(t=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * math.pi))
         state = squeezed_coherent_vector(params, dim)
         measured_input = center(moments_from_vector(state))
-        mu1, mu2 = _creation_images(bs)
-        if corrupt_phase:
-            mu2 = -mu2
-        out = TwoModeVector(_apply_beam_splitter_images(state.coefficients, mu1, mu2))
-        measured = two_mode_covariance(out)
+        simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
+        measured = two_mode_covariance(apply_beam_splitter(state, simulated))
         predicted = covariance_from_input(measured_input, bs)
         worst = max(
             worst,

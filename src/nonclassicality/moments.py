@@ -3,8 +3,9 @@
 Every criterion in this package consumes a mode through the pair
 (<a^2>, <a^dag a>), optionally after subtracting first moments.  This module
 owns the containers for those numbers and the physicality check that guards
-the downstream Gaussian formulas: both containers refuse to hold unphysical
-moments, so nothing downstream checks them again.
+the downstream Gaussian formulas: center() forms the centered pair and
+CenteredMoments refuses to hold an unphysical one, so nothing downstream
+checks it again.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ def _is_physical(v: float, n: float) -> bool:
 class SingleModeMoments:
     """First and second moments <a>, <a^2>, <a^dag a> of one bosonic mode.
 
-    After subtracting first moments, with v = |<a^2> - <a>^2| and
-    n = <a^dag a> - |<a>|^2, every quantum state satisfies n >= 0 and
-    v^2 <= n (n + 1) (Cauchy-Schwarz on the centered operators).
-    Construction rejects violations beyond the physicality tolerance.
+    Construction only coerces the three numbers; their physicality is a
+    property of the centered pair, checked where :func:`center` builds
+    :class:`CenteredMoments`.
     """
 
     mean_a: complex
@@ -63,21 +63,6 @@ class SingleModeMoments:
         object.__setattr__(self, "mean_a", complex(self.mean_a))
         object.__setattr__(self, "a_squared", complex(self.a_squared))
         object.__setattr__(self, "photon_number", float(self.photon_number))
-        if self.photon_number < 0.0:
-            raise UnphysicalMomentsError(
-                f"photon number must be >= 0, got {self.photon_number}"
-            )
-        try:
-            v = abs(self.a_squared - self.mean_a * self.mean_a)
-            n = self.photon_number - abs(self.mean_a) ** 2
-        except OverflowError as exc:
-            raise UnphysicalMomentsError(
-                f"centered moments overflow double precision: <a>={self.mean_a}"
-            ) from exc
-        if not _is_physical(v, n):
-            raise UnphysicalMomentsError(
-                f"centered moments violate v^2 <= n(n+1): v={v}, n={n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -85,8 +70,10 @@ class CenteredMoments:
     """Centered second moments in polar form.
 
     v and theta are the magnitude and phase of <a^2> - <a>^2, n is the
-    centered occupation <a^dag a> - |<a>|^2.  Construction rejects (v, n)
-    that no quantum state has, within the physicality tolerance, and clamps
+    centered occupation <a^dag a> - |<a>|^2.  Every quantum state has
+    n >= 0 and v^2 <= n (n + 1) (Cauchy-Schwarz on the centered operators).
+    Construction rejects (v, n) that violate this beyond the physicality
+    tolerance, NaN and inf included, before it looks at theta, and clamps
     an n within tolerance below zero to zero.
     """
 
@@ -97,14 +84,14 @@ class CenteredMoments:
     def __post_init__(self):
         if self.v < 0.0:
             raise ValueError(f"v is a magnitude and must be >= 0, got {self.v}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
         v, n = float(self.v), float(self.n)
         if not _is_physical(v, n):
             raise UnphysicalMomentsError(
                 "need finite n >= 0 and v^2 <= n(n+1), with (n(n+1))^2 "
                 f"within double precision, got v={v}, n={n}"
             )
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         # A second % maps a tiny negative theta, which rounds up to 2 pi, to 0.
         theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else self.theta % TWO_PI % TWO_PI
         object.__setattr__(self, "v", v)
@@ -152,8 +139,9 @@ def squeezed_coherent_moments(params: SqueezedCoherentParams) -> SingleModeMomen
     The sum of the first two terms in <a^2> is required by the alpha -> 0
     limit (squeezed vacuum has <a^2> = -C S e^{i theta}).  Raises
     UnphysicalMomentsError where cosh r (from r ~ 710) or |alpha|^2 (from
-    |alpha| ~ 1e154) overflows; SingleModeMoments rejects moments that
-    overflow to inf or NaN, or whose centered values overflow.
+    |alpha| ~ 1e154) overflows.  Moments that overflow to inf or NaN, or
+    whose centered values overflow, are returned as they are: center()
+    rejects them.
     """
     alpha = params.alpha
     try:
@@ -183,10 +171,16 @@ def squeezed_coherent_moments(params: SqueezedCoherentParams) -> SingleModeMomen
 def center(m: SingleModeMoments) -> CenteredMoments:
     """Subtract first moments: v e^{i theta} = <a^2> - <a>^2, n = <a^dag a> - |<a>|^2.
 
-    SingleModeMoments has already checked these centered values at
-    construction.  CenteredMoments zeroes the phase of a vanishing v and
-    clamps an occupation within tolerance below zero to zero.
+    The one place raw moments are centered: a centered value that overflows
+    double precision raises UnphysicalMomentsError, and CenteredMoments
+    checks the rest.
     """
-    d2 = m.a_squared - m.mean_a * m.mean_a
-    n = m.photon_number - abs(m.mean_a) ** 2
-    return CenteredMoments(v=abs(d2), theta=cmath.phase(d2), n=n)
+    try:
+        d2 = m.a_squared - m.mean_a * m.mean_a
+        v = abs(d2)
+        n = m.photon_number - abs(m.mean_a) ** 2
+    except OverflowError as exc:
+        raise UnphysicalMomentsError(
+            f"centered moments overflow double precision: <a>={m.mean_a}"
+        ) from exc
+    return CenteredMoments(v=v, theta=cmath.phase(d2), n=n)

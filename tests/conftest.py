@@ -45,3 +45,13 @@ def arpack_no_convergence(monkeypatch):
         raise sparse_linalg.ArpackNoConvergence("no convergence", np.array([-1.0]), v0[:, None])
 
     monkeypatch.setattr(dicke.sparse_linalg, "eigsh", no_convergence)
+
+
+@pytest.fixture
+def lapack_no_convergence(monkeypatch):
+    """Every tridiagonal solve fails as LAPACK does when it does not converge."""
+
+    def no_convergence(diagonal, off_diagonal, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue computation did not converge")
+
+    monkeypatch.setattr(dicke, "eigh_tridiagonal", no_convergence)

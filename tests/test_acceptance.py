@@ -36,7 +36,7 @@ from nonclassicality.entanglement import eta_minus_sq
 
 ANCHOR_STRENGTHS = (0.25, 0.5, 1.0, 1.5, 2.0)
 #: The balanced splitter as maximizing_splitter builds it, r from t.
-BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
+BALANCED = BeamSplitterParams(BALANCED_T)
 
 
 def test_criterion_1_closed_form_anchor():
@@ -131,7 +131,7 @@ def test_criterion_4_criteria_agreement():
     # Part B: at fixed (t, phi), the Simon combination and 2 eta^- - 1 agree
     # in sign outside a 1e-8 band on eta (and a numeric zero band on lambda,
     # which sits exactly at zero for the non-entangling settings).
-    bs = BeamSplitterParams.from_transmission(0.61, 1.3)
+    bs = BeamSplitterParams(0.61, 1.3)
     checked = 0
     for _ in range(1000):
         v, theta, n = random_physical_centered(rng)

@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -252,27 +251,32 @@ class TestBlockGroundState:
         assert result.degenerate and result.energy == -1.0
         assert field_moments(result, cfg).photon_number == 0.0
 
-    def test_lapack_failure_is_nonconvergence(self):
-        # At g = 1e200 the squared off-diagonal overflows and LAPACK's
-        # bisection fails; the row is reported unconverged, not raised.
-        cfg = DickeConfig(n_atoms=2, fock_dim=8, g=1e200)
-        result = ground_state(cfg)
-        assert not result.converged and math.isnan(result.energy)
+    def test_lapack_failure_is_nonconvergence(self, lapack_no_convergence):
+        # The row is reported unconverged, not raised.
+        result = ground_state(DickeConfig(n_atoms=2, fock_dim=8, g=2.0))
+        assert not result.converged and not result.degenerate
+        assert math.isnan(result.energy) and np.isnan(result.vector).all()
 
-    def test_nan_residual_is_nonconvergence(self):
-        # Entries near overflow: LAPACK returns NaNs in the vector and raises nothing.
-        result = ground_state(DickeConfig(n_atoms=2, fock_dim=8, omega=1e307, g=2.0))
+    def test_nan_residual_is_nonconvergence(self, monkeypatch):
+        # A solver that returns NaNs without raising fails the residual check.
+        def nan_pair(diagonal, off_diagonal, **kwargs):
+            return np.full(2, np.nan), np.full((diagonal.size, 2), np.nan)
+
+        monkeypatch.setattr(dicke, "eigh_tridiagonal", nan_pair)
+        result = ground_state(DickeConfig(n_atoms=2, fock_dim=8, g=2.0))
         assert math.isnan(result.residual) and not result.converged
 
     @pytest.mark.parametrize("counter_rotating", [False, True])
-    def test_overflowing_residual_warns_nothing(self, counter_rotating):
-        # An inf or NaN residual is non-convergence, not a numpy RuntimeWarning.
-        cfg = DickeConfig(n_atoms=2, fock_dim=8, omega=1e307, g=2.0,
+    def test_vacuum_at_the_resolution_bound(self, counter_rotating):
+        # Near the largest omega DickeConfig admits, the g = 0 ground state
+        # is still the vacuum |m=0>|n=0>.  Models past the bound, which read
+        # E0 = 0 instead of -1 here, are refused by DickeConfig.
+        cfg = DickeConfig(n_atoms=2, fock_dim=8, omega=6e4, g=0.0,
                           counter_rotating=counter_rotating)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = ground_state(cfg)
-        assert not result.converged and not result.degenerate and math.isnan(result.energy)
+        result = ground_state(cfg)
+        assert result.converged
+        assert abs(result.energy - (-cfg.omega_eg * cfg.n_atoms / 2.0)) <= 1e-9
+        assert field_moments(result, cfg).photon_number <= 1e-9
 
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, g", [(20, 36, 0.3), (20, 36, 0.6), (20, 36, 1.5), (8, 40, 1.5)]
@@ -520,6 +524,12 @@ class TestDickeConfig:
             {"omega": 1e308},  # omega (fock_dim - 1) overflows
             {"omega_eg": 1e308},  # omega_eg n_atoms overflows
             {"g": 1.5e308},  # the largest coupling, g sqrt(3), overflows
+            # Finite entries past the bound B eps <= DEGENERACY_TOL on ||H||:
+            {"omega": 1e307},
+            {"omega": 1e20},
+            {"omega_eg": 1e300},
+            {"g": 1e200},
+            {"omega": 1.6e5},  # B = 3 (1.6e5) + 2 = 480002 > DEGENERACY_TOL / eps = 450360
         ]
         for kwargs in invalid:
             with pytest.raises(ValueError):

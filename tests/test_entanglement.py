@@ -35,7 +35,7 @@ OMEGA = np.array(
 )
 PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
 #: The balanced splitter as maximizing_splitter builds it, r from t.
-BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
+BALANCED = BeamSplitterParams(BALANCED_T)
 
 
 def pt_eigenvalue_oracle(blocks):
@@ -58,7 +58,7 @@ physical_inputs = st.builds(
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )
 splitters = st.builds(
-    BeamSplitterParams.from_transmission,
+    BeamSplitterParams,
     st.floats(0.0, 1.0),
     st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )
@@ -66,17 +66,22 @@ splitters = st.builds(
 
 class TestBeamSplitterParams:
     def test_normalization_enforced(self):
+        # 0 <= t, with t^2 - 1 up to 1e-12 accepted as rounding of t = 1.
+        for t in (-0.5, 1.0 + 1e-12, 1.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                BeamSplitterParams(t=t, phi=0.0)
         with pytest.raises(ValueError):
-            BeamSplitterParams(t=0.9, r=0.9, phi=0.0)
-        with pytest.raises(ValueError):
-            BeamSplitterParams(t=-0.5, r=math.sqrt(0.75), phi=0.0)
+            BeamSplitterParams(t=0.5, phi=math.nan)
+        assert BeamSplitterParams(1.0 + 1e-13).r == 0.0
+        with pytest.raises(TypeError):
+            BeamSplitterParams(0.6, 1.0, 0.8)  # r is derived, never passed
 
-    def test_from_transmission(self):
-        bs = BeamSplitterParams.from_transmission(0.6, 1.0)
+    def test_r_derived_from_t(self):
+        bs = BeamSplitterParams(0.6, 1.0)
         assert math.isclose(bs.r, 0.8, rel_tol=1e-15)
 
     def test_phi_wrapped(self):
-        assert BeamSplitterParams.from_transmission(BALANCED_T, phi=-1.0).phi == pytest.approx(
+        assert BeamSplitterParams(BALANCED_T, phi=-1.0).phi == pytest.approx(
             2.0 * math.pi - 1.0
         )
 
@@ -84,7 +89,7 @@ class TestBeamSplitterParams:
 class TestCovarianceFromInput:
     def test_vacuum_input(self):
         blocks = covariance_from_input(
-            CenteredMoments(0.0, 0.0, 0.0), BeamSplitterParams.from_transmission(0.3, 2.0)
+            CenteredMoments(0.0, 0.0, 0.0), BeamSplitterParams(0.3, 2.0)
         )
         np.testing.assert_array_equal(blocks.A, 0.5 * np.eye(2))
         np.testing.assert_array_equal(blocks.B, 0.5 * np.eye(2))
@@ -117,7 +122,7 @@ class TestCovarianceFromInput:
 
     def test_assembled_matrix_is_symmetric(self):
         blocks = covariance_from_input(
-            CenteredMoments(1.0, 0.7, 1.2), BeamSplitterParams.from_transmission(0.4, 0.9)
+            CenteredMoments(1.0, 0.7, 1.2), BeamSplitterParams(0.4, 0.9)
         )
         np.testing.assert_allclose(blocks.V, blocks.V.T, atol=1e-15)
 
@@ -178,7 +183,7 @@ class TestSymplecticEta:
     def test_pure_input_determinant(self, n, theta, t, phi):
         # Pure states v^2 = n(n+1) keep the output pure: det V = 1/16.
         inp = CenteredMoments(v=math.sqrt(n * (n + 1.0)), theta=theta, n=n)
-        blocks = covariance_from_input(inp, BeamSplitterParams.from_transmission(t, phi))
+        blocks = covariance_from_input(inp, BeamSplitterParams(t, phi))
         det_v = np.linalg.det(blocks.V)
         assert abs(det_v - 1.0 / 16.0) < 1e-9
 
@@ -205,7 +210,7 @@ class TestSimonLambda:
 
     def test_coherent_input_any_splitter(self):
         blocks = covariance_from_input(
-            CenteredMoments(0.0, 0.0, 0.0), BeamSplitterParams.from_transmission(0.77, 2.3)
+            CenteredMoments(0.0, 0.0, 0.0), BeamSplitterParams(0.77, 2.3)
         )
         assert simon_lambda(blocks) == 0.0
 
@@ -223,7 +228,7 @@ class TestSimonLambda:
         checked = 0
         for _ in range(400):
             v, theta, n = random_physical_centered(rng)
-            bs = BeamSplitterParams.from_transmission(
+            bs = BeamSplitterParams(
                 rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
             )
             blocks = covariance_from_input(CenteredMoments(v, theta, n), bs)
@@ -258,18 +263,18 @@ class TestDgczLambda:
 
     def test_degenerate_splitter_reports_zero(self):
         inp = CenteredMoments(0.5, 1.0, 1.0)
-        assert dgcz_lambda(inp, BeamSplitterParams.from_transmission(0.0, 0.0)) == 0.0
-        assert dgcz_lambda(inp, BeamSplitterParams.from_transmission(1.0, 0.0)) == 0.0
+        assert dgcz_lambda(inp, BeamSplitterParams(0.0, 0.0)) == 0.0
+        assert dgcz_lambda(inp, BeamSplitterParams(1.0, 0.0)) == 0.0
         # Both criteria read +0.0, never -0.0, in the report, also for v > n.
         for inp in (inp, CenteredMoments(0.5, 1.0, 0.4)):
             for t in (0.0, 1.0):
-                report = build_report(inp, BeamSplitterParams.from_transmission(t, 0.0))
+                report = build_report(inp, BeamSplitterParams(t, 0.0))
                 for value in (report.lambda_simon, report.lambda_dgcz):
                     assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_nearly_degenerate_splitter_stays_finite(self):
         # At t = 3.3e-158 the gain r / t overflows; the quantity is 4 t r n.
-        bs = BeamSplitterParams.from_transmission(3.3e-158, 0.0)
+        bs = BeamSplitterParams(3.3e-158, 0.0)
         assert dgcz_lambda(CenteredMoments(0.0, 0.0, 1.0), bs) == 4.0 * 3.3e-158
 
     @given(inp=physical_inputs, bs=splitters, gain=st.floats(0.05, 8.0), sign=st.sampled_from([-1.0, 1.0]))
@@ -317,7 +322,7 @@ class TestPhaseCovariance:
         base = covariance_from_input(inp, bs)
         shifted = covariance_from_input(
             CenteredMoments(inp.v, inp.theta - 2.0 * delta, inp.n),
-            BeamSplitterParams(bs.t, bs.r, bs.phi + delta),
+            BeamSplitterParams(bs.t, bs.phi + delta),
         )
         cos, sin = math.cos(delta), math.sin(delta)
         rot = np.array([[cos, sin], [-sin, cos]])
@@ -466,7 +471,7 @@ class TestEntanglementPotential:
             v, theta, n = random_physical_centered(rng)
             c = CenteredMoments(v, theta, n)
             t = rng.uniform(0.0, 1.0)
-            for report in (build_report(c), build_report(c, BeamSplitterParams.from_transmission(t))):
+            for report in (build_report(c), build_report(c, BeamSplitterParams(t))):
                 assert report.E_N == log_negativity(report.eta_minus)
                 if v <= n:
                     assert report.E_N == 0.0

@@ -31,7 +31,7 @@ from nonclassicality.fock import (
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
 
 #: The balanced splitter as maximizing_splitter builds it, r from t.
-BALANCED = BeamSplitterParams.from_transmission(BALANCED_T)
+BALANCED = BeamSplitterParams(BALANCED_T)
 
 
 def fock_basis_state(dim, n):
@@ -172,7 +172,7 @@ class TestApplyBeamSplitter:
         for dim in (2, 17, 80):
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
-            bs = BeamSplitterParams.from_transmission(t, rng.uniform(0.0, 2.0 * math.pi))
+            bs = BeamSplitterParams(t, rng.uniform(0.0, 2.0 * math.pi))
             mu1, mu2 = _creation_images(bs)
             np.testing.assert_allclose(
                 _apply_beam_splitter_images(vec, mu1, mu2),
@@ -187,7 +187,7 @@ class TestApplyBeamSplitter:
 
     def test_transparent_splitter(self):
         out = apply_beam_splitter(
-            fock_basis_state(6, 1), BeamSplitterParams.from_transmission(1.0, 0.0)
+            fock_basis_state(6, 1), BeamSplitterParams(1.0, 0.0)
         )
         assert abs(out.coefficients[1, 0]) == pytest.approx(1.0)
 
@@ -205,7 +205,7 @@ class TestApplyBeamSplitter:
         for _ in range(10):
             raw = rng.normal(size=40) + 1j * rng.normal(size=40)
             state = FockVector(raw / np.linalg.norm(raw))
-            bs = BeamSplitterParams.from_transmission(
+            bs = BeamSplitterParams(
                 rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
             )
             out = apply_beam_splitter(state, bs)
@@ -220,7 +220,7 @@ class TestApplyBeamSplitter:
                 rng.uniform(0.0, 1.0),
                 rng.uniform(0.0, 2.0 * math.pi),
             )
-            bs = BeamSplitterParams.from_transmission(
+            bs = BeamSplitterParams(
                 rng.uniform(0.1, 0.95), rng.uniform(0.0, 2.0 * math.pi)
             )
             state = squeezed_coherent_vector(params, dim=70)

@@ -53,10 +53,10 @@ class TestSqueezedCoherentMoments:
         "alpha, r, theta", [(0.0, 1000.0, 0.0), (1e200, 0.0, 0.0), (1e100, 200.0, math.pi)]
     )
     def test_overflow_is_unphysical(self, alpha, r, theta):
-        # cosh(1000), |alpha|^2 = 1e400 and |<a>|^2 = (e^200 1e100)^2 raise
-        # OverflowError in float arithmetic.
+        # cosh(1000) and |alpha|^2 = 1e400 raise OverflowError in
+        # squeezed_coherent_moments, |<a>|^2 = (e^200 1e100)^2 in center.
         with pytest.raises(UnphysicalMomentsError, match="overflow double precision"):
-            squeezed_coherent_moments(SqueezedCoherentParams(alpha, r, theta))
+            center(squeezed_coherent_moments(SqueezedCoherentParams(alpha, r, theta)))
 
 
 class TestCenter:
@@ -89,12 +89,15 @@ class TestCenter:
 
     def test_unphysical_input_reported(self):
         with pytest.raises(UnphysicalMomentsError):
-            SingleModeMoments(0.0, 2.0, 1.0)
+            center(SingleModeMoments(0.0, 2.0, 1.0))
         with pytest.raises(UnphysicalMomentsError):
-            SingleModeMoments(0.0, 0.0, -0.5)
+            center(SingleModeMoments(0.0, 0.0, -0.5))
+        # NaN moments center to a NaN phase too; (v, n) is checked first.
+        with pytest.raises(UnphysicalMomentsError):
+            center(SingleModeMoments(0.0, complex(math.nan, math.nan), math.nan))
         for mean_a, a_squared in ((1e200, 0.0), (0.0, 1.5e308 + 1.5e308j)):
             with pytest.raises(UnphysicalMomentsError, match="overflow double precision"):
-                SingleModeMoments(mean_a, a_squared, 1.0)
+                center(SingleModeMoments(mean_a, a_squared, 1.0))
 
 
 class TestValidatePhysical:
