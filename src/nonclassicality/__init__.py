@@ -11,7 +11,6 @@ collectively coupled atomic ensemble.
 from .dicke import (
     DickeConfig,
     GroundStateResult,
-    build_hamiltonian,
     field_moments,
     ground_state,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "UnphysicalMomentsError",
     "annihilation_matrix",
     "apply_beam_splitter",
-    "build_hamiltonian",
     "build_report",
     "center",
     "covariance_check",

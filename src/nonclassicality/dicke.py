@@ -12,11 +12,11 @@ the counter-rotating terms H conserves k = m + n: ordered by (k, m) it is
 one tridiagonal matrix whose off-diagonal vanishes between the
 N + fock_dim - 1 blocks, and one LAPACK call gives its two lowest levels.
 The vacuum below g_c is then the exact 1-state block k = 0.  With them only
-the parity (-1)^(m + n) is conserved: each of its two sectors is assembled
-from the entries of its own rows and solved by sparse Lanczos iteration,
-and the two sector ground energies decide the degeneracy flag.  The whole
-sparse matrix is assembled only by build_hamiltonian, the reference the
-tests solve densely.
+the parity (-1)^(m + n) is conserved: each of its two sectors is a banded
+matrix whose off-diagonal entries are <= 0 in the gauge (-1)^m, and its
+ground state is found by a certified inverse iteration on banded Cholesky
+factors.  The two sector ground energies decide the degeneracy flag.  The
+whole matrix is never assembled.
 
 In units hbar = 1:
 
@@ -35,9 +35,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
@@ -47,6 +45,16 @@ DEGENERACY_TOL = 1e-10
 
 #: Largest whole-H residual ||H v - E v|| of a converged ground state.
 RESIDUAL_TOL = 1e-9
+
+#: Banded solves one parity sector may take before it counts as unconverged.
+MAX_SOLVES = 100
+
+#: Distance of each shift below the Collatz-Wielandt bound, in units of eps ||H||.
+SHIFT_MARGIN = 64.0
+
+#: A sector's residual has stopped falling once a solve leaves it above
+#: STALL times its previous value.
+STALL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -99,13 +107,12 @@ class DickeConfig:
 class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
-    ``iterations`` counts operator applications of the Lanczos runs, summed
-    over the parity sectors, and is 0 for the co-rotating tridiagonal solve
-    and when a solver raised.  ``degenerate`` is set when the two lowest
-    values (for the counter-rotating model, the two sector ground energies)
-    sit within DEGENERACY_TOL of each other.  An unconverged result
-    (``converged`` False) carries NaN energy and vector and is never
-    degenerate.
+    ``iterations`` counts the banded solves, summed over the parity
+    sectors, and is 0 for the co-rotating tridiagonal solve and when a
+    solver raised.  ``degenerate`` is set when the two lowest values (for
+    the counter-rotating model, the two sector ground energies) sit within
+    DEGENERACY_TOL of each other.  An unconverged result (``converged``
+    False) carries NaN energy and vector and is never degenerate.
     """
 
     energy: float
@@ -114,21 +121,6 @@ class GroundStateResult:
     iterations: int
     converged: bool
     degenerate: bool
-
-
-def build_hamiltonian(cfg: DickeConfig) -> sparse.csr_matrix:
-    """H on the symmetric-ladder (x) Fock basis, as a CSR matrix.
-
-    Ladder amplitudes: S_+|m> = sqrt((N - m)(m + 1)) |m+1> and S_z|m> =
-    (m - N/2)|m>, with a|n> = sqrt(n)|n-1>.  Without counter-rotating terms
-    each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
-    Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
-    Each coupling and its transpose are written from the same amplitude, so
-    the matrix is exactly symmetric.  ground_state(cfg) does not need it: it
-    builds its sectors from the amplitudes, so this matrix serves as the
-    independent reference of the tests.
-    """
-    return _csr(*_entries(cfg), cfg.dim)
 
 
 def _amplitudes(cfg: DickeConfig):
@@ -144,25 +136,6 @@ def _amplitudes(cfg: DickeConfig):
     diagonal = cfg.omega * n + cfg.omega_eg * (m - n_atoms / 2.0)
     hop = cfg.g / math.sqrt(n_atoms) * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
     return diagonal, hop
-
-
-def _entries(cfg: DickeConfig):
-    """(rows, cols, values) of every stored entry of H, both triangles."""
-    diagonal, hop = _amplitudes(cfg)
-    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
-    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
-    raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a
-    if cfg.counter_rotating:  # S_+ a^dag
-        raised.append(index[1:, 1:])
-        lowered.append(index[:-1, :-1])
-    rows = np.concatenate([index, *raised, *lowered], axis=None)
-    cols = np.concatenate([index, *lowered, *raised], axis=None)
-    values = np.concatenate([diagonal, *[hop] * (2 * len(raised))], axis=None)
-    return rows, cols, values
-
-
-def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
-    return sparse.csr_matrix(sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)))
 
 
 def _fix_gauge(vector: np.ndarray) -> np.ndarray:
@@ -232,91 +205,117 @@ def _lowest_pair_excitation(cfg: DickeConfig):
 
 
 def _parity_sectors(cfg: DickeConfig):
-    """(states, CSR matrix) of each parity sector (m + n) mod 2, even first.
+    """(states, gauge, lower bands) of each parity sector (m + n) mod 2, even first.
 
-    Each sector is assembled from the entries of its own rows: H conserves
-    the parity, so their columns lie in the same sector.
+    The states of a sector are ordered by n, then m, so each coupling of
+    |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the order.  In the
+    gauge (-1)^m, the sign of each state, every off-diagonal entry is
+    -hop <= 0; bands[i - j, j] holds the entry (i, j), i >= j, of the gauged
+    sector.  H conserves the parity, so no coupling leaves a sector.
     """
+    diagonal, hop = _amplitudes(cfg)
     m, n = _quantum_numbers(cfg)
     parity = (m + n) % 2
-    rows, cols, values = _entries(cfg)
+    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
+    # Both couplings of amplitude hop[m, n - 1]: S_+ a and S_+ a^dag.
+    first = np.concatenate([index[:-1, 1:], index[:-1, :-1]], axis=None)
+    second = np.concatenate([index[1:, :-1], index[1:, 1:]], axis=None)
+    amplitude = np.concatenate([hop, hop], axis=None)
+    order = np.lexsort((m, n))
     position = np.empty(cfg.dim, dtype=np.intp)  # index of each state inside its sector
     sectors = []
     for p in (0, 1):
-        states = np.flatnonzero(parity == p)
+        states = order[parity[order] == p]
         position[states] = np.arange(len(states))
-        keep = parity[rows] == p
-        matrix = _csr(position[rows[keep]], position[cols[keep]], values[keep], len(states))
-        sectors.append((states, matrix))
+        inside = parity[first] == p
+        column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
+        bands = np.zeros((int((row - column).max()) + 1, len(states)))
+        bands[0] = diagonal.ravel()[states]
+        bands[row - column, column] = -amplitude[inside]
+        sectors.append((states, np.where(m[states] % 2, -1.0, 1.0), bands))
     return sectors
+
+
+def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric matrix held by lower bands, applied to x.
+
+    A sector's couplings fill only two or three of its bands, so bands that
+    hold no entry are skipped.
+    """
+    h_x = bands[0] * x
+    for k in np.flatnonzero(bands[1:].any(axis=1)) + 1:
+        h_x[k:] += bands[k, :-k] * x[:-k]
+        h_x[:-k] += bands[k, :-k] * x[k:]
+    return h_x
 
 
 def _lowest_pair_parity(cfg: DickeConfig):
     """Ground pair of each parity sector of the counter-rotating model.
 
     H conserves the parity (-1)^(m + n).  Each sector, down to the 2 states
-    of the smallest model, goes to k = 1 Lanczos from the alternating start
-    vector.  The even sector comes first unless the odd one lies lower.
+    of the smallest model, goes to _lowest_in_sector.  The even sector comes
+    first unless the odd one lies lower.
     """
     sectors = _parity_sectors(cfg)
 
     def apply(x):
         h_x = np.empty_like(x)
-        for states, matrix in sectors:
-            h_x[states] = matrix @ x[states]
+        for states, gauge, bands in sectors:
+            h_x[states] = gauge * _band_apply(bands, gauge * x[states])
         return h_x
 
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
-    matvecs = 0
-    for parity, (states, matrix) in enumerate(sectors):
-        start = _alternating_start(states, cfg.fock_dim)
-        energies[parity], pair[states, parity], count = _lowest_lanczos(matrix, start)
-        matvecs += count
+    solves = 0
+    for parity, (states, gauge, bands) in enumerate(sectors):
+        energies[parity], vector, count = _lowest_in_sector(bands)
+        pair[states, parity] = gauge * vector
+        solves += count
     if energies[1] < energies[0]:
-        return energies[::-1], pair[:, ::-1], matvecs, apply
-    return energies, pair, matvecs, apply
+        return energies[::-1], pair[:, ::-1], solves, apply
+    return energies, pair, solves, apply
 
 
-def _alternating_start(states: np.ndarray, fock_dim: int) -> np.ndarray:
-    """Normalized (-1)^m over the given states: the Lanczos start vector.
+def _lowest_in_sector(bands: np.ndarray):
+    """Lowest eigenvalue and positive vector of a sector, with the number of banded solves.
 
-    In that gauge the off-diagonals of H are <= 0, so a connected block's or
-    sector's ground vector is positive (Perron-Frobenius), never orthogonal to it.
+    Noda's inverse iteration (Numer. Math. 17, 382 (1971)) on the gauged
+    sector, whose off-diagonal entries are <= 0.  For a positive x the
+    Collatz-Wielandt bound min_i (H x)_i / x_i lies at or below the lowest
+    eigenvalue E0; each solve shifts to just below it.  cholesky_banded
+    succeeding proves the shift s lies below E0 (Sylvester's law of
+    inertia), and then (H - s)^-1 >= 0 keeps x positive, so x tends to the
+    sector's ground vector.  The iteration stops once the residual
+    ||H x - E x|| of the Rayleigh quotient E is at most RESIDUAL_TOL and has
+    stopped falling: the last solve left it above STALL times its previous
+    value.  Near the end each solve about squares the error, so a weaker
+    fall means that rounding holds the residual, or that levels within a few
+    shift margins of the lowest, such as levels tied to rounding, share the
+    vector.  A falling residual keeps the solves going, so the weight of
+    higher levels falls to exact zeros where it can (the vacuum at g = 0).
+    A refused shift, or no stop within MAX_SOLVES, raises LinAlgError.
     """
-    return np.where(states // fock_dim % 2, -1.0, 1.0) / math.sqrt(len(states))
-
-
-def _lowest_lanczos(matrix: sparse.csr_matrix, v0: np.ndarray):
-    """Lowest eigenvalue and vector by ARPACK Lanczos from v0, with the matvec count.
-
-    Raises ArpackNoConvergence when ARPACK runs out of restarts.
-    """
-    dim = matrix.shape[0]
-    matvecs = [0]
-
-    def matvec(x):
-        matvecs[0] += 1
-        return matrix @ x
-
-    operator = sparse_linalg.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    # ARPACK's tolerance is relative to the Ritz value, so the absolute
-    # residual tolerance is divided by the matrix norm.  It is additionally
-    # floored at 1e-11: the degeneracy flag compares the two sector ground
-    # energies to DEGENERACY_TOL, and a loosely converged run leaves them
-    # too coarse for that comparison.
-    norm_1 = float(np.abs(matrix).sum(axis=0).max())
-    arpack_tol = min(RESIDUAL_TOL / max(1.0, norm_1), 1e-11)
-    try:
-        energies, vectors = sparse_linalg.eigsh(operator, k=1, which="SA", v0=v0, tol=arpack_tol)
-    except sparse_linalg.ArpackNoConvergence:
-        raise  # a subclass of ArpackError, but not the failure handled below
-    except sparse_linalg.ArpackError:
-        # ARPACK stops where H v0 = 0, as in the odd sector of N = 1 and
-        # fock_dim = 2 at g = g_c.  An eigenvector v0 is positive in the gauge
-        # of _alternating_start, so it is the ground one (Perron-Frobenius).
-        # Whether v0 is one is left to the residual check of ground_state.
-        return v0 @ matvec(v0), v0, matvecs[0]
-    return energies[0], vectors[:, 0], matvecs[0]
+    # Rounding in (H x)_i / x_i and in the factorization scales with ||H||,
+    # which the diagonal and the four couplings of a row bound.
+    scale = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
+    margin = SHIFT_MARGIN * np.finfo(float).eps * scale
+    x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
+    previous = math.inf
+    for solves in range(MAX_SOLVES + 1):
+        h_x = _band_apply(bands, x)
+        energy = float(x @ h_x)
+        residual = float(np.linalg.norm(h_x - energy * x))
+        if residual <= RESIDUAL_TOL and residual >= STALL * previous:
+            return energy, x, solves
+        if solves == MAX_SOLVES:
+            raise np.linalg.LinAlgError(f"sector not converged in {MAX_SOLVES} solves")
+        previous = residual
+        # Components that underflowed past the normal range bound nothing.
+        normal = x >= np.finfo(float).tiny
+        shifted = bands.copy()
+        shifted[0] -= float(np.min(h_x[normal] / x[normal])) - margin
+        factor = cholesky_banded(shifted, lower=True, overwrite_ab=True)
+        x = cho_solve_banded((factor, True), x)
+        x /= np.linalg.norm(x)
 
 
 def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateResult:
@@ -325,9 +324,9 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     H is solved in the sectors of the quantum number the model conserves,
     built from its amplitudes as the module docstring describes; the whole
     matrix is never assembled, but the residual is that of the whole H.  No
-    ground state is missed for being orthogonal to a start vector, such as
-    the co-rotating k = 1 level just above g_c or the odd member of the
-    parity doublet.
+    ground state is missed for being orthogonal to a start vector: the
+    co-rotating chain is solved whole, and the shifts of each parity sector
+    stay below its lowest level, whose positive vector the iterate tends to.
 
     Convergence is decided here alone: a result whose whole-H residual
     exceeds RESIDUAL_TOL or is NaN, or whose solver raised, is returned
@@ -350,8 +349,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
             energies, vectors, iterations, apply = _lowest_pair_parity(cfg)
         else:
             energies, vectors, iterations, apply = _lowest_pair_excitation(cfg)
-    except (sparse_linalg.ArpackNoConvergence, np.linalg.LinAlgError):
-        # ARPACK ran out of restarts, or LAPACK did not converge.
+    except np.linalg.LinAlgError:
+        # A refused shift or no convergence, in LAPACK or in the sector iteration.
         return _unconverged(cfg, math.inf, 0)
 
     energy = float(energies[0])

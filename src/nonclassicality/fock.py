@@ -152,16 +152,6 @@ def _mode_moments(psi: np.ndarray) -> SingleModeMoments:
     )
 
 
-def _creation_images(bs: BeamSplitterParams) -> tuple[complex, complex]:
-    """Images (mu1, mu2) of the fed port's creation operator in the output modes.
-
-    The splitter maps B a1^dag B^dag = mu1 a1^dag + mu2 a2^dag.  This pair is
-    the frozen phase convention of the whole oracle; it is pinned by the
-    covariance-equivalence test, which fails loudly for any other choice.
-    """
-    return bs.t * np.exp(1j * bs.phi), -bs.r
-
-
 def _powers(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(k log|mu|, (mu / |mu|)^k) for k = 0, ..., dim-1, with mu^0 = 1 also at mu = 0."""
     log_abs = np.zeros(dim)
@@ -178,38 +168,32 @@ def _hankel(values: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, values.size)
 
 
-def _apply_beam_splitter_images(
-    vec: np.ndarray, mu1: complex, mu2: complex
-) -> np.ndarray:
-    """Map sum_n c_n |n, 0> to sum_n c_n (mu1 a1^dag + mu2 a2^dag)^n / sqrt(n!) |0, 0>.
+def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:
+    """Split a single-mode state against vacuum; exact up to the input truncation.
 
-    Expanding the binomial, |n, 0> goes to
+    The splitter maps B a1^dag B^dag = mu1 a1^dag + mu2 a2^dag with
+    mu1 = t e^{i phi} and mu2 = -r, the frozen phase convention of the whole
+    oracle; the covariance-equivalence test pins it and fails loudly for any
+    other choice.  Expanding the binomial, |n, 0> goes to
     sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>, so the output is the
     table out[k, j] = c_{k+j} binom(k+j, k)^{1/2} mu1^k mu2^j, zero where
     k + j >= dim (there c reads 0 and the magnitude stays <= 1).  Magnitudes
     are built in log space: binomials overflow float64 long before the
-    bounded products do.
+    bounded products do.  Photon number is conserved, so the output lives on
+    n1 + n2 <= dim - 1 and the transformation itself introduces no
+    truncation error.
     """
+    vec = state.coefficients
     dim = vec.size
     half_log_fact = 0.5 * gammaln(np.arange(dim) + 1.0)
-    log_abs1, phase1 = _powers(mu1, dim)
-    log_abs2, phase2 = _powers(mu2, dim)
+    log_abs1, phase1 = _powers(bs.t * np.exp(1j * bs.phi), dim)
+    log_abs2, phase2 = _powers(-bs.r, dim)
     magnitude = np.exp(
         _hankel(half_log_fact)
         + (log_abs1 - half_log_fact)[:, None]
         + (log_abs2 - half_log_fact)[None, :]
     )
-    return _hankel(vec) * magnitude * np.multiply.outer(phase1, phase2)
-
-
-def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:
-    """Split a single-mode state against vacuum; exact up to the input truncation.
-
-    Photon number is conserved, so the output lives on n1 + n2 <= dim - 1 and
-    the transformation itself introduces no truncation error.
-    """
-    mu1, mu2 = _creation_images(bs)
-    return TwoModeVector(_apply_beam_splitter_images(state.coefficients, mu1, mu2))
+    return TwoModeVector(_hankel(vec) * magnitude * np.multiply.outer(phase1, phase2))
 
 
 def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as sparse_linalg
+import scipy.sparse as sparse
 from hypothesis import HealthCheck, settings
 
 import nonclassicality
@@ -26,9 +26,42 @@ def random_physical_centered(rng: np.random.Generator, n_max: float = 3.0):
     return v, theta, n
 
 
+def build_hamiltonian(cfg: nonclassicality.DickeConfig) -> sparse.csr_matrix:
+    """H on the symmetric-ladder (x) Fock basis, as a CSR matrix.
+
+    Ladder amplitudes: S_+|m> = sqrt((N - m)(m + 1)) |m+1> and S_z|m> =
+    (m - N/2)|m>, with a|n> = sqrt(n)|n-1>.  Without counter-rotating terms
+    each row holds at most 5 nonzeros (diagonal plus two coupling pairs).
+    Zero couplings (g = 0) stay stored, so the pattern does not depend on g.
+    Each coupling and its transpose are written from the same amplitude, so
+    the matrix is exactly symmetric.  ground_state(cfg) never assembles it:
+    this whole matrix is the tests' independent reference.
+    """
+    return _csr(*_entries(cfg), cfg.dim)
+
+
+def _entries(cfg: nonclassicality.DickeConfig):
+    """(rows, cols, values) of every stored entry of H, both triangles."""
+    diagonal, hop = dicke._amplitudes(cfg)
+    # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
+    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
+    raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a
+    if cfg.counter_rotating:  # S_+ a^dag
+        raised.append(index[1:, 1:])
+        lowered.append(index[:-1, :-1])
+    rows = np.concatenate([index, *raised, *lowered], axis=None)
+    cols = np.concatenate([index, *lowered, *raised], axis=None)
+    values = np.concatenate([diagonal, *[hop] * (2 * len(raised))], axis=None)
+    return rows, cols, values
+
+
+def _csr(rows, cols, values, dim: int) -> sparse.csr_matrix:
+    return sparse.csr_matrix(sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)))
+
+
 def dense_reference(cfg: nonclassicality.DickeConfig):
     """Ascending energies and eigenvectors of the whole dense build_hamiltonian(cfg)."""
-    return np.linalg.eigh(nonclassicality.build_hamiltonian(cfg).toarray())
+    return np.linalg.eigh(build_hamiltonian(cfg).toarray())
 
 
 def subprocess_env() -> dict:
@@ -38,13 +71,13 @@ def subprocess_env() -> dict:
 
 
 @pytest.fixture
-def arpack_no_convergence(monkeypatch):
-    """Every Lanczos run ends out of restarts, holding a partial eigenpair."""
+def cholesky_refused(monkeypatch):
+    """Every banded factorization fails, as it does for a shift above the lowest level."""
 
-    def no_convergence(operator, k, v0, **kwargs):
-        raise sparse_linalg.ArpackNoConvergence("no convergence", np.array([-1.0]), v0[:, None])
+    def refused(bands, **kwargs):
+        raise np.linalg.LinAlgError("1-th leading minor not positive definite")
 
-    monkeypatch.setattr(dicke.sparse_linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(dicke, "cholesky_banded", refused)
 
 
 @pytest.fixture

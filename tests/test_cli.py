@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import dense_reference
+from conftest import dense_reference, subprocess_env
 from nonclassicality import (
     DickeConfig,
     build_report,
@@ -249,7 +249,7 @@ class TestDickeSweep:
         _, rows = parse_csv(out)
         assert float(rows[2][1]) == pytest.approx(0.5)  # g=1, g_c=2
 
-    def test_nonconvergence_exits_3_with_nan_row(self, capsys, arpack_no_convergence):
+    def test_nonconvergence_exits_3_with_nan_row(self, capsys, cholesky_refused):
         code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", "--counter-rotating",
             "--g-min", "1", "--g-max", "2", "--steps", "2",
@@ -259,6 +259,29 @@ class TestDickeSweep:
         assert len(rows) == 2
         for row in rows:
             assert all(math.isnan(float(x)) for x in row[2:6]) and row[6] == "0", row
+
+    def test_rounding_ties_are_reproducible(self):
+        # At omega = 1e-300 the g = 0 sectors hold levels tied to rounding.
+        # The mix of them that a row reports is the same in every process.
+        args = [sys.executable, "-m", "nonclassicality", "dicke-sweep", "--n-atoms", "2",
+                "--fock-dim", "8", "--steps", "5", "--counter-rotating", "--omega", "1e-300"]
+        runs = [subprocess.run(args, capture_output=True, text=True, env=subprocess_env())
+                for _ in range(3)]
+        assert all(run.returncode == 0 for run in runs)
+        assert len({run.stdout for run in runs}) == 1
+
+    @pytest.mark.parametrize("mix", [[], ["--mix-degenerate"]])
+    def test_vacuum_at_the_resolution_bound_is_exact(self, capsys, mix):
+        # Near the DickeConfig bound the counter-rotating g = 0 row is the
+        # exact vacuum: no solver noise certifies it nonclassical.
+        code, out, _ = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "3",
+            "--omega", "6e4", "--counter-rotating", *mix,
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        energy, photons, e_n, simon = map(float, rows[0][2:6])
+        assert (energy, photons, e_n, simon) == (-1.0, 0.0, 0.0, 0.0)
 
     def test_unphysical_row_exits_2(self, capsys, monkeypatch):
         def reject(moments):

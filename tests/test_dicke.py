@@ -7,11 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from conftest import dense_reference, subprocess_env
+from conftest import build_hamiltonian, dense_reference, subprocess_env
 from nonclassicality import (
     CenteredMoments,
     DickeConfig,
-    build_hamiltonian,
     build_report,
     field_moments,
     ground_state,
@@ -143,8 +142,8 @@ class TestGroundState:
             result = ground_state(cfg)
             assert field_moments(result, cfg).photon_number < 0.1
 
-    def test_nonconvergence_reported(self, arpack_no_convergence):
-        # The partial eigenpair ARPACK holds must not leak out.
+    def test_nonconvergence_reported(self, cholesky_refused):
+        # A refused shift ends the sector solve; the row is reported, not raised.
         cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.0, counter_rotating=True)
         result = ground_state(cfg)
         assert not result.converged and not result.degenerate
@@ -181,14 +180,14 @@ class TestBlockGroundState:
             (5, 7, 2.0, True),
             (8, 40, 1.5, True),  # parity doublet: degenerate
             (1, 2, 0.7, True),  # the smallest model: 2-state parity sectors
-            (1, 2, 0.5, True),  # H v0 = 0 in the odd sector, which ARPACK refuses
+            (1, 2, 0.5, True),  # the odd sector's ground vector, at E = 0, is the start vector
         ],
     )
     def test_auto_matches_whole_matrix_dense(self, n_atoms, fock_dim, g, counter_rotating):
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=counter_rotating)
         blocks = ground_state(cfg)
         energies, vectors = dense_reference(cfg)
-        # Only the co-rotating tridiagonal solve runs no Lanczos.
+        # Only the co-rotating tridiagonal solve takes no banded solve.
         assert (blocks.iterations == 0) != counter_rotating and blocks.converged
         assert abs(blocks.energy - energies[0]) < 1e-12
         assert blocks.degenerate == (energies[1] - energies[0] < DEGENERACY_TOL)
@@ -206,8 +205,8 @@ class TestBlockGroundState:
     )
     def test_path_selection(self, n_atoms, fock_dim, counter_rotating, block_path):
         # The co-rotating model is one tridiagonal solve at any size.  Both
-        # parity sectors of the counter-rotating model go to Lanczos, at 378
-        # states each as at 180.
+        # parity sectors of the counter-rotating model go to the banded
+        # inverse iteration, at 378 states each as at 180.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=counter_rotating)
         result = ground_state(cfg)
         assert result.converged
@@ -225,8 +224,8 @@ class TestBlockGroundState:
 
     def test_ground_level_outside_the_start_vector(self):
         # At N = 20 and g = 1.02 the ground state (|0,1> - |1,0>)/sqrt(2) of
-        # block k = 1 is orthogonal to a uniform Lanczos start vector.  Its
-        # levels are -N/2 + 1 -+ g.
+        # block k = 1 is orthogonal to a uniform start vector, so an iterative
+        # solver started from one would miss it.  Its levels are -N/2 + 1 -+ g.
         cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.02)
         result = ground_state(cfg)
         assert abs(result.energy - (-10.02)) < 1e-12
@@ -250,6 +249,16 @@ class TestBlockGroundState:
         result = ground_state(cfg)
         assert result.degenerate and result.energy == -1.0
         assert field_moments(result, cfg).photon_number == 0.0
+
+    def test_nearly_tied_levels_stop_within_the_solve_cap(self):
+        # At omega = 8e-14 the g = 0 levels |0, n> of each parity sector lie
+        # only a few times the shift's margin apart, so each solve shrinks the
+        # weight of the higher ones only about sixfold.  The sector stops once
+        # the residual is within tolerance instead of running into MAX_SOLVES.
+        cfg = DickeConfig(n_atoms=4, fock_dim=12, omega=8e-14, g=0.0, counter_rotating=True)
+        result = ground_state(cfg)
+        assert result.converged and result.degenerate
+        assert abs(result.energy - (-2.0)) <= 1e-9
 
     def test_lapack_failure_is_nonconvergence(self, lapack_no_convergence):
         # The row is reported unconverged, not raised.
@@ -317,13 +326,16 @@ class TestBlockGroundState:
         mean_a = field_moments(mixed, cfg).mean_a
         assert mean_a.imag == 0.0 and mean_a.real > 1.0
 
-    def test_sweep_does_not_load_csgraph(self):
+    def test_cli_does_not_load_scipy_sparse(self):
+        # No command solves or assembles a sparse matrix.
         script = (
             "import sys; from nonclassicality.cli import main; "
             "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3']) == 0; "
             "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3', "
             "'--counter-rotating']) == 0; "
-            "sys.exit('scipy.sparse.csgraph' in sys.modules)"
+            "assert main(['measure', '--v', '0.9', '--n', '0.6']) == 0; "
+            "assert main(['oracle-check', '--trials', '2']) == 0; "
+            "sys.exit(sorted(name for name in sys.modules if name.startswith('scipy.sparse')) or None)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
@@ -342,7 +354,7 @@ SECTOR_CASES = [
 
 
 class TestSectorNativeOperators:
-    """The auto path builds its sectors from the amplitudes, never from the CSR."""
+    """The auto path builds its sectors from the amplitudes, never from the whole matrix."""
 
     @pytest.mark.parametrize("n_atoms, fock_dim, omega, omega_eg, g", SECTOR_CASES)
     def test_excitation_chain_is_the_matrix(self, n_atoms, fock_dim, omega, omega_eg, g):
@@ -360,37 +372,29 @@ class TestSectorNativeOperators:
     def test_parity_sectors_are_the_matrix_blocks(self, n_atoms, fock_dim, omega, omega_eg, g):
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, omega_eg=omega_eg,
                           g=g, counter_rotating=True)
-        matrix = build_hamiltonian(cfg)
+        matrix = build_hamiltonian(cfg).toarray()
         m, n = np.divmod(np.arange(cfg.dim), fock_dim)
-        sectors = _parity_sectors(cfg)
-        for parity, (states, sector) in enumerate(sectors):
-            assert np.array_equal(states, np.flatnonzero((m + n) % 2 == parity))
-            expected = matrix[states][:, states]
-            # Same stored entries in the same order, so the same matvec rounding.
-            assert np.array_equal(sector.indptr, expected.indptr)
-            assert np.array_equal(sector.indices, expected.indices)
-            assert np.array_equal(sector.data, expected.data)
-        assert sum(sector.nnz for _, sector in sectors) == matrix.nnz
+        covered = []
+        for parity, (states, gauge, bands) in enumerate(_parity_sectors(cfg)):
+            assert np.all((m[states] + n[states]) % 2 == parity)
+            assert np.array_equal(np.lexsort((m[states], n[states])), np.arange(len(states)))
+            assert np.array_equal(gauge, (-1.0) ** m[states])
+            lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
+            assert np.all(lower[np.tril_indices(len(states), -1)] <= 0.0)
+            un_gauged = gauge[:, None] * (lower + np.tril(lower, -1).T) * gauge[None, :]
+            assert np.array_equal(un_gauged, matrix[np.ix_(states, states)])
+            covered.append(states)
+        # The sectors hold every state once, so they hold all of H.
+        assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(cfg.dim))
 
     @pytest.mark.parametrize("counter_rotating", [False, True])
-    def test_auto_path_leaves_the_matrix_unassembled(self, counter_rotating, monkeypatch):
+    def test_auto_path_leaves_the_matrix_unassembled(self, counter_rotating):
         cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.3, counter_rotating=counter_rotating)
-        # The whole matrix is assembled by one helper, which the sectors never call.
-        monkeypatch.setattr(dicke, "_csr", _whole_matrix_refused(dicke._csr, cfg.dim))
         result = ground_state(cfg, mix_degenerate=True)
-        monkeypatch.undo()
         assert result.converged
         # The residual from the sectors is that of the whole matrix.
         whole = np.linalg.norm(build_hamiltonian(cfg) @ result.vector - result.energy * result.vector)
         assert abs(result.residual - whole) < 1e-14
-
-
-def _whole_matrix_refused(csr, dim):
-    """dicke._csr that fails on a dim x dim matrix and builds anything smaller."""
-    def refuse(rows, cols, values, size):
-        assert size != dim, "whole matrix assembled"
-        return csr(rows, cols, values, size)
-    return refuse
 
 
 def holstein_primakoff_field(g, omega=1.0, omega_eg=1.0):

@@ -21,11 +21,7 @@ from nonclassicality import (
     squeezed_coherent_vector,
     two_mode_covariance,
 )
-from nonclassicality.fock import (
-    _apply_beam_splitter_images,
-    _creation_images,
-    recommended_dim,
-)
+from nonclassicality.fock import recommended_dim
 
 #: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
@@ -173,9 +169,10 @@ class TestApplyBeamSplitter:
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
             bs = BeamSplitterParams(t, rng.uniform(0.0, 2.0 * math.pi))
-            mu1, mu2 = _creation_images(bs)
+            # B a1^dag B^dag = mu1 a1^dag + mu2 a2^dag, the oracle's phase convention.
+            mu1, mu2 = t * cmath.exp(1j * bs.phi), -bs.r
             np.testing.assert_allclose(
-                _apply_beam_splitter_images(vec, mu1, mu2),
+                apply_beam_splitter(FockVector(vec), bs).coefficients,
                 splitter_by_photon_number(vec, mu1, mu2),
                 rtol=0, atol=1e-14,
             )
