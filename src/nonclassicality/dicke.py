@@ -295,17 +295,22 @@ def _lowest_in_sector(bands: np.ndarray):
     A refused shift, or no stop within MAX_SOLVES, raises LinAlgError.
     """
     # Rounding in (H x)_i / x_i and in the factorization scales with ||H||,
-    # which the diagonal and the four couplings of a row bound.
-    scale = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
-    margin = SHIFT_MARGIN * np.finfo(float).eps * scale
+    # which the diagonal and the four couplings of a row bound.  Dividing by
+    # a power of 4 leaves every step exact, the square roots of the factor
+    # included, and brings that bound near 1, so that no solve overflows
+    # however small the frequencies are.
+    norm_bound = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
+    unit = math.ldexp(1.0, 2 * (math.frexp(norm_bound)[1] // 2))
+    bands = bands / unit
+    margin = SHIFT_MARGIN * np.finfo(float).eps * (norm_bound / unit)
     x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
     previous = math.inf
     for solves in range(MAX_SOLVES + 1):
         h_x = _band_apply(bands, x)
         energy = float(x @ h_x)
         residual = float(np.linalg.norm(h_x - energy * x))
-        if residual <= RESIDUAL_TOL and residual >= STALL * previous:
-            return energy, x, solves
+        if unit * residual <= RESIDUAL_TOL and residual >= STALL * previous:
+            return unit * energy, x, solves
         if solves == MAX_SOLVES:
             raise np.linalg.LinAlgError(f"sector not converged in {MAX_SOLVES} solves")
         previous = residual

@@ -287,6 +287,17 @@ class TestBlockGroundState:
         assert abs(result.energy - (-cfg.omega_eg * cfg.n_atoms / 2.0)) <= 1e-9
         assert field_moments(result, cfg).photon_number <= 1e-9
 
+    @pytest.mark.parametrize("counter_rotating", [False, True])
+    def test_tiny_frequencies_give_the_exact_vacuum(self, counter_rotating):
+        # Every level lies within 1e-299 of the others, so the solvers must
+        # not depend on the scale of H: the g = 0 ground state is still
+        # the exact vacuum, and no solve overflows.
+        cfg = DickeConfig(n_atoms=2, fock_dim=8, omega=1e-300, omega_eg=1e-300, g=0.0,
+                          counter_rotating=counter_rotating)
+        result = ground_state(cfg)
+        assert result.converged and result.energy == -1e-300
+        assert field_moments(result, cfg).photon_number == 0.0
+
     @pytest.mark.parametrize(
         "n_atoms, fock_dim, g", [(20, 36, 0.3), (20, 36, 0.6), (20, 36, 1.5), (8, 40, 1.5)]
     )
