@@ -15,7 +15,7 @@ variant, writing one CSV each:
   symmetry-broken (psi_even + psi_odd) / sqrt(2) on flagged rows.  This is
   the curve that carries the jump of the measure at g_c.
 
-The full-scale run takes about 9 s on 2 cores of an AMD EPYC machine,
+The full-scale run takes about 5 s on 2 cores of an AMD EPYC machine,
 nearly all of it the two counter-rotating sweeps, whose parity sectors go
 to banded Cholesky solves.  Use --quick for a desk-scale version
 (8 atoms, 40 levels) that finishes in seconds.

@@ -30,12 +30,13 @@ or explicit mixing of a degenerate ground pair; both are exposed.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
@@ -55,6 +56,13 @@ SHIFT_MARGIN = 64.0
 #: A sector's residual has stopped falling once a solve leaves it above
 #: STALL times its previous value.
 STALL = 1e-4
+
+#: Sizes (n_atoms, fock_dim) whose parity-sector layouts stay cached.
+LAYOUT_CACHE = 8
+
+#: LAPACK's banded Cholesky factorization and solve, bound once: each
+#: sector takes several solves, and every one of them would look these up.
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -204,46 +212,73 @@ def _lowest_pair_excitation(cfg: DickeConfig):
     return energies, pair, 0, apply
 
 
-def _parity_sectors(cfg: DickeConfig):
-    """(states, gauge, lower bands) of each parity sector (m + n) mod 2, even first.
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _sector_layout(n_atoms: int, fock_dim: int):
+    """Where each parity sector (m + n) mod 2, even first, puts its entries.
 
     The states of a sector are ordered by n, then m, so each coupling of
-    |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the order.  In the
-    gauge (-1)^m, the sign of each state, every off-diagonal entry is
-    -hop <= 0; bands[i - j, j] holds the entry (i, j), i >= j, of the gauged
-    sector.  H conserves the parity, so no coupling leaves a sector.
+    |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the order.  Per
+    sector this returns the states, the gauge (-1)^m of each, the band row
+    (i - j) and column j of the lower entry (i, j), i >= j, of each coupling
+    with the index of its amplitude in hop.ravel(), the sorted band rows that
+    hold a coupling and the number of bands.  H conserves the parity, so no
+    coupling leaves a sector.  None of this depends on the frequencies or g,
+    so each size is laid out once; the arrays are read-only, as every caller
+    shares them.
     """
-    diagonal, hop = _amplitudes(cfg)
-    m, n = _quantum_numbers(cfg)
+    dim = (n_atoms + 1) * fock_dim
+    m, n = np.divmod(np.arange(dim), fock_dim)
     parity = (m + n) % 2
-    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
+    index = np.arange(dim).reshape(n_atoms + 1, fock_dim)
     # Both couplings of amplitude hop[m, n - 1]: S_+ a and S_+ a^dag.
     first = np.concatenate([index[:-1, 1:], index[:-1, :-1]], axis=None)
     second = np.concatenate([index[1:, :-1], index[1:, 1:]], axis=None)
-    amplitude = np.concatenate([hop, hop], axis=None)
+    hop_index = np.tile(np.arange(n_atoms * (fock_dim - 1)), 2)
     order = np.lexsort((m, n))
-    position = np.empty(cfg.dim, dtype=np.intp)  # index of each state inside its sector
-    sectors = []
+    position = np.empty(dim, dtype=np.intp)  # index of each state inside its sector
+    layout = []
     for p in (0, 1):
         states = order[parity[order] == p]
         position[states] = np.arange(len(states))
         inside = parity[first] == p
         column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
-        bands = np.zeros((int((row - column).max()) + 1, len(states)))
-        bands[0] = diagonal.ravel()[states]
-        bands[row - column, column] = -amplitude[inside]
-        sectors.append((states, np.where(m[states] % 2, -1.0, 1.0), bands))
+        offset = row - column
+        arrays = (states, np.where(m[states] % 2, -1.0, 1.0), offset, column, hop_index[inside])
+        for array in arrays:
+            array.flags.writeable = False
+        offsets = tuple(np.unique(offset).tolist())
+        layout.append((*arrays, offsets, offsets[-1] + 1))
+    return tuple(layout)
+
+
+def _parity_sectors(cfg: DickeConfig):
+    """(states, gauge, lower bands, band offsets) of each parity sector, even first.
+
+    The layout comes from _sector_layout.  In the gauge (-1)^m, the sign of
+    each state, every off-diagonal entry is -hop <= 0; bands[i - j, j] holds
+    the entry (i, j), i >= j, of the gauged sector, and the offsets list the
+    rows of bands below the diagonal that hold a coupling.
+    """
+    diagonal, hop = _amplitudes(cfg)
+    diagonal, hop = diagonal.ravel(), hop.ravel()
+    sectors = []
+    for states, gauge, offset, column, hop_index, offsets, band_count in _sector_layout(
+            cfg.n_atoms, cfg.fock_dim):
+        bands = np.zeros((band_count, len(states)))
+        bands[0] = diagonal[states]
+        bands[offset, column] = -hop[hop_index]
+        sectors.append((states, gauge, bands, offsets))
     return sectors
 
 
-def _band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
     """The symmetric matrix held by lower bands, applied to x.
 
-    A sector's couplings fill only two or three of its bands, so bands that
-    hold no entry are skipped.
+    A sector's couplings fill only two or three of its bands; offsets lists
+    them, and the empty bands are skipped.
     """
     h_x = bands[0] * x
-    for k in np.flatnonzero(bands[1:].any(axis=1)) + 1:
+    for k in offsets:
         h_x[k:] += bands[k, :-k] * x[:-k]
         h_x[:-k] += bands[k, :-k] * x[k:]
     return h_x
@@ -260,14 +295,14 @@ def _lowest_pair_parity(cfg: DickeConfig):
 
     def apply(x):
         h_x = np.empty_like(x)
-        for states, gauge, bands in sectors:
-            h_x[states] = gauge * _band_apply(bands, gauge * x[states])
+        for states, gauge, bands, offsets in sectors:
+            h_x[states] = gauge * _band_apply(bands, gauge * x[states], offsets)
         return h_x
 
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
     solves = 0
-    for parity, (states, gauge, bands) in enumerate(sectors):
-        energies[parity], vector, count = _lowest_in_sector(bands)
+    for parity, (states, gauge, bands, offsets) in enumerate(sectors):
+        energies[parity], vector, count = _lowest_in_sector(bands, offsets)
         pair[states, parity] = gauge * vector
         solves += count
     if energies[1] < energies[0]:
@@ -275,16 +310,17 @@ def _lowest_pair_parity(cfg: DickeConfig):
     return energies, pair, solves, apply
 
 
-def _lowest_in_sector(bands: np.ndarray):
+def _lowest_in_sector(bands: np.ndarray, offsets):
     """Lowest eigenvalue and positive vector of a sector, with the number of banded solves.
 
     Noda's inverse iteration (Numer. Math. 17, 382 (1971)) on the gauged
     sector, whose off-diagonal entries are <= 0.  For a positive x the
     Collatz-Wielandt bound min_i (H x)_i / x_i lies at or below the lowest
-    eigenvalue E0; each solve shifts to just below it.  cholesky_banded
-    succeeding proves the shift s lies below E0 (Sylvester's law of
-    inertia), and then (H - s)^-1 >= 0 keeps x positive, so x tends to the
-    sector's ground vector.  The iteration stops once the residual
+    eigenvalue E0; each solve shifts to just below it.  LAPACK's banded
+    Cholesky factorization (dpbtrf) succeeding proves the shift s lies below
+    E0 (Sylvester's law of inertia), and then (H - s)^-1 >= 0 keeps x
+    positive, so x tends to the sector's ground vector; dpbtrs solves with
+    the factor.  The iteration stops once the residual
     ||H x - E x|| of the Rayleigh quotient E is at most RESIDUAL_TOL and has
     stopped falling: the last solve left it above STALL times its previous
     value.  Near the end each solve about squares the error, so a weaker
@@ -292,7 +328,8 @@ def _lowest_in_sector(bands: np.ndarray):
     shift margins of the lowest, such as levels tied to rounding, share the
     vector.  A falling residual keeps the solves going, so the weight of
     higher levels falls to exact zeros where it can (the vacuum at g = 0).
-    A refused shift, or no stop within MAX_SOLVES, raises LinAlgError.
+    A shift that is not finite or that LAPACK refuses, or no stop within
+    MAX_SOLVES, raises LinAlgError.
     """
     # Rounding in (H x)_i / x_i and in the factorization scales with ||H||,
     # which the diagonal and the four couplings of a row bound.  Dividing by
@@ -306,7 +343,7 @@ def _lowest_in_sector(bands: np.ndarray):
     x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
     previous = math.inf
     for solves in range(MAX_SOLVES + 1):
-        h_x = _band_apply(bands, x)
+        h_x = _band_apply(bands, x, offsets)
         energy = float(x @ h_x)
         residual = float(np.linalg.norm(h_x - energy * x))
         if unit * residual <= RESIDUAL_TOL and residual >= STALL * previous:
@@ -314,12 +351,20 @@ def _lowest_in_sector(bands: np.ndarray):
         if solves == MAX_SOLVES:
             raise np.linalg.LinAlgError(f"sector not converged in {MAX_SOLVES} solves")
         previous = residual
-        # Components that underflowed past the normal range bound nothing.
+        # Components that underflowed past the normal range bound nothing;
+        # with none left (a NaN x) the shift is infinite and refused.
         normal = x >= np.finfo(float).tiny
-        shifted = bands.copy()
-        shifted[0] -= float(np.min(h_x[normal] / x[normal])) - margin
-        factor = cholesky_banded(shifted, lower=True, overwrite_ab=True)
-        x = cho_solve_banded((factor, True), x)
+        shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
+        if not math.isfinite(shift):
+            raise np.linalg.LinAlgError(f"shift {shift} is not finite")
+        shifted = bands.copy(order="F")  # dpbtrf factors it in place
+        shifted[0] -= shift
+        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpbtrf refused the shift {unit * shift:g} (info {info})")
+        x, info = _PBTRS(factor, x, lower=1, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpbtrs failed (info {info})")
         x /= np.linalg.norm(x)
 
 

@@ -75,9 +75,25 @@ def cholesky_refused(monkeypatch):
     """Every banded factorization fails, as it does for a shift above the lowest level."""
 
     def refused(bands, **kwargs):
-        raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+        return bands, 1  # dpbtrf's info: the 1st leading minor is not positive definite
 
-    monkeypatch.setattr(dicke, "cholesky_banded", refused)
+    monkeypatch.setattr(dicke, "_PBTRF", refused)
+
+
+@pytest.fixture(params=["dpbtrs", "nan_shift"])
+def sector_solve_fails(request, monkeypatch):
+    """A sector solve fails past the factorization: dpbtrs reports an error, or the shift is NaN."""
+    if request.param == "dpbtrs":
+        monkeypatch.setattr(dicke, "_PBTRS", lambda factor, b, **kwargs: (b, -2))
+        return
+    band_apply = dicke._band_apply
+
+    def poisoned(*args):
+        h_x = band_apply(*args)
+        h_x[0] = np.nan  # then min_i (H x)_i / x_i, the shift, is NaN
+        return h_x
+
+    monkeypatch.setattr(dicke, "_band_apply", poisoned)
 
 
 @pytest.fixture

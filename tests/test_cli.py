@@ -250,6 +250,13 @@ class TestDickeSweep:
         assert float(rows[2][1]) == pytest.approx(0.5)  # g=1, g_c=2
 
     def test_nonconvergence_exits_3_with_nan_row(self, capsys, cholesky_refused):
+        self.check_nan_rows_exit_3(capsys)
+
+    def test_failed_solve_exits_3_with_nan_row(self, capsys, sector_solve_fails):
+        self.check_nan_rows_exit_3(capsys)
+
+    @staticmethod
+    def check_nan_rows_exit_3(capsys):
         code, out, _ = run_cli(
             capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", "--counter-rotating",
             "--g-min", "1", "--g-max", "2", "--steps", "2",
@@ -259,6 +266,19 @@ class TestDickeSweep:
         assert len(rows) == 2
         for row in rows:
             assert all(math.isnan(float(x)) for x in row[2:6]) and row[6] == "0", row
+
+    def test_repeated_sweep_matches_a_fresh_process(self, capsys):
+        # The second sweep of a size reuses its cached sector layout; a sweep
+        # of another size in between must not leak into it.
+        sweep = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", "--steps", "7",
+                 "--counter-rotating", "--mix-degenerate"]
+        outputs = []
+        for argv in (sweep, sweep[:2] + ["3"] + sweep[3:], sweep):
+            code, out, err = run_cli(capsys, *argv)
+            outputs.append((code, out, err))
+        fresh = subprocess.run([sys.executable, "-m", "nonclassicality", *sweep],
+                               capture_output=True, text=True, env=subprocess_env())
+        assert outputs[0] == outputs[2] == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_rounding_ties_are_reproducible(self):
         # At omega = 1e-300 the g = 0 sectors hold levels tied to rounding.

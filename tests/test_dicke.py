@@ -17,7 +17,13 @@ from nonclassicality import (
 )
 from nonclassicality import dicke
 from nonclassicality.cli import main as cli_main
-from nonclassicality.dicke import DEGENERACY_TOL, _excitation_chain, _parity_sectors
+from nonclassicality.dicke import (
+    DEGENERACY_TOL,
+    LAYOUT_CACHE,
+    _excitation_chain,
+    _parity_sectors,
+    _sector_layout,
+)
 
 
 def total_excitation_operator(cfg):
@@ -144,6 +150,13 @@ class TestGroundState:
 
     def test_nonconvergence_reported(self, cholesky_refused):
         # A refused shift ends the sector solve; the row is reported, not raised.
+        cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.0, counter_rotating=True)
+        result = ground_state(cfg)
+        assert not result.converged and not result.degenerate
+        assert math.isnan(result.energy) and np.isnan(result.vector).all()
+
+    def test_failed_solve_reported(self, sector_solve_fails):
+        # A failed banded solve or a NaN shift ends the sector solve the same way.
         cfg = DickeConfig(n_atoms=20, fock_dim=36, g=1.0, counter_rotating=True)
         result = ground_state(cfg)
         assert not result.converged and not result.degenerate
@@ -386,17 +399,45 @@ class TestSectorNativeOperators:
         matrix = build_hamiltonian(cfg).toarray()
         m, n = np.divmod(np.arange(cfg.dim), fock_dim)
         covered = []
-        for parity, (states, gauge, bands) in enumerate(_parity_sectors(cfg)):
+        for parity, (states, gauge, bands, offsets) in enumerate(_parity_sectors(cfg)):
             assert np.all((m[states] + n[states]) % 2 == parity)
             assert np.array_equal(np.lexsort((m[states], n[states])), np.arange(len(states)))
             assert np.array_equal(gauge, (-1.0) ** m[states])
             lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
             assert np.all(lower[np.tril_indices(len(states), -1)] <= 0.0)
+            # The offsets name every band below the diagonal that a coupling fills.
+            assert offsets == tuple(sorted(offsets)) and len(bands) == offsets[-1] + 1
+            assert np.all(np.delete(bands, (0, *offsets), axis=0) == 0.0)
+            assert g == 0.0 or all(bands[k].any() for k in offsets)
             un_gauged = gauge[:, None] * (lower + np.tril(lower, -1).T) * gauge[None, :]
             assert np.array_equal(un_gauged, matrix[np.ix_(states, states)])
             covered.append(states)
         # The sectors hold every state once, so they hold all of H.
         assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(cfg.dim))
+
+    def test_sector_layout_is_shared_per_size(self):
+        # One layout serves every frequency and coupling of a size.
+        sizes = [(4, 9), (5, 7)]
+        for n_atoms, fock_dim in sizes:
+            first, second = (
+                _parity_sectors(DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega,
+                                            g=g, counter_rotating=True))
+                for omega, g in ((1.0, 0.3), (2.5, 1.7))
+            )
+            for (states, gauge, _, offsets), (states_2, gauge_2, _, offsets_2) in zip(first, second):
+                assert states is states_2 and gauge is gauge_2 and offsets is offsets_2
+        # No caller can change a shared layout.
+        for sector in _sector_layout(4, 9):
+            for array in sector[:5]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        # Sizes used in turn, more of them than the cache holds, do not mix:
+        # each layout equals one built afresh for its own size.
+        for n_atoms, fock_dim in sizes + [(k, 3) for k in range(1, LAYOUT_CACHE + 1)] + sizes:
+            fresh = _sector_layout.__wrapped__(n_atoms, fock_dim)
+            for cached_sector, fresh_sector in zip(_sector_layout(n_atoms, fock_dim), fresh):
+                assert all(np.array_equal(a, b) for a, b in zip(cached_sector, fresh_sector))
 
     @pytest.mark.parametrize("counter_rotating", [False, True])
     def test_auto_path_leaves_the_matrix_unassembled(self, counter_rotating):
