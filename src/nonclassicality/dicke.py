@@ -7,16 +7,17 @@ the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
 measure.
 
 The ground state is found in the sectors of the quantum number each model
-conserves, built straight from the amplitudes of its DickeConfig.  Without
-the counter-rotating terms H conserves k = m + n: ordered by (k, m) it is
-one tridiagonal matrix whose off-diagonal vanishes between the
-N + fock_dim - 1 blocks, and one LAPACK call gives its two lowest levels.
-The vacuum below g_c is then the exact 1-state block k = 0.  With them only
-the parity (-1)^(m + n) is conserved: each of its two sectors is a banded
-matrix whose off-diagonal entries are <= 0 in the gauge (-1)^m, and its
-ground state is found by a certified inverse iteration on banded Cholesky
-factors.  The two sector ground energies decide the degeneracy flag.  The
-whole matrix is never assembled.
+conserves.  Each size and model has one cached sector layout, filled with
+the amplitudes of its DickeConfig.  Without the counter-rotating terms H
+conserves k = m + n: its one sector, ordered by (k, m), is a tridiagonal
+matrix whose off-diagonal vanishes between the N + fock_dim - 1 blocks, and
+one LAPACK call gives its two lowest levels.  The vacuum below g_c is then
+the exact 1-state block k = 0.  With them only the parity (-1)^(m + n) is
+conserved: each of its two sectors is a banded matrix, and its ground state
+is found by a certified inverse iteration on banded Cholesky factors.  The
+two sector ground energies decide the degeneracy flag.  In the gauge
+(-1)^m every off-diagonal entry of a sector is <= 0.  The whole matrix is
+never assembled.
 
 In units hbar = 1:
 
@@ -57,12 +58,16 @@ SHIFT_MARGIN = 64.0
 #: STALL times its previous value.
 STALL = 1e-4
 
-#: Sizes (n_atoms, fock_dim) whose parity-sector layouts stay cached.
+#: Sizes and models (n_atoms, fock_dim, counter_rotating) whose sector
+#: layouts stay cached.
 LAYOUT_CACHE = 8
 
 #: LAPACK's banded Cholesky factorization and solve, bound once: each
 #: sector takes several solves, and every one of them would look these up.
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+#: Smallest normal double, bound once for the same reason.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -152,95 +157,45 @@ def _fix_gauge(vector: np.ndarray) -> np.ndarray:
     return -vector if vector[pivot] < 0.0 else vector
 
 
-def _quantum_numbers(cfg: DickeConfig):
-    """Excited atoms m and photons n of every state in the atom-major layout."""
-    return np.divmod(np.arange(cfg.dim), cfg.fock_dim)
-
-
-def _excitation_chain(cfg: DickeConfig):
-    """The co-rotating H as one tridiagonal matrix over the states ordered by (k = m + n, m).
-
-    Returns the atom-major index and the k of each ordered state, the
-    diagonal d and the off-diagonal e.  S_+ a links (m, n) only to
-    (m + 1, n - 1), the next state of the same block, so e is exactly 0
-    between blocks.
-    """
-    diagonal, hop = _amplitudes(cfg)
-    m, n = _quantum_numbers(cfg)
-    k = m + n
-    order = np.lexsort((m, k))
-    m, n, k = m[order], n[order], k[order]
-    inside = np.flatnonzero(k[1:] == k[:-1])
-    off_diagonal = np.zeros(cfg.dim - 1)
-    off_diagonal[inside] = hop[m[inside], n[inside] - 1]
-    return order, k, diagonal.ravel()[order], off_diagonal
-
-
-def _lowest_pair_excitation(cfg: DickeConfig):
-    """Two lowest eigenpairs of the co-rotating model from one tridiagonal solve.
-
-    LAPACK's bisection and inverse iteration split the chain where its
-    off-diagonal is 0, so each vector lies inside one block.  When the two
-    lowest levels are degenerate, every level within DEGENERACY_TOL of the
-    lowest is taken and the two of lowest k are kept, lower k first: at
-    g = g_c the vacuum (k = 0) and the lowest k = 1 level cross, and the
-    vacuum is reported with its own energy.
-    """
-    order, k, diagonal, off_diagonal = _excitation_chain(cfg)
-    energies, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
-    if energies[1] - energies[0] < DEGENERACY_TOL:
-        # A tie can span more than two blocks, as when omega << omega_eg.
-        margin = max(DEGENERACY_TOL, 4.0 * np.spacing(abs(energies[0])))
-        energies, vectors = eigh_tridiagonal(
-            diagonal, off_diagonal, select="v",
-            select_range=(energies[0] - margin, energies[0] + margin),
-        )
-        by_k = np.argsort(k[np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
-        energies, vectors = energies[by_k], vectors[:, by_k]
-    pair = np.zeros((cfg.dim, len(energies)))
-    pair[order] = vectors
-
-    def apply(x):  # H x: in the chain's order the tridiagonal matrix is H
-        chained = x[order]
-        h_chained = diagonal * chained
-        h_chained[:-1] += off_diagonal * chained[1:]
-        h_chained[1:] += off_diagonal * chained[:-1]
-        h_x = np.empty_like(x)
-        h_x[order] = h_chained
-        return h_x
-
-    return energies, pair, 0, apply
-
-
 @functools.lru_cache(maxsize=LAYOUT_CACHE)
-def _sector_layout(n_atoms: int, fock_dim: int):
-    """Where each parity sector (m + n) mod 2, even first, puts its entries.
+def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
+    """Where each sector of a model puts its entries.
 
-    The states of a sector are ordered by n, then m, so each coupling of
-    |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the order.  Per
-    sector this returns the states, the gauge (-1)^m of each, the band row
-    (i - j) and column j of the lower entry (i, j), i >= j, of each coupling
-    with the index of its amplitude in hop.ravel(), the sorted band rows that
-    hold a coupling and the number of bands.  H conserves the parity, so no
-    coupling leaves a sector.  None of this depends on the frequencies or g,
-    so each size is laid out once; the arrays are read-only, as every caller
-    shares them.
+    Without the counter-rotating terms the one sector holds every state,
+    ordered by (k = m + n, m): S_+ a links |m, n> only to |m + 1, n - 1>, the
+    next state of the same k, so every coupling lies on the first band and
+    none joins two k blocks.  With them there are two parity sectors
+    (m + n) mod 2, even first, whose states are ordered by n, then m, so each
+    coupling of |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the
+    order.  H conserves k or the parity, so no coupling leaves a sector.
+
+    Per sector this returns the states, the gauge (-1)^m of each, the band
+    row (i - j) and column j of the lower entry (i, j), i >= j, of each
+    coupling with the index of its amplitude in hop.ravel(), the sorted band
+    rows that hold a coupling and the number of bands.  None of this depends
+    on the frequencies or g, so each size and model is laid out once; the
+    arrays are read-only, as every caller shares them.
     """
     dim = (n_atoms + 1) * fock_dim
     m, n = np.divmod(np.arange(dim), fock_dim)
-    parity = (m + n) % 2
     index = np.arange(dim).reshape(n_atoms + 1, fock_dim)
-    # Both couplings of amplitude hop[m, n - 1]: S_+ a and S_+ a^dag.
-    first = np.concatenate([index[:-1, 1:], index[:-1, :-1]], axis=None)
-    second = np.concatenate([index[1:, :-1], index[1:, 1:]], axis=None)
-    hop_index = np.tile(np.arange(n_atoms * (fock_dim - 1)), 2)
-    order = np.lexsort((m, n))
+    # The couplings of amplitude hop[m, n - 1]: S_+ a, and S_+ a^dag if present.
+    first, second = index[:-1, 1:].ravel(), index[1:, :-1].ravel()
+    hop_index = np.arange(n_atoms * (fock_dim - 1))
+    if counter_rotating:
+        first = np.concatenate([first, index[:-1, :-1]], axis=None)
+        second = np.concatenate([second, index[1:, 1:]], axis=None)
+        hop_index = np.tile(hop_index, 2)
+        sector_count, order = 2, np.lexsort((m, n))
+    else:
+        sector_count, order = 1, np.lexsort((m, m + n))
+    sector = (m + n) % sector_count
     position = np.empty(dim, dtype=np.intp)  # index of each state inside its sector
     layout = []
-    for p in (0, 1):
-        states = order[parity[order] == p]
+    for p in range(sector_count):
+        states = order[sector[order] == p]
         position[states] = np.arange(len(states))
-        inside = parity[first] == p
+        inside = sector[first] == p
         column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
         offset = row - column
         arrays = (states, np.where(m[states] % 2, -1.0, 1.0), offset, column, hop_index[inside])
@@ -251,8 +206,8 @@ def _sector_layout(n_atoms: int, fock_dim: int):
     return tuple(layout)
 
 
-def _parity_sectors(cfg: DickeConfig):
-    """(states, gauge, lower bands, band offsets) of each parity sector, even first.
+def _sectors(cfg: DickeConfig):
+    """(states, gauge, lower bands, band offsets) of each sector of cfg's model.
 
     The layout comes from _sector_layout.  In the gauge (-1)^m, the sign of
     each state, every off-diagonal entry is -hop <= 0; bands[i - j, j] holds
@@ -263,7 +218,7 @@ def _parity_sectors(cfg: DickeConfig):
     diagonal, hop = diagonal.ravel(), hop.ravel()
     sectors = []
     for states, gauge, offset, column, hop_index, offsets, band_count in _sector_layout(
-            cfg.n_atoms, cfg.fock_dim):
+            cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating):
         bands = np.zeros((band_count, len(states)))
         bands[0] = diagonal[states]
         bands[offset, column] = -hop[hop_index]
@@ -274,8 +229,8 @@ def _parity_sectors(cfg: DickeConfig):
 def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
     """The symmetric matrix held by lower bands, applied to x.
 
-    A sector's couplings fill only two or three of its bands; offsets lists
-    them, and the empty bands are skipped.
+    A sector's couplings fill only some of its bands; offsets lists them,
+    and the empty bands are skipped.
     """
     h_x = bands[0] * x
     for k in offsets:
@@ -284,21 +239,43 @@ def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
     return h_x
 
 
-def _lowest_pair_parity(cfg: DickeConfig):
+def _lowest_pair_excitation(cfg: DickeConfig, sectors):
+    """Two lowest eigenpairs of the co-rotating model from one tridiagonal solve.
+
+    The one sector is the chain; it goes to LAPACK un-gauged, its
+    off-diagonal hop >= 0.  LAPACK's bisection and inverse iteration split
+    the chain where its off-diagonal is 0, so each vector lies inside one
+    block.  When the two lowest levels are degenerate, every level within
+    DEGENERACY_TOL of the lowest is taken and the two of lowest k are kept,
+    lower k first: at g = g_c the vacuum (k = 0) and the lowest k = 1 level
+    cross, and the vacuum is reported with its own energy.
+    """
+    [(states, _, bands, _)] = sectors
+    # S_+ a changes m by 1, so the gauge turns each coupling hop into -hop.
+    diagonal, off_diagonal = bands[0], -bands[1, :-1]
+    energies, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
+    if energies[1] - energies[0] < DEGENERACY_TOL:
+        # A tie can span more than two blocks, as when omega << omega_eg.
+        margin = max(DEGENERACY_TOL, 4.0 * np.spacing(abs(energies[0])))
+        energies, vectors = eigh_tridiagonal(
+            diagonal, off_diagonal, select="v",
+            select_range=(energies[0] - margin, energies[0] + margin),
+        )
+        k = np.add(*np.divmod(states, cfg.fock_dim))
+        by_k = np.argsort(k[np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
+        energies, vectors = energies[by_k], vectors[:, by_k]
+    pair = np.zeros((cfg.dim, len(energies)))
+    pair[states] = vectors
+    return energies, pair, 0
+
+
+def _lowest_pair_parity(cfg: DickeConfig, sectors):
     """Ground pair of each parity sector of the counter-rotating model.
 
     H conserves the parity (-1)^(m + n).  Each sector, down to the 2 states
     of the smallest model, goes to _lowest_in_sector.  The even sector comes
     first unless the odd one lies lower.
     """
-    sectors = _parity_sectors(cfg)
-
-    def apply(x):
-        h_x = np.empty_like(x)
-        for states, gauge, bands, offsets in sectors:
-            h_x[states] = gauge * _band_apply(bands, gauge * x[states], offsets)
-        return h_x
-
     energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
     solves = 0
     for parity, (states, gauge, bands, offsets) in enumerate(sectors):
@@ -306,8 +283,8 @@ def _lowest_pair_parity(cfg: DickeConfig):
         pair[states, parity] = gauge * vector
         solves += count
     if energies[1] < energies[0]:
-        return energies[::-1], pair[:, ::-1], solves, apply
-    return energies, pair, solves, apply
+        return energies[::-1], pair[:, ::-1], solves
+    return energies, pair, solves
 
 
 def _lowest_in_sector(bands: np.ndarray, offsets):
@@ -345,7 +322,8 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
     for solves in range(MAX_SOLVES + 1):
         h_x = _band_apply(bands, x, offsets)
         energy = float(x @ h_x)
-        residual = float(np.linalg.norm(h_x - energy * x))
+        r = h_x - energy * x
+        residual = math.sqrt(r @ r)
         if unit * residual <= RESIDUAL_TOL and residual >= STALL * previous:
             return unit * energy, x, solves
         if solves == MAX_SOLVES:
@@ -353,7 +331,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
         previous = residual
         # Components that underflowed past the normal range bound nothing;
         # with none left (a NaN x) the shift is infinite and refused.
-        normal = x >= np.finfo(float).tiny
+        normal = x >= _TINY
         shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
         if not math.isfinite(shift):
             raise np.linalg.LinAlgError(f"shift {shift} is not finite")
@@ -365,7 +343,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
         x, info = _PBTRS(factor, x, lower=1, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrs failed (info {info})")
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(x @ x)
 
 
 def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateResult:
@@ -394,11 +372,10 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     <a> >= 0.  The global sign is fixed by making the largest-magnitude
     coefficient positive.
     """
+    sectors = _sectors(cfg)
+    lowest_pair = _lowest_pair_parity if cfg.counter_rotating else _lowest_pair_excitation
     try:
-        if cfg.counter_rotating:
-            energies, vectors, iterations, apply = _lowest_pair_parity(cfg)
-        else:
-            energies, vectors, iterations, apply = _lowest_pair_excitation(cfg)
+        energies, vectors, iterations = lowest_pair(cfg, sectors)
     except np.linalg.LinAlgError:
         # A refused shift or no convergence, in LAPACK or in the sector iteration.
         return _unconverged(cfg, math.inf, 0)
@@ -415,7 +392,10 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
             other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
-    residual = float(np.linalg.norm(apply(vector) - energy * vector))
+    h_x = np.empty_like(vector)
+    for states, gauge, bands, offsets in sectors:
+        h_x[states] = gauge * _band_apply(bands, gauge * vector[states], offsets)
+    residual = float(np.linalg.norm(h_x - energy * vector))
     if not residual <= RESIDUAL_TOL:  # NaN included
         return _unconverged(cfg, residual, iterations)
     return GroundStateResult(

@@ -4,7 +4,7 @@ Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summaries.  Criterion 7 is the full-scale ground-state sweep and dominates
 the suite's runtime (about 2.2 s on 2 cores, nearly all of it the banded
 solves in the two parity sectors of the counter-rotating sweep; the
-co-rotating sweep takes about 0.2 s); everything else finishes in seconds.
+co-rotating sweep takes about 0.1 s); everything else finishes in seconds.
 """
 
 import math

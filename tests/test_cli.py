@@ -269,16 +269,21 @@ class TestDickeSweep:
 
     def test_repeated_sweep_matches_a_fresh_process(self, capsys):
         # The second sweep of a size reuses its cached sector layout; a sweep
-        # of another size in between must not leak into it.
+        # of another size, or of the other model, in between must not leak
+        # into it.
         sweep = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", "--steps", "7",
                  "--counter-rotating", "--mix-degenerate"]
+        co_rotating = [arg for arg in sweep if arg != "--counter-rotating"]
         outputs = []
-        for argv in (sweep, sweep[:2] + ["3"] + sweep[3:], sweep):
+        for argv in (sweep, sweep[:2] + ["3"] + sweep[3:], co_rotating, sweep):
             code, out, err = run_cli(capsys, *argv)
             outputs.append((code, out, err))
-        fresh = subprocess.run([sys.executable, "-m", "nonclassicality", *sweep],
-                               capture_output=True, text=True, env=subprocess_env())
-        assert outputs[0] == outputs[2] == (fresh.returncode, fresh.stdout, fresh.stderr)
+        fresh = [subprocess.run([sys.executable, "-m", "nonclassicality", *argv],
+                                capture_output=True, text=True, env=subprocess_env())
+                 for argv in (sweep, co_rotating)]
+        fresh = [(run.returncode, run.stdout, run.stderr) for run in fresh]
+        assert outputs[0] == outputs[3] == fresh[0]
+        assert outputs[2] == fresh[1]
 
     def test_rounding_ties_are_reproducible(self):
         # At omega = 1e-300 the g = 0 sectors hold levels tied to rounding.

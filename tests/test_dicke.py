@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -20,9 +21,8 @@ from nonclassicality.cli import main as cli_main
 from nonclassicality.dicke import (
     DEGENERACY_TOL,
     LAYOUT_CACHE,
-    _excitation_chain,
-    _parity_sectors,
     _sector_layout,
+    _sectors,
 )
 
 
@@ -380,29 +380,29 @@ SECTOR_CASES = [
 class TestSectorNativeOperators:
     """The auto path builds its sectors from the amplitudes, never from the whole matrix."""
 
+    @pytest.mark.parametrize("counter_rotating", [False, True])
     @pytest.mark.parametrize("n_atoms, fock_dim, omega, omega_eg, g", SECTOR_CASES)
-    def test_excitation_chain_is_the_matrix(self, n_atoms, fock_dim, omega, omega_eg, g):
-        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, omega_eg=omega_eg, g=g)
-        order, k, diagonal, off_diagonal = _excitation_chain(cfg)
-        chain = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
-        permuted_back = np.empty_like(chain)
-        permuted_back[np.ix_(order, order)] = chain
-        assert np.array_equal(permuted_back, build_hamiltonian(cfg).toarray())
-        m, n = np.divmod(order, fock_dim)
-        assert np.array_equal(k, m + n)
-        assert np.all(off_diagonal[k[1:] != k[:-1]] == 0.0)
-
-    @pytest.mark.parametrize("n_atoms, fock_dim, omega, omega_eg, g", SECTOR_CASES)
-    def test_parity_sectors_are_the_matrix_blocks(self, n_atoms, fock_dim, omega, omega_eg, g):
+    def test_sectors_are_the_matrix_blocks(self, n_atoms, fock_dim, omega, omega_eg, g,
+                                           counter_rotating):
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, omega_eg=omega_eg,
-                          g=g, counter_rotating=True)
+                          g=g, counter_rotating=counter_rotating)
         matrix = build_hamiltonian(cfg).toarray()
         m, n = np.divmod(np.arange(cfg.dim), fock_dim)
+        sectors = _sectors(cfg)
+        assert len(sectors) == (2 if counter_rotating else 1)
         covered = []
-        for parity, (states, gauge, bands, offsets) in enumerate(_parity_sectors(cfg)):
-            assert np.all((m[states] + n[states]) % 2 == parity)
-            assert np.array_equal(np.lexsort((m[states], n[states])), np.arange(len(states)))
-            assert np.array_equal(gauge, (-1.0) ** m[states])
+        for parity, (states, gauge, bands, offsets) in enumerate(sectors):
+            m_s, n_s = m[states], n[states]
+            if counter_rotating:
+                assert np.all((m_s + n_s) % 2 == parity)
+                assert np.array_equal(np.lexsort((m_s, n_s)), np.arange(len(states)))
+            else:
+                # One chain ordered by (k = m + n, m), cut only between k blocks.
+                k = m_s + n_s
+                assert np.array_equal(np.lexsort((m_s, k)), np.arange(len(states)))
+                assert offsets == (1,) and len(bands) == 2
+                assert np.all(bands[1, :-1][k[1:] != k[:-1]] == 0.0)
+            assert np.array_equal(gauge, (-1.0) ** m_s)
             lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
             assert np.all(lower[np.tril_indices(len(states), -1)] <= 0.0)
             # The offsets name every band below the diagonal that a coupling fills.
@@ -416,27 +416,35 @@ class TestSectorNativeOperators:
         assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(cfg.dim))
 
     def test_sector_layout_is_shared_per_size(self):
-        # One layout serves every frequency and coupling of a size.
-        sizes = [(4, 9), (5, 7)]
-        for n_atoms, fock_dim in sizes:
+        # One layout serves every frequency and coupling of a size and model.
+        keys = [(*size, counter_rotating)
+                for size, counter_rotating in itertools.product([(4, 9), (5, 7)], (False, True))]
+        for n_atoms, fock_dim, counter_rotating in keys:
             first, second = (
-                _parity_sectors(DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega,
-                                            g=g, counter_rotating=True))
+                _sectors(DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, omega=omega, g=g,
+                                     counter_rotating=counter_rotating))
                 for omega, g in ((1.0, 0.3), (2.5, 1.7))
             )
             for (states, gauge, _, offsets), (states_2, gauge_2, _, offsets_2) in zip(first, second):
                 assert states is states_2 and gauge is gauge_2 and offsets is offsets_2
         # No caller can change a shared layout.
-        for sector in _sector_layout(4, 9):
-            for array in sector[:5]:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
-        # Sizes used in turn, more of them than the cache holds, do not mix:
-        # each layout equals one built afresh for its own size.
-        for n_atoms, fock_dim in sizes + [(k, 3) for k in range(1, LAYOUT_CACHE + 1)] + sizes:
-            fresh = _sector_layout.__wrapped__(n_atoms, fock_dim)
-            for cached_sector, fresh_sector in zip(_sector_layout(n_atoms, fock_dim), fresh):
+        for counter_rotating in (False, True):
+            for sector in _sector_layout(4, 9, counter_rotating):
+                for array in sector[:5]:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[0] = 0
+        # The two models of one size are separate entries.
+        co_rotating, counter = _sector_layout(4, 9, False), _sector_layout(4, 9, True)
+        assert len(co_rotating) == 1 and len(counter) == 2
+        assert not any(a is b for a in co_rotating[0][:5] for sector in counter for b in sector[:5])
+        # Sizes and models used in turn, more of them than the cache holds, do
+        # not mix: each layout equals one built afresh for its own key.
+        for key in keys + [(k, 3, k % 2 == 0) for k in range(1, LAYOUT_CACHE + 1)] + keys:
+            fresh = _sector_layout.__wrapped__(*key)
+            cached = _sector_layout(*key)
+            assert len(cached) == len(fresh)
+            for cached_sector, fresh_sector in zip(cached, fresh):
                 assert all(np.array_equal(a, b) for a, b in zip(cached_sector, fresh_sector))
 
     @pytest.mark.parametrize("counter_rotating", [False, True])
