@@ -8,12 +8,8 @@ cover squeezed coherent states and the superradiant phase transition of a
 collectively coupled atomic ensemble.
 """
 
-from .dicke import (
-    DickeConfig,
-    GroundStateResult,
-    field_moments,
-    ground_state,
-)
+import importlib
+
 from .entanglement import (
     BALANCED_T,
     BeamSplitterParams,
@@ -51,6 +47,21 @@ from .moments import (
 from .optimize import OptimizationResult, maximize_EN
 
 __version__ = "0.1.0"
+
+#: Served from the dicke module on first use: it imports SciPy, which only
+#: the Dicke sweep needs.
+_DICKE_NAMES = frozenset({"DickeConfig", "GroundStateResult", "field_moments", "ground_state"})
+
+
+def __getattr__(name):
+    # import_module, not "from . import dicke": the from-import probes the
+    # package with hasattr, which would call back into this hook.
+    if name == "dicke":
+        return importlib.import_module(".dicke", __name__)
+    if name in _DICKE_NAMES:
+        return getattr(importlib.import_module(".dicke", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BALANCED_T",

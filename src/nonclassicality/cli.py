@@ -20,7 +20,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .dicke import DickeConfig, field_moments, fock_tail_weight, ground_state
 from .entanglement import BALANCED_T, BeamSplitterParams, build_report
 from .fock import TAIL_TOL, covariance_check
 from .moments import (
@@ -134,6 +133,9 @@ def _cmd_squeezed_sweep(args) -> int:
 
 
 def _cmd_dicke_sweep(args) -> int:
+    # Imported here: dicke loads SciPy, which no other command needs.
+    from .dicke import DickeConfig, field_moments, fock_tail_weight, ground_state
+
     # Chained comparisons are False for NaN, so these also reject it.
     if _failed_check([
         (args.steps >= 2, "steps must be >= 2"),

@@ -10,11 +10,12 @@ with the closed-form covariance blocks of
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .entanglement import BeamSplitterParams, CovarianceBlocks, covariance_from_input
 from .moments import SingleModeMoments, SqueezedCoherentParams, center
@@ -35,8 +36,7 @@ class FockVector:
         coeffs = np.array(self.coefficients, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValueError("coefficients must be a 1-d array with dim >= 2")
-        if abs(np.linalg.norm(coeffs) - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(coeffs)} is not 1")
+        _check_norm(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -65,10 +65,16 @@ class TwoModeVector:
         coeffs = np.array(self.coefficients, dtype=complex)
         if coeffs.ndim != 2:
             raise ValueError("coefficients must be a 2-d array")
-        if abs(np.linalg.norm(coeffs) - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {np.linalg.norm(coeffs)} is not 1")
+        _check_norm(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+
+def _check_norm(coeffs: np.ndarray) -> None:
+    """Raise ValueError unless ``coeffs`` has unit norm within _NORM_TOL."""
+    norm = np.linalg.norm(coeffs)
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state norm {norm} is not 1")
 
 
 def _tail_weight(psi: np.ndarray) -> float:
@@ -76,14 +82,22 @@ def _tail_weight(psi: np.ndarray) -> float:
     return float(np.max(np.abs(psi[..., -2:]) ** 2))
 
 
-def _lower(psi: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting."""
-    out = np.zeros_like(psi)
-    sqrt_n = np.sqrt(np.arange(1, psi.shape[axis]))
+def _lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting.
+
+    The result is written to ``out`` when given, which must not overlap ``psi``.
+    """
+    if out is None:
+        out = np.empty_like(psi)
     if axis % psi.ndim == psi.ndim - 1:
-        out[..., :-1] = sqrt_n * psi[..., 1:]
+        # Shift, then scale the whole array in place: a ufunc over the strided
+        # column slices would allocate NumPy's iteration buffers on every call.
+        out[..., :-1] = psi[..., 1:]
+        out[..., -1] = 0.0
+        out *= np.sqrt(np.arange(1, psi.shape[-1] + 1))
     else:
-        out[:-1] = sqrt_n[:, None] * psi[1:]
+        np.multiply(np.sqrt(np.arange(1, psi.shape[0]))[:, None], psi[1:], out=out[:-1])
+        out[-1] = 0.0
     return out
 
 
@@ -168,6 +182,17 @@ def _hankel(values: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, values.size)
 
 
+def _half_log_factorials(dim: int) -> np.ndarray:
+    """(1/2) log k! for k = 0, ..., dim-1, from the exact integer factorials.
+
+    ``math.log`` of an int stays within about 1 ulp of the true value at any
+    size, while ``math.lgamma`` (CPython's own Lanczos sum) is already 3 ulp
+    off at log 2!.
+    """
+    factorials = itertools.accumulate(range(1, dim), operator.mul, initial=1)
+    return np.array([0.5 * math.log(factorial) for factorial in factorials])
+
+
 def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:
     """Split a single-mode state against vacuum; exact up to the input truncation.
 
@@ -183,17 +208,39 @@ def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVec
     n1 + n2 <= dim - 1 and the transformation itself introduces no
     truncation error.
     """
-    vec = state.coefficients
+    dim = state.dim
+    out, scratch = np.empty((2, dim, dim), dtype=complex)
+    magnitude = np.empty((dim, dim))
+    half_log_fact = _half_log_factorials(dim)
+    return TwoModeVector(
+        _apply_beam_splitter_images(state.coefficients, bs, half_log_fact, out, magnitude, scratch)
+    )
+
+
+def _apply_beam_splitter_images(
+    vec: np.ndarray, bs: BeamSplitterParams, half_log_fact: np.ndarray,
+    out: np.ndarray, magnitude: np.ndarray, scratch: np.ndarray,
+) -> np.ndarray:
+    """Fill the dim x dim ``out`` with the split table of ``apply_beam_splitter`` and return it.
+
+    ``half_log_fact`` is ``_half_log_factorials(dim)``; ``magnitude`` (real)
+    and ``scratch`` (complex) are dim x dim work arrays, overwritten.
+    """
     dim = vec.size
-    half_log_fact = 0.5 * gammaln(np.arange(dim) + 1.0)
     log_abs1, phase1 = _powers(bs.t * np.exp(1j * bs.phi), dim)
     log_abs2, phase2 = _powers(-bs.r, dim)
-    magnitude = np.exp(
-        _hankel(half_log_fact)
-        + (log_abs1 - half_log_fact)[:, None]
-        + (log_abs2 - half_log_fact)[None, :]
-    )
-    return TwoModeVector(_hankel(vec) * magnitude * np.multiply.outer(phase1, phase2))
+    np.add(_hankel(half_log_fact), (log_abs1 - half_log_fact)[:, None], out=magnitude)
+    magnitude += (log_abs2 - half_log_fact)[None, :]
+    np.exp(magnitude, out=magnitude)
+    # Copies and whole-array in-place products only: a casting product over
+    # the Hankel view, or an outer product, allocates NumPy's iteration
+    # buffers on every call.
+    out[...] = _hankel(vec)
+    out *= magnitude
+    scratch[...] = phase1[:, None]
+    scratch *= phase2
+    out *= scratch
+    return out
 
 
 def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
@@ -204,16 +251,27 @@ def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
     first moments are subtracted before assembly.
     """
     psi = state.coefficients
-    a1_psi = _lower(psi, 0)
-    a2_psi = _lower(psi, 1)
+    return _covariance_blocks(psi, *np.empty((3, *psi.shape), dtype=complex))
+
+
+def _covariance_blocks(
+    psi: np.ndarray, a1_psi: np.ndarray, a2_psi: np.ndarray, scratch: np.ndarray
+) -> CovarianceBlocks:
+    """``two_mode_covariance`` of the normalized table ``psi``.
+
+    ``a1_psi``, ``a2_psi`` and ``scratch`` are work arrays of psi's shape,
+    overwritten.
+    """
+    _lower(psi, 0, out=a1_psi)
+    _lower(psi, 1, out=a2_psi)
     m1 = np.vdot(psi, a1_psi)
     m2 = np.vdot(psi, a2_psi)
-    sq1 = np.vdot(psi, _lower(a1_psi, 0)) - m1 * m1
-    sq2 = np.vdot(psi, _lower(a2_psi, 1)) - m2 * m2
+    sq1 = np.vdot(psi, _lower(a1_psi, 0, out=scratch)) - m1 * m1
+    sq2 = np.vdot(psi, _lower(a2_psi, 1, out=scratch)) - m2 * m2
     n1 = np.vdot(a1_psi, a1_psi).real - abs(m1) ** 2
     n2 = np.vdot(a2_psi, a2_psi).real - abs(m2) ** 2
-    w = np.vdot(psi, _lower(a1_psi, 1)) - m1 * m2      # <da1 da2>
-    z = np.vdot(a1_psi, a2_psi) - np.conj(m1) * m2     # <da1^dag da2>
+    w = np.vdot(psi, _lower(a1_psi, 1, out=scratch)) - m1 * m2      # <da1 da2>
+    z = np.vdot(a1_psi, a2_psi) - np.conj(m1) * m2                  # <da1^dag da2>
 
     def mode_block(sq: complex, occ: float) -> np.ndarray:
         return np.array(
@@ -247,8 +305,16 @@ def covariance_check(
 
     ``corrupt_phase`` simulates the splitter at phi + pi but predicts it at
     phi, and serves as a negative control: the discrepancy must become large.
+
+    The dim x dim arrays of the split and its covariance are allocated once
+    per call and refilled by every trial, through the same kernels that
+    ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
+    no memory back to the allocator between them.
     """
     rng = np.random.default_rng(seed)
+    half_log_fact = _half_log_factorials(dim)
+    split, a1_psi, a2_psi, scratch = np.empty((4, dim, dim), dtype=complex)
+    magnitude = np.empty((dim, dim))
     worst = 0.0
     for _ in range(trials):
         alpha = (
@@ -265,7 +331,11 @@ def covariance_check(
         state = squeezed_coherent_vector(params, dim)
         measured_input = center(moments_from_vector(state))
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
-        measured = two_mode_covariance(apply_beam_splitter(state, simulated))
+        _apply_beam_splitter_images(
+            state.coefficients, simulated, half_log_fact, split, magnitude, scratch
+        )
+        _check_norm(split)
+        measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)
         predicted = covariance_from_input(measured_input, bs)
         worst = max(
             worst,

@@ -26,6 +26,27 @@ from nonclassicality.dicke import (
 )
 
 
+def cli_call(argv: list[str]) -> str:
+    """Python code that runs one CLI command, writing its output to the null device."""
+    return (
+        "import os; from nonclassicality.cli import main; "
+        f"assert main({argv!r} + ['--output', os.devnull]) == 0"
+    )
+
+
+def loaded_modules(code: str, prefix: str) -> list[str]:
+    """Modules named ``prefix`` or ``prefix.*`` that a fresh interpreter holds after ``code``."""
+    script = (
+        f"{code}\nimport sys\n"
+        f"print(*sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def total_excitation_operator(cfg):
     """a^dag a + S_z + N/2 on the same atom-major basis layout."""
     atoms = sparse.diags(np.arange(cfg.n_atoms + 1, dtype=float))
@@ -352,19 +373,24 @@ class TestBlockGroundState:
 
     def test_cli_does_not_load_scipy_sparse(self):
         # No command solves or assembles a sparse matrix.
-        script = (
-            "import sys; from nonclassicality.cli import main; "
-            "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3']) == 0; "
-            "assert main(['dicke-sweep', '--n-atoms', '4', '--fock-dim', '12', '--steps', '3', "
-            "'--counter-rotating']) == 0; "
-            "assert main(['measure', '--v', '0.9', '--n', '0.6']) == 0; "
-            "assert main(['oracle-check', '--trials', '2']) == 0; "
-            "sys.exit(sorted(name for name in sys.modules if name.startswith('scipy.sparse')) or None)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
-        )
-        assert proc.returncode == 0, proc.stderr
+        for model in ([], ["--counter-rotating"]):
+            argv = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", "--steps", "3", *model]
+            assert loaded_modules(cli_call(argv), "scipy.sparse") == [], model
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import nonclassicality",
+            cli_call(["measure", "--v", "0.9", "--n", "0.6"]),
+            cli_call(["squeezed-sweep", "--steps", "3"]),
+            cli_call(["oracle-check", "--trials", "2"]),
+        ],
+        ids=["import", "measure", "squeezed-sweep", "oracle-check"],
+    )
+    def test_commands_other_than_dicke_sweep_load_no_scipy(self, code):
+        # SciPy's start-up costs more than these commands' work; only the
+        # Dicke solver needs it.
+        assert loaded_modules(code, "scipy") == []
 
 
 SECTOR_CASES = [

@@ -21,7 +21,8 @@ from nonclassicality import (
     squeezed_coherent_vector,
     two_mode_covariance,
 )
-from nonclassicality.fock import recommended_dim
+from nonclassicality import dicke, fock
+from nonclassicality.fock import _half_log_factorials, _lower, recommended_dim
 
 #: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
@@ -274,6 +275,83 @@ class TestCovarianceCheck:
     def test_corrupted_phase_convention_detected(self):
         worst = covariance_check(trials=5, dim=60, seed=123, corrupt_phase=True)
         assert worst > 1e-3
+
+
+def covariance_check_by_public_path(trials, dim, seed, corrupt_phase=False):
+    """covariance_check's trials through the public splitter and covariance functions."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        alpha = math.sqrt(rng.uniform(0.0, 1.0)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        params = SqueezedCoherentParams(
+            alpha=alpha, strength=rng.uniform(0.0, 1.5), angle=rng.uniform(0.0, 2.0 * math.pi)
+        )
+        bs = BeamSplitterParams(t=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * math.pi))
+        state = squeezed_coherent_vector(params, dim)
+        simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
+        measured = two_mode_covariance(apply_beam_splitter(state, simulated))
+        predicted = covariance_from_input(center(moments_from_vector(state)), bs)
+        for block in ("A", "B", "C"):
+            worst = max(worst, float(np.abs(getattr(measured, block) - getattr(predicted, block)).max()))
+    return worst
+
+
+class TestOnePath:
+    """covariance_check refills one workspace per call through the public functions' kernels."""
+
+    @pytest.mark.parametrize(
+        "trials, dim, seed, corrupt_phase",
+        [(6, 80, 123, False), (4, 17, 7, False), (3, 60, 123, True), (1, 2, 0, False)],
+    )
+    def test_check_equals_the_public_path_bit_for_bit(self, trials, dim, seed, corrupt_phase):
+        worst = covariance_check(trials=trials, dim=dim, seed=seed, corrupt_phase=corrupt_phase)
+        assert worst == covariance_check_by_public_path(trials, dim, seed, corrupt_phase)
+
+    def test_split_state_norm_is_checked_on_every_trial(self, monkeypatch):
+        split = fock._apply_beam_splitter_images
+        calls = []
+
+        def leaky_on_second_trial(vec, bs, half_log_fact, out, magnitude, scratch):
+            calls.append(bs)
+            split(vec, bs, half_log_fact, out, magnitude, scratch)
+            if len(calls) == 2:
+                out *= 1.001
+            return out
+
+        monkeypatch.setattr(fock, "_apply_beam_splitter_images", leaky_on_second_trial)
+        with pytest.raises(ValueError, match="state norm"):
+            covariance_check(trials=3, dim=30, seed=1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lower_into_a_buffer_is_exact(self, axis, dtype):
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=(9, 13)).astype(dtype)
+        if dtype is complex:
+            psi += 1j * rng.normal(size=psi.shape)
+        psi[2, 3] = -0.0  # signed zeros must come out as the reference makes them
+        # The reference: zeros, then sqrt(n) times the shifted levels.
+        expected = np.zeros_like(psi)
+        n = psi.shape[axis]
+        if axis == 0:
+            expected[:-1] = np.sqrt(np.arange(1, n))[:, None] * psi[1:]
+        else:
+            expected[:, :-1] = np.sqrt(np.arange(1, n)) * psi[:, 1:]
+        buffer = np.full_like(psi, np.nan)
+        assert _lower(psi, axis, out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+        assert _lower(psi, axis).tobytes() == expected.tobytes()
+
+    def test_dicke_lowers_with_the_same_function(self):
+        assert dicke._lower is fock._lower
+
+    def test_half_log_factorials_match_gammaln(self):
+        dim = 2000
+        table = _half_log_factorials(dim)
+        expected = 0.5 * gammaln(np.arange(dim) + 1.0)
+        assert table[0] == table[1] == 0.0
+        assert np.all(np.abs(table - expected) <= 2.0 * np.spacing(expected))
 
 
 class TestFockVectorInvariants:

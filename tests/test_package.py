@@ -1,0 +1,30 @@
+import subprocess
+import sys
+
+from conftest import subprocess_env
+
+#: Run in a fresh interpreter, so that the dicke names are first served by
+#: the package's lazy module __getattr__ rather than by an earlier import.
+LAZY_API = """
+import sys
+import nonclassicality
+
+assert "nonclassicality.dicke" not in sys.modules
+assert not hasattr(nonclassicality, "no_such_name")
+dicke = getattr(nonclassicality, "dicke")
+assert dicke is sys.modules["nonclassicality.dicke"]
+for name in nonclassicality.__all__:
+    getattr(nonclassicality, name)
+assert nonclassicality.ground_state is dicke.ground_state
+namespace = {}
+exec("from nonclassicality import *", namespace)
+assert set(nonclassicality.__all__) <= set(namespace), set(nonclassicality.__all__) - set(namespace)
+assert not hasattr(nonclassicality, "no_such_name")
+"""
+
+
+def test_lazy_public_api():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_API], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
