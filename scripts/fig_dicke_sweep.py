@@ -9,13 +9,16 @@ variant, writing one CSV each:
   eigenstates, which its excitation-block solver returns exactly, so its
   measure reads 0.
 - ``counter``: the counter-rotating ground state of definite parity.  Above
-  g_c its parity doublet is degenerate, and a parity eigenstate carries no
-  <a>, so E_N reads 0 on most flagged rows.
+  g_c its parity doublet is degenerate, and E_N reads 0 on most flagged
+  rows.
 - ``counter_mixed``: the same sweep with --mix-degenerate, which returns the
-  symmetry-broken (psi_even + psi_odd) / sqrt(2) on flagged rows.  This is
-  the curve that carries the jump of the measure at g_c.
+  symmetry-broken (psi_even + psi_odd) / sqrt(2) on flagged rows.
 
-The full-scale run takes about 5 s on 2 cores of an AMD EPYC machine,
+Above g_c most rows of both counter-rotating sweeps carry truncation
+warnings: their numbers there are set by the Fock cutoff, not by the
+physics.
+
+The full-scale run takes about 4 s on 2 cores of an AMD EPYC machine,
 nearly all of it the two counter-rotating sweeps, whose parity sectors go
 to banded Cholesky solves.  Use --quick for a desk-scale version
 (8 atoms, 40 levels) that finishes in seconds.

@@ -14,10 +14,12 @@ matrix whose off-diagonal vanishes between the N + fock_dim - 1 blocks, and
 one LAPACK call gives its two lowest levels.  The vacuum below g_c is then
 the exact 1-state block k = 0.  With them only the parity (-1)^(m + n) is
 conserved: each of its two sectors is a banded matrix, and its ground state
-is found by a certified inverse iteration on banded Cholesky factors.  The
-two sector ground energies decide the degeneracy flag.  In the gauge
-(-1)^m every off-diagonal entry of a sector is <= 0.  The whole matrix is
-never assembled.
+is found by a certified inverse iteration on banded Cholesky factors.  Only
+the even sector is solved as a rule: whether the odd sector lies lower, or
+within DEGENERACY_TOL of the even ground energy, which sets the degeneracy
+flag, is decided by whether its banded Cholesky factorization exists at
+shifts around that energy.  In the gauge (-1)^m every off-diagonal entry
+of a sector is <= 0.  The whole matrix is never assembled.
 
 In units hbar = 1:
 
@@ -121,11 +123,16 @@ class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
     ``iterations`` counts the banded solves, summed over the parity
-    sectors, and is 0 for the co-rotating tridiagonal solve and when a
-    solver raised.  ``degenerate`` is set when the two lowest values (for
-    the counter-rotating model, the two sector ground energies) sit within
-    DEGENERACY_TOL of each other.  An unconverged result (``converged``
-    False) carries NaN energy and vector and is never degenerate.
+    sectors solved: the even sector always, the odd one only when it lies
+    lower or when mix_degenerate needs its vector.  The factorizations that
+    probe the odd sector are not solves and are not counted.  It is 0 for
+    the co-rotating tridiagonal solve and when a solver raised.
+    ``degenerate`` is set when the two lowest values sit within
+    DEGENERACY_TOL of each other: for the counter-rotating model, when the
+    odd sector's lowest level lies within DEGENERACY_TOL of the even
+    ground energy, as its inertia at the shifts E_even -+ DEGENERACY_TOL
+    shows.  An unconverged result (``converged`` False) carries NaN energy
+    and vector and is never degenerate.
     """
 
     energy: float
@@ -239,8 +246,8 @@ def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
     return h_x
 
 
-def _lowest_pair_excitation(cfg: DickeConfig, sectors):
-    """Two lowest eigenpairs of the co-rotating model from one tridiagonal solve.
+def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
+    """Ground state of the co-rotating model from one tridiagonal solve.
 
     The one sector is the chain; it goes to LAPACK un-gauged, its
     off-diagonal hop >= 0.  LAPACK's bisection and inverse iteration split
@@ -248,7 +255,8 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors):
     block.  When the two lowest levels are degenerate, every level within
     DEGENERACY_TOL of the lowest is taken and the two of lowest k are kept,
     lower k first: at g = g_c the vacuum (k = 0) and the lowest k = 1 level
-    cross, and the vacuum is reported with its own energy.
+    cross, and the vacuum is reported with its own energy.  Returns what
+    _lowest_pair_parity returns, with no banded solve.
     """
     [(states, _, bands, _)] = sectors
     # S_+ a changes m by 1, so the gauge turns each coupling hop into -hop.
@@ -266,25 +274,69 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors):
         energies, vectors = energies[by_k], vectors[:, by_k]
     pair = np.zeros((cfg.dim, len(energies)))
     pair[states] = vectors
-    return energies, pair, 0
+    degenerate = len(energies) > 1 and abs(energies[1] - energies[0]) < DEGENERACY_TOL
+    partner = pair[:, 1] if degenerate and want_partner else None
+    return float(energies[0]), pair[:, 0], degenerate, partner, 0
 
 
-def _lowest_pair_parity(cfg: DickeConfig, sectors):
-    """Ground pair of each parity sector of the counter-rotating model.
+def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
+    """Ground state of the counter-rotating model and whether its parity doublet is degenerate.
 
-    H conserves the parity (-1)^(m + n).  Each sector, down to the 2 states
-    of the smallest model, goes to _lowest_in_sector.  The even sector comes
-    first unless the odd one lies lower.
+    H conserves the parity (-1)^(m + n).  The even sector, down to the 2
+    states of the smallest model, is solved by _lowest_in_sector.  The odd
+    sector is only probed: if dpbtrf factors it shifted to E_even +
+    DEGENERACY_TOL, its lowest level lies above that (Sylvester's law of
+    inertia) and the even state is the ground state.  If not, but it
+    factors at E_even - DEGENERACY_TOL, the odd level lies within
+    DEGENERACY_TOL of E_even: the pair is degenerate and the even state is
+    returned.  The odd sector is solved only when it lies lower, and then
+    its state is returned, or when want_partner asks for its vector on a
+    degenerate pair.
+
+    Returns the energy, the whole-basis vector, the degeneracy flag, the
+    partner's vector (None unless the pair is degenerate and want_partner
+    asks for it) and the number of banded solves; probes are not solves.
     """
-    energies, pair = np.zeros(2), np.zeros((cfg.dim, 2))
-    solves = 0
-    for parity, (states, gauge, bands, offsets) in enumerate(sectors):
-        energies[parity], vector, count = _lowest_in_sector(bands, offsets)
-        pair[states, parity] = gauge * vector
-        solves += count
-    if energies[1] < energies[0]:
-        return energies[::-1], pair[:, ::-1], solves
-    return energies, pair, solves
+    (states, gauge, bands, offsets), (odd_states, odd_gauge, odd_bands, odd_offsets) = sectors
+    energy, x, solves = _lowest_in_sector(bands, offsets)
+    odd_scaled, unit, _ = _unit_scaled(odd_bands)
+    above = _factor_shifted(odd_scaled, (energy + DEGENERACY_TOL) / unit)[1] == 0
+    degenerate = not above and _factor_shifted(odd_scaled, (energy - DEGENERACY_TOL) / unit)[1] == 0
+    pair = np.zeros((cfg.dim, 2))  # the even sector's state, then the odd one's
+    pair[states, 0] = gauge * x
+    if above or (degenerate and not want_partner):
+        return energy, pair[:, 0], degenerate, None, solves
+    odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_offsets)
+    pair[odd_states, 1] = odd_gauge * odd_x
+    solves += odd_solves
+    if degenerate:
+        return energy, pair[:, 0], True, pair[:, 1], solves
+    return odd_energy, pair[:, 1], False, None, solves
+
+
+def _unit_scaled(bands: np.ndarray):
+    """bands divided by a power of 4 near the bound on their norm, that power and the scaled bound.
+
+    Rounding in a sector's products and factorization scales with ||H||,
+    which the diagonal and the four couplings of a row bound.  Dividing by a
+    power of 4 leaves every step exact, the square roots of a Cholesky
+    factor included, and brings that bound near 1, so that no product or
+    factorization overflows however small the frequencies are.
+    """
+    norm_bound = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
+    unit = math.ldexp(1.0, 2 * (math.frexp(norm_bound)[1] // 2))
+    return bands / unit, unit, norm_bound / unit
+
+
+def _factor_shifted(bands: np.ndarray, shift: float):
+    """dpbtrf's banded Cholesky factor of bands - shift, and its info.
+
+    info 0, a factor that exists, proves that shift lies below the lowest
+    level of the sector (Sylvester's law of inertia).
+    """
+    shifted = bands.copy(order="F")  # dpbtrf factors it in place
+    shifted[0] -= shift
+    return _PBTRF(shifted, lower=1, overwrite_ab=1)
 
 
 def _lowest_in_sector(bands: np.ndarray, offsets):
@@ -308,15 +360,10 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
     A shift that is not finite or that LAPACK refuses, or no stop within
     MAX_SOLVES, raises LinAlgError.
     """
-    # Rounding in (H x)_i / x_i and in the factorization scales with ||H||,
-    # which the diagonal and the four couplings of a row bound.  Dividing by
-    # a power of 4 leaves every step exact, the square roots of the factor
-    # included, and brings that bound near 1, so that no solve overflows
-    # however small the frequencies are.
-    norm_bound = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
-    unit = math.ldexp(1.0, 2 * (math.frexp(norm_bound)[1] // 2))
-    bands = bands / unit
-    margin = SHIFT_MARGIN * np.finfo(float).eps * (norm_bound / unit)
+    # The iteration runs on the sector scaled by _unit_scaled, whose bound
+    # also sets the shift margin.
+    bands, unit, norm_bound = _unit_scaled(bands)
+    margin = SHIFT_MARGIN * np.finfo(float).eps * norm_bound
     x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
     previous = math.inf
     for solves in range(MAX_SOLVES + 1):
@@ -335,9 +382,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
         shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
         if not math.isfinite(shift):
             raise np.linalg.LinAlgError(f"shift {shift} is not finite")
-        shifted = bands.copy(order="F")  # dpbtrf factors it in place
-        shifted[0] -= shift
-        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+        factor, info = _factor_shifted(bands, shift)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrf refused the shift {unit * shift:g} (info {info})")
         x, info = _PBTRS(factor, x, lower=1, overwrite_b=1)
@@ -353,8 +398,9 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     built from its amplitudes as the module docstring describes; the whole
     matrix is never assembled, but the residual is that of the whole H.  No
     ground state is missed for being orthogonal to a start vector: the
-    co-rotating chain is solved whole, and the shifts of each parity sector
-    stay below its lowest level, whose positive vector the iterate tends to.
+    co-rotating chain is solved whole, the shifts of each parity sector
+    solved stay below its lowest level, whose positive vector the iterate
+    tends to, and the inertia test of the odd sector counts all its levels.
 
     Convergence is decided here alone: a result whose whole-H residual
     exceeds RESIDUAL_TOL or is NaN, or whose solver raised, is returned
@@ -362,11 +408,13 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     DickeConfig admits only models whose energies double precision resolves
     to DEGENERACY_TOL, so no entry, vector or residual here can overflow.
 
-    The two lowest values are always computed so near-degenerate ground
-    spaces are detected rather than silently resolved.  By default the first
-    member of the pair is returned: the lowest value, the lower k or the even
-    sector on a tie.  ``mix_degenerate=True`` instead returns the normalized
-    sum of the two vectors when they are degenerate, emulating
+    Near-degenerate ground spaces are always detected rather than silently
+    resolved: the co-rotating solve computes the two lowest values, and the
+    odd parity sector's inertia is tested around the even ground energy.
+    By default the first member of the pair is returned: the lowest value,
+    the lower k or, within DEGENERACY_TOL, the even sector.
+    ``mix_degenerate=True`` instead returns the normalized sum of the two
+    vectors when they are degenerate, emulating
     symmetry-broken numerics; the relative sign makes <a> the larger of the
     two choices, so the exact (psi_even +- psi_odd) / sqrt(2) has real
     <a> >= 0.  The global sign is fixed by making the largest-magnitude
@@ -375,16 +423,14 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     sectors = _sectors(cfg)
     lowest_pair = _lowest_pair_parity if cfg.counter_rotating else _lowest_pair_excitation
     try:
-        energies, vectors, iterations = lowest_pair(cfg, sectors)
+        energy, vector, degenerate, partner, iterations = lowest_pair(cfg, sectors, mix_degenerate)
     except np.linalg.LinAlgError:
         # A refused shift or no convergence, in LAPACK or in the sector iteration.
         return _unconverged(cfg, math.inf, 0)
 
-    energy = float(energies[0])
-    degenerate = len(energies) > 1 and abs(energies[1] - energies[0]) < DEGENERACY_TOL
-    vector = _fix_gauge(vectors[:, 0])
-    if mix_degenerate and degenerate:
-        other = _fix_gauge(vectors[:, 1])
+    vector = _fix_gauge(vector)
+    if partner is not None:
+        other = _fix_gauge(partner)
         shape = (cfg.n_atoms + 1, cfg.fock_dim)
         u, w = vector.reshape(shape), other.reshape(shape)
         # <a> of (u + s w) / sqrt(2) is its diagonal part plus s times this.

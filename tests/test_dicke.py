@@ -21,6 +21,8 @@ from nonclassicality.cli import main as cli_main
 from nonclassicality.dicke import (
     DEGENERACY_TOL,
     LAYOUT_CACHE,
+    _lowest_in_sector,
+    _lowest_pair_parity,
     _sector_layout,
     _sectors,
 )
@@ -214,7 +216,7 @@ class TestBlockGroundState:
             (5, 7, 2.0, True),
             (8, 40, 1.5, True),  # parity doublet: degenerate
             (1, 2, 0.7, True),  # the smallest model: 2-state parity sectors
-            (1, 2, 0.5, True),  # the odd sector's ground vector, at E = 0, is the start vector
+            (1, 2, 0.5, True),  # the odd sector, at E = 0 above the even one, is only probed
         ],
     )
     def test_auto_matches_whole_matrix_dense(self, n_atoms, fock_dim, g, counter_rotating):
@@ -238,9 +240,9 @@ class TestBlockGroundState:
         ],
     )
     def test_path_selection(self, n_atoms, fock_dim, counter_rotating, block_path):
-        # The co-rotating model is one tridiagonal solve at any size.  Both
-        # parity sectors of the counter-rotating model go to the banded
-        # inverse iteration, at 378 states each as at 180.
+        # The co-rotating model is one tridiagonal solve at any size.  The
+        # even parity sector of the counter-rotating model goes to the banded
+        # inverse iteration, at 378 states as at 180.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=counter_rotating)
         result = ground_state(cfg)
         assert result.converged
@@ -358,6 +360,64 @@ class TestBlockGroundState:
             expected.append(low[1] - low[0] < DEGENERACY_TOL)
         assert sum(expected) == 60
         np.testing.assert_array_equal(rows[:, 6] == 1.0, expected)
+
+    def test_degenerate_flag_matches_dense_sector_gap(self):
+        # At N = 8 every row of the default grid is flagged exactly when the
+        # dense ground energies of the two parity sectors of the whole
+        # matrix lie within DEGENERACY_TOL.
+        flags, expected = [], []
+        for g in np.linspace(0.0, 2.0, 101):
+            cfg = DickeConfig(n_atoms=8, fock_dim=40, g=float(g), counter_rotating=True)
+            h = build_hamiltonian(cfg).toarray()
+            m, n = np.divmod(np.arange(cfg.dim), cfg.fock_dim)
+            odd = (m + n) % 2 == 1
+            even_e0, odd_e0 = (np.linalg.eigvalsh(h[np.ix_(s, s)])[0] for s in (~odd, odd))
+            expected.append(abs(odd_e0 - even_e0) < DEGENERACY_TOL)
+            flags.append(ground_state(cfg).degenerate)
+        assert sum(expected) == 42
+        assert flags == expected
+
+    @pytest.mark.parametrize("n_atoms, fock_dim, flagged", [(8, 40, 42), (20, 36, 60)])
+    def test_default_grid_solves_only_the_even_sector(self, n_atoms, fock_dim, flagged):
+        # No row of the default grid has its odd sector lower, so every row,
+        # each flagged one included, returns the even sector's state, and
+        # iterations counts that sector's own solves: the odd one is only
+        # probed.  Mixing solves the odd sector on the flagged rows alone.
+        m, n = np.divmod(np.arange((n_atoms + 1) * fock_dim), fock_dim)
+        odd = (m + n) % 2 == 1
+        degenerate = 0
+        for g in np.linspace(0.0, 2.0, 101):
+            cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=float(g), counter_rotating=True)
+            (_, _, bands, offsets), (_, _, odd_bands, odd_offsets) = _sectors(cfg)
+            even_solves = _lowest_in_sector(bands, offsets)[2]
+            result = ground_state(cfg)
+            assert result.converged and np.all(result.vector[odd] == 0.0)
+            assert result.iterations == even_solves
+            mixed = ground_state(cfg, mix_degenerate=True)
+            odd_solves = _lowest_in_sector(odd_bands, odd_offsets)[2] if result.degenerate else 0
+            assert mixed.iterations == even_solves + odd_solves
+            degenerate += result.degenerate
+        assert degenerate == flagged
+
+    @pytest.mark.parametrize("n_atoms, fock_dim, g", [(1, 2, 0.5), (4, 12, 0.3), (20, 36, 0.4)])
+    def test_lower_odd_sector_is_solved_and_returned(self, n_atoms, fock_dim, g):
+        # No default model has its odd sector lower, so hand the sectors over
+        # swapped: the one solved first is the higher, and the one probed
+        # lies lower, so it is solved too and its state comes back, not
+        # degenerate.  At N = 1 the sector solved first has its ground
+        # vector, at E = 0, as the start vector.
+        cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=True)
+        (states, gauge, bands, offsets), higher = _sectors(cfg)
+        for want_partner in (False, True):
+            energy, vector, degenerate, partner, solves = _lowest_pair_parity(
+                cfg, [higher, (states, gauge, bands, offsets)], want_partner)
+            assert not degenerate and partner is None
+            assert abs(energy - dense_reference(cfg)[0][0]) < 1e-12
+            outside = np.ones(cfg.dim, dtype=bool)
+            outside[states] = False
+            assert np.all(vector[outside] == 0.0)
+            assert np.array_equal(vector[states], gauge * _lowest_in_sector(bands, offsets)[1])
+            assert solves == _lowest_in_sector(bands, offsets)[2] + _lowest_in_sector(*higher[2:])[2]
 
     @pytest.mark.parametrize("n_atoms, fock_dim", [(20, 36), (8, 40)])
     def test_mixed_doublet_breaks_the_symmetry(self, n_atoms, fock_dim):
