@@ -23,13 +23,10 @@ from .entanglement import (
     log_negativity,
     maximizing_splitter,
     output_spectrum,
-    simon_lambda,
-    symplectic_eta,
 )
 from .fock import (
     FockVector,
     TwoModeVector,
-    annihilation_matrix,
     apply_beam_splitter,
     covariance_check,
     moments_from_vector,
@@ -77,7 +74,6 @@ __all__ = [
     "SqueezedCoherentParams",
     "TwoModeVector",
     "UnphysicalMomentsError",
-    "annihilation_matrix",
     "apply_beam_splitter",
     "build_report",
     "center",
@@ -93,9 +89,7 @@ __all__ = [
     "maximizing_splitter",
     "moments_from_vector",
     "output_spectrum",
-    "simon_lambda",
     "squeezed_coherent_moments",
     "squeezed_coherent_vector",
-    "symplectic_eta",
     "two_mode_covariance",
 ]

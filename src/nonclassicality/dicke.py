@@ -110,7 +110,10 @@ class DickeConfig:
     @property
     def g_critical(self) -> float:
         """Superradiant threshold: sqrt(omega omega_eg), halved by the counter-rotating terms."""
-        g_c = math.sqrt(self.omega * self.omega_eg)
+        # omega omega_eg underflows at 1e-300 each; split off the exponents, which scale exactly.
+        (m1, e1), (m2, e2) = math.frexp(self.omega), math.frexp(self.omega_eg)
+        e = e1 + e2
+        g_c = math.ldexp(math.sqrt(math.ldexp(m1 * m2, e % 2)), e // 2)
         return 0.5 * g_c if self.counter_rotating else g_c
 
     @property

@@ -9,8 +9,8 @@ evaluates the auxiliary separability quantities: the Simon determinant
 combination lambda_simon, the variance-sum quantity lambda_dgcz with its
 optimal gain, the simple second-moment condition v > n, and the first-moment
 condition |<a>|^2 > <a^dag a>.  The report takes every criterion from closed
-forms in (v, n, t, theta + phi); the 2x2 blocks and the general block algebra
-on them are kept as the reference those closed forms are tested against.
+forms in (v, n, t, theta + phi); the 2x2 blocks feed the Fock oracle, and
+:func:`eta_minus_sq` runs the block algebra on them for :mod:`.optimize`.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -34,10 +34,6 @@ from .moments import (
 
 #: Transmission amplitude of the balanced (50:50) splitter.
 BALANCED_T = math.sqrt(0.5)
-
-# Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point
-# noise must not produce complex eigenvalues.
-CLAMP_TOL = 1e-10
 
 _SYMMETRY_TOL = 1e-12
 
@@ -89,11 +85,6 @@ class CovarianceBlocks:
             block = getattr(self, name)
             if abs(block[0, 1] - block[1, 0]) > _SYMMETRY_TOL:
                 raise ValueError(f"block {name} must be symmetric")
-
-    @property
-    def V(self) -> np.ndarray:
-        """The assembled 4x4 covariance matrix."""
-        return np.block([[self.A, self.C], [self.C.T, self.B]])
 
 
 @dataclass(frozen=True)
@@ -255,60 +246,11 @@ def covariance_from_input(
     )
 
 
-def _entries_from_blocks(blocks: CovarianceBlocks):
-    A, B, C = blocks.A, blocks.B, blocks.C
-    return (
-        A[0, 0], A[0, 1], A[1, 1],
-        B[0, 0], B[0, 1], B[1, 1],
-        C[0, 0], C[0, 1], C[1, 0], C[1, 1],
-    )
-
-
-def symplectic_eta(blocks: CovarianceBlocks) -> tuple[float, float]:
-    """Symplectic eigenvalues (eta^-, eta^+) of the partially transposed V.
-
-    eta^{+-} = [ (sigma +- sqrt(sigma^2 - 4 det V)) / 2 ]^{1/2} with
-    sigma = det A + det B - 2 det C.  A discriminant or det V below -1e-10
-    signals an unphysical matrix and raises; smaller excursions are clamped.
-    """
-    det_a, det_b, det_c, _, det_v = _invariants(*_entries_from_blocks(blocks))
-    if det_v < -CLAMP_TOL:
-        raise UnphysicalMomentsError(f"covariance matrix has det V = {det_v} < 0")
-    sigma = det_a + det_b - 2.0 * det_c
-    disc = sigma * sigma - 4.0 * det_v
-    if disc < -CLAMP_TOL:
-        raise UnphysicalMomentsError(
-            f"negative symplectic discriminant {disc} beyond tolerance"
-        )
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    eta_minus = math.sqrt(max(0.5 * (sigma - root), 0.0))
-    eta_plus = math.sqrt(0.5 * (sigma + root))
-    return eta_minus, eta_plus
-
-
 def log_negativity(eta_minus: float) -> float:
     """E_N = max(0, -ln(2 eta^-))."""
     if eta_minus <= 0.0:
         raise ValueError(f"eta_minus must be > 0, got {eta_minus}")
     return max(0.0, -math.log(2.0 * eta_minus))
-
-
-def simon_lambda(blocks: CovarianceBlocks) -> float:
-    """Simon combination; a negative value certifies two-mode entanglement.
-
-    lambda = det A det B + (1/4 - |det C|)^2 - tr(A J C J B J C^T J)
-             - (det A + det B) / 4.
-
-    This is a yes/no condition, not a measure.
-    """
-    det_a, det_b, det_c, trace, _ = _invariants(*_entries_from_blocks(blocks))
-    return (
-        det_a * det_b
-        + (0.25 - abs(det_c)) ** 2
-        - trace
-        - 0.25 * (det_a + det_b)
-    )
 
 
 def dgcz_lambda(c: CenteredMoments, bs: BeamSplitterParams) -> float:
@@ -354,7 +296,7 @@ def build_report(
     eta-+ and E_N come from :func:`output_spectrum`.  No covariance matrix is
     formed: with x = n - v and y = n + v the blocks have det A = (t^2 x + 1/2)
     (t^2 y + 1/2), det B the same with r, det C = t^2 r^2 x y and det V =
-    (x + 1/2)(y + 1/2)/4, so the :func:`simon_lambda` combination
+    (x + 1/2)(y + 1/2)/4, so Simon's combination
     det V + 1/16 - (det A + det B + 2 |det C|)/4 is exactly
     t^2 r^2 min(0, x y).  The moments are physical by construction, but
     UnphysicalMomentsError is raised where rounding leaves det V <= 0.

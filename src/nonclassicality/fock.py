@@ -101,23 +101,6 @@ def _lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np
     return out
 
 
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Ladder operator a with a|n> = sqrt(n)|n-1> on a dim-level truncation."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    a = np.zeros((dim, dim))
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def recommended_dim(params: SqueezedCoherentParams) -> int:
-    """Truncation size guideline for an effectively exact squeezed coherent state."""
-    return math.ceil(
-        20.0 + 8.0 * abs(params.alpha) ** 2 + 10.0 * math.exp(2.0 * params.strength)
-    )
-
-
 def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVector:
     """S(beta) D(alpha) |0> projected onto |0>, ..., |dim-1> and renormalized.
 
@@ -311,6 +294,8 @@ def covariance_check(
     ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
     no memory back to the allocator between them.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     half_log_fact = _half_log_factorials(dim)
     split, a1_psi, a2_psi, scratch = np.empty((4, dim, dim), dtype=complex)

@@ -98,10 +98,6 @@ class CenteredMoments:
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "n", max(n, 0.0))
 
-    def a_squared(self) -> complex:
-        """Centered <a^2> as a complex number, v * exp(i theta)."""
-        return self.v * cmath.exp(1j * self.theta)
-
 
 @dataclass(frozen=True)
 class SqueezedCoherentParams:

@@ -25,14 +25,13 @@ from nonclassicality import (
     field_moments,
     ground_state,
     maximize_EN,
-    simon_lambda,
     squeezed_coherent_moments,
     squeezed_coherent_vector,
-    symplectic_eta,
     two_mode_covariance,
 )
 from nonclassicality.cli import main
 from nonclassicality.entanglement import eta_minus_sq
+from oracles import simon_lambda, symplectic_eta
 
 ANCHOR_STRENGTHS = (0.25, 0.5, 1.0, 1.5, 2.0)
 #: The balanced splitter as maximizing_splitter builds it, r from t.

@@ -295,6 +295,18 @@ class TestDickeSweep:
         assert all(run.returncode == 0 for run in runs)
         assert len({run.stdout for run in runs}) == 1
 
+    def test_tiny_frequencies_give_finite_g_over_gc(self):
+        # omega omega_eg = 1e-600 underflows to 0; g_c must not.
+        args = [sys.executable, "-m", "nonclassicality", "dicke-sweep", "--n-atoms", "2",
+                "--fock-dim", "8", "--omega", "1e-300", "--omega-eg", "1e-300", "--steps", "3",
+                "--counter-rotating"]
+        run = subprocess.run(args, capture_output=True, text=True, env=subprocess_env())
+        assert run.returncode == 0
+        _, rows = parse_csv(run.stdout)
+        assert [float(row[1]) for row in rows] == pytest.approx([0.0, 2e300, 4e300], rel=1e-15)
+        warnings = run.stderr.splitlines()
+        assert warnings and all(line.startswith("warning: g=") for line in warnings), run.stderr
+
     @pytest.mark.parametrize("mix", [[], ["--mix-degenerate"]])
     def test_vacuum_at_the_resolution_bound_is_exact(self, capsys, mix):
         # Near the DickeConfig bound the counter-rotating g = 0 row is the

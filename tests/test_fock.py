@@ -11,7 +11,6 @@ from nonclassicality import (
     BeamSplitterParams,
     FockVector,
     SqueezedCoherentParams,
-    annihilation_matrix,
     apply_beam_splitter,
     center,
     covariance_check,
@@ -22,7 +21,8 @@ from nonclassicality import (
     two_mode_covariance,
 )
 from nonclassicality import dicke, fock
-from nonclassicality.fock import _half_log_factorials, _lower, recommended_dim
+from nonclassicality.fock import _half_log_factorials, _lower
+from oracles import annihilation_matrix, recommended_dim
 
 #: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
@@ -255,7 +255,7 @@ class TestTwoModeCovariance:
 
     def test_single_photon_input_is_classical_for_the_measure(self):
         # |1> has <a^2> = 0, so the Gaussian measure sees no entanglement.
-        from nonclassicality import symplectic_eta
+        from oracles import symplectic_eta
 
         out = apply_beam_splitter(fock_basis_state(6, 1), BALANCED)
         blocks = two_mode_covariance(out)
@@ -275,6 +275,12 @@ class TestCovarianceCheck:
     def test_corrupted_phase_convention_detected(self):
         worst = covariance_check(trials=5, dim=60, seed=123, corrupt_phase=True)
         assert worst > 1e-3
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # With nothing compared the discrepancy would read 0, a pass.
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            covariance_check(trials=trials, dim=80, seed=1)
 
 
 def covariance_check_by_public_path(trials, dim, seed, corrupt_phase=False):

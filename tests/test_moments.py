@@ -77,7 +77,9 @@ class TestCenter:
         displaced = center(squeezed_coherent_moments(SqueezedCoherentParams(alpha, r, theta)))
         undisplaced = center(squeezed_coherent_moments(SqueezedCoherentParams(0.0, r, theta)))
         assert cmath.isclose(
-            displaced.a_squared(), undisplaced.a_squared(), rel_tol=1e-12, abs_tol=1e-12
+            displaced.v * cmath.exp(1j * displaced.theta),
+            undisplaced.v * cmath.exp(1j * undisplaced.theta),
+            rel_tol=1e-12, abs_tol=1e-12
         )
         assert math.isclose(displaced.n, undisplaced.n, rel_tol=1e-12, abs_tol=1e-12)
 

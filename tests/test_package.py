@@ -1,7 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
+import nonclassicality
 from conftest import subprocess_env
+from nonclassicality import CenteredMoments, CovarianceBlocks
 
 #: Run in a fresh interpreter, so that the dicke names are first served by
 #: the package's lazy module __getattr__ rather than by an earlier import.
@@ -28,3 +31,18 @@ def test_lazy_public_api():
         [sys.executable, "-c", LAZY_API], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: References that only the tests run; they live in tests/oracles.py.
+TEST_ONLY_NAMES = ("symplectic_eta", "simon_lambda", "annihilation_matrix", "recommended_dim")
+
+
+def test_test_only_references_are_not_shipped():
+    for name in TEST_ONLY_NAMES:
+        assert not hasattr(nonclassicality, name), name
+    src = Path(nonclassicality.__file__).parent
+    for module in src.glob("*.py"):
+        for name in TEST_ONLY_NAMES:
+            assert name not in module.read_text(), (module.name, name)
+    assert not hasattr(CovarianceBlocks, "V")
+    assert not hasattr(CenteredMoments, "a_squared")
