@@ -43,14 +43,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @contextmanager
 def _output_stream(path):
+    """stdout, or the file at path; one that cannot be opened exits 1 with one stderr line."""
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         handle = open(path, "w", encoding="utf-8", newline="\n")
-        try:
-            yield handle
-        finally:
-            handle.close()
+    except OSError as exc:
+        sys.stderr.write(f"cannot write {path}: {exc.strerror or exc}\n")
+        raise SystemExit(1) from None
+    with handle:
+        yield handle
 
 
 def _fmt(x) -> str:
@@ -310,10 +313,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ The ground state is found in the sectors of the quantum number each model
 conserves.  Each size and model has one cached sector layout, filled with
 the amplitudes of its DickeConfig.  Without the counter-rotating terms H
 conserves k = m + n: its one sector, ordered by (k, m), is a tridiagonal
-matrix whose off-diagonal vanishes between the N + fock_dim - 1 blocks, and
-one LAPACK call gives its two lowest levels.  The vacuum below g_c is then
-the exact 1-state block k = 0.  With them only the parity (-1)^(m + n) is
+matrix whose off-diagonal vanishes between its N + fock_dim blocks.  The
+lowest levels of three adjacent blocks near the mean-field excitation
+number bound its second level, and one LAPACK bisection below that bound
+gives its two lowest levels.  The vacuum below g_c is then the exact
+1-state block k = 0.  With them only the parity (-1)^(m + n) is
 conserved: each of its two sectors is a banded matrix, and its ground state
 is found by a certified inverse iteration on banded Cholesky factors.  Only
 the even sector is solved as a rule: whether the odd sector lies lower, or
@@ -39,7 +41,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
@@ -67,6 +69,10 @@ LAYOUT_CACHE = 8
 #: LAPACK's banded Cholesky factorization and solve, bound once: each
 #: sector takes several solves, and every one of them would look these up.
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+#: LAPACK's tridiagonal bisection and inverse iteration, bound once for the
+#: same reason: each co-rotating row bisects several k blocks.
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 #: Smallest normal double, bound once for the same reason.
 _TINY = np.finfo(float).tiny
@@ -129,9 +135,11 @@ class GroundStateResult:
     sectors solved: the even sector always, the odd one only when it lies
     lower or when mix_degenerate needs its vector.  The factorizations that
     probe the odd sector are not solves and are not counted.  It is 0 for
-    the co-rotating tridiagonal solve and when a solver raised.
-    ``degenerate`` is set when the two lowest values sit within
-    DEGENERACY_TOL of each other: for the counter-rotating model, when the
+    the co-rotating tridiagonal bisection and when a solver raised.
+    ``degenerate`` is set when the two lowest levels sit within
+    DEGENERACY_TOL of each other: for the co-rotating model, when the two
+    lowest levels that its bisection finds in the bracket below the bound
+    on the second level do; for the counter-rotating model, when the
     odd sector's lowest level lies within DEGENERACY_TOL of the even
     ground energy, as its inertia at the shifts E_even -+ DEGENERACY_TOL
     shows.  An unconverged result (``converged`` False) carries NaN energy
@@ -182,9 +190,11 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
     Per sector this returns the states, the gauge (-1)^m of each, the band
     row (i - j) and column j of the lower entry (i, j), i >= j, of each
     coupling with the index of its amplitude in hop.ravel(), the sorted band
-    rows that hold a coupling and the number of bands.  None of this depends
-    on the frequencies or g, so each size and model is laid out once; the
-    arrays are read-only, as every caller shares them.
+    rows that hold a coupling, the number of bands and, for the co-rotating
+    sector, where each k block starts (k = 0 .. N + fock_dim - 1, then the
+    sector's length; None for a parity sector).  None of this depends on the
+    frequencies or g, so each size and model is laid out once; the arrays
+    are read-only, as every caller shares them.
     """
     dim = (n_atoms + 1) * fock_dim
     m, n = np.divmod(np.arange(dim), fock_dim)
@@ -209,10 +219,13 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
         column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
         offset = row - column
         arrays = (states, np.where(m[states] % 2, -1.0, 1.0), offset, column, hop_index[inside])
-        for array in arrays:
-            array.flags.writeable = False
+        blocks = None if counter_rotating else np.searchsorted(
+            (m + n)[states], np.arange(n_atoms + fock_dim + 1))
+        for array in (*arrays, blocks):
+            if array is not None:
+                array.flags.writeable = False
         offsets = tuple(np.unique(offset).tolist())
-        layout.append((*arrays, offsets, offsets[-1] + 1))
+        layout.append((*arrays, offsets, offsets[-1] + 1, blocks))
     return tuple(layout)
 
 
@@ -227,7 +240,7 @@ def _sectors(cfg: DickeConfig):
     diagonal, hop = _amplitudes(cfg)
     diagonal, hop = diagonal.ravel(), hop.ravel()
     sectors = []
-    for states, gauge, offset, column, hop_index, offsets, band_count in _sector_layout(
+    for states, gauge, offset, column, hop_index, offsets, band_count, _ in _sector_layout(
             cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating):
         bands = np.zeros((band_count, len(states)))
         bands[0] = diagonal[states]
@@ -250,36 +263,113 @@ def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
 
 
 def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
-    """Ground state of the co-rotating model from one tridiagonal solve.
+    """Ground state of the co-rotating model from one bisection over a value bracket.
 
     The one sector is the chain; it goes to LAPACK un-gauged, its
-    off-diagonal hop >= 0.  LAPACK's bisection and inverse iteration split
-    the chain where its off-diagonal is 0, so each vector lies inside one
-    block.  When the two lowest levels are degenerate, every level within
-    DEGENERACY_TOL of the lowest is taken and the two of lowest k are kept,
-    lower k first: at g = g_c the vacuum (k = 0) and the lowest k = 1 level
-    cross, and the vacuum is reported with its own energy.  Returns what
+    off-diagonal hop >= 0.  Any two eigenvalues of H bound its second level
+    from above, so _second_level_bound, plus the tie margin, is a ceiling
+    over the two lowest levels and every level tied to the lowest; the
+    Gershgorin bound, less the same margin, is a floor below them all.  The
+    mean-field guess behind that bound sets only how many levels the
+    bracket holds, never whether it holds the pair.  dstebz bisects the
+    bracket and dstein takes the vectors; both split the chain where its
+    off-diagonal is 0, so each vector lies inside one block.  When the two
+    lowest levels are degenerate, every level within the tie margin of the
+    lowest is taken and the two of lowest k are kept, lower k first: at
+    g = g_c the vacuum (k = 0) and the lowest k = 1 level cross, and the
+    vacuum is reported with its own energy.  Fewer than two levels in the
+    bracket, or a LAPACK error, raises LinAlgError.  Returns what
     _lowest_pair_parity returns, with no banded solve.
     """
     [(states, _, bands, _)] = sectors
+    blocks = _sector_layout(cfg.n_atoms, cfg.fock_dim, False)[0][-1]
     # S_+ a changes m by 1, so the gauge turns each coupling hop into -hop.
     diagonal, off_diagonal = bands[0], -bands[1, :-1]
-    energies, vectors = eigh_tridiagonal(diagonal, off_diagonal, select="i", select_range=(0, 1))
-    if energies[1] - energies[0] < DEGENERACY_TOL:
+    # The least diagonal entry less the couplings of its row; bands[1, -1] is 0.
+    row_floor = diagonal + bands[1]
+    row_floor[1:] += bands[1, :-1]
+    gershgorin = float(row_floor.min())
+    second = _second_level_bound(cfg, diagonal, off_diagonal, blocks)
+    margin = _tie_margin(max(abs(gershgorin), abs(second)))
+    count, energies, block, split, info = _STEBZ(
+        diagonal, off_diagonal, 1, gershgorin - margin, second + margin, 0, 0, 0.0, "B")
+    if info or count < 2:
+        raise np.linalg.LinAlgError(f"dstebz found {count} levels in the bracket (info {info})")
+    energies = energies[:count]
+    vectors, info = _STEIN(diagonal, off_diagonal, energies, block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein: {info} vectors did not converge")
+    keep = np.argsort(energies, kind="stable")
+    if energies[keep[1]] - energies[keep[0]] < DEGENERACY_TOL:
         # A tie can span more than two blocks, as when omega << omega_eg.
-        margin = max(DEGENERACY_TOL, 4.0 * np.spacing(abs(energies[0])))
-        energies, vectors = eigh_tridiagonal(
-            diagonal, off_diagonal, select="v",
-            select_range=(energies[0] - margin, energies[0] + margin),
-        )
-        k = np.add(*np.divmod(states, cfg.fock_dim))
-        by_k = np.argsort(k[np.argmax(np.abs(vectors), axis=0)], kind="stable")[:2]
-        energies, vectors = energies[by_k], vectors[:, by_k]
-    pair = np.zeros((cfg.dim, len(energies)))
-    pair[states] = vectors
-    degenerate = len(energies) > 1 and abs(energies[1] - energies[0]) < DEGENERACY_TOL
+        keep = keep[energies[keep] <= energies[keep[0]] + _tie_margin(energies[keep[0]])]
+        # Each level's k, counted from 1: the block of its largest amplitude.
+        k = np.searchsorted(blocks, np.argmax(np.abs(vectors[:, keep]), axis=0), side="right")
+        keep = keep[np.argsort(k, kind="stable")]
+    energies, keep = energies[keep[:2]], keep[:2]
+    pair = np.zeros((cfg.dim, 2))
+    pair[states] = vectors[:, keep]
+    degenerate = abs(energies[1] - energies[0]) < DEGENERACY_TOL
     partner = pair[:, 1] if degenerate and want_partner else None
     return float(energies[0]), pair[:, 0], degenerate, partner, 0
+
+
+def _tie_margin(energy: float) -> float:
+    """Levels within this of a co-rotating level at energy tie with it."""
+    return max(DEGENERACY_TOL, 4.0 * math.ulp(abs(energy)))
+
+
+def _second_level_bound(cfg: DickeConfig, diagonal: np.ndarray, off_diagonal: np.ndarray,
+                        blocks: np.ndarray) -> float:
+    """The second-lowest of the lowest levels of three adjacent k blocks of the chain.
+
+    Two levels of H, each the lowest of its block, bound its second level
+    from above.  The blocks are those around a block whose lowest level lies
+    below both its neighbours': the search starts at _mean_field_block and
+    steps to the lower neighbour while that one lies lower.  Each block's
+    lowest level is bisected once, by dstebz.
+    """
+
+    @functools.cache
+    def level(k: int) -> float:
+        start, stop = blocks[k], blocks[k + 1]
+        if stop - start == 1:
+            return float(diagonal[start])
+        count, energies, _, _, info = _STEBZ(
+            diagonal[start:stop], off_diagonal[start:stop - 1], 2, 0.0, 0.0, 1, 1, 0.0, "E")
+        if info or count < 1:
+            raise np.linalg.LinAlgError(f"dstebz found no level in block {k} (info {info})")
+        return float(energies[0])
+
+    last = len(blocks) - 2
+    k = _mean_field_block(cfg, last)
+    while True:
+        lower = min((j for j in (k - 1, k + 1) if 0 <= j <= last), key=level)
+        if not level(lower) < level(k):  # NaN levels stop the search too
+            break
+        k = lower
+    first = min(max(k - 1, 0), last - 2)
+    return sorted(level(j) for j in range(first, first + 3))[1]
+
+
+def _mean_field_block(cfg: DickeConfig, last: int) -> int:
+    """The k block, 0 to last, nearest the mean-field excitation number.
+
+    k* = min(N g^2 (1 - mu^2) / (4 omega^2), fock_dim - 1) + N (1 - mu) / 2,
+    mu = min(1, omega omega_eg / g^2) (Emary & Brandes, PRE 67, 066203
+    (2003)): photons, capped where the Fock cutoff holds them, plus excited
+    atoms.  g = 0 gives the vacuum, (g / omega)^2 may overflow to inf,
+    which the cap absorbs, and a k* that is still not finite gives last.
+    """
+    omega, omega_eg, g = float(cfg.omega), float(cfg.omega_eg), float(cfg.g)
+    if g == 0.0:
+        return 0
+    # Python floats overflow to inf and never warn; inf * 0 gives NaN.
+    mu = min(1.0, (omega / g) * (omega_eg / g))
+    ratio = g / omega
+    photons = cfg.n_atoms * ratio * ratio * (1.0 - mu * mu) / 4.0
+    k = min(photons, cfg.fock_dim - 1.0) + cfg.n_atoms * (1.0 - mu) / 2.0
+    return min(round(k), last) if math.isfinite(k) else last
 
 
 def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
@@ -401,7 +491,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     built from its amplitudes as the module docstring describes; the whole
     matrix is never assembled, but the residual is that of the whole H.  No
     ground state is missed for being orthogonal to a start vector: the
-    co-rotating chain is solved whole, the shifts of each parity sector
+    co-rotating chain is bisected whole, between its Gershgorin bound and
+    a bound on its second level, the shifts of each parity sector
     solved stay below its lowest level, whose positive vector the iterate
     tends to, and the inertia test of the odd sector counts all its levels.
 
@@ -412,8 +503,9 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     to DEGENERACY_TOL, so no entry, vector or residual here can overflow.
 
     Near-degenerate ground spaces are always detected rather than silently
-    resolved: the co-rotating solve computes the two lowest values, and the
-    odd parity sector's inertia is tested around the even ground energy.
+    resolved: the co-rotating bisection finds every level up to a bound on
+    the second one, and the odd parity sector's inertia is tested around
+    the even ground energy.
     By default the first member of the pair is returned: the lowest value,
     the lower k or, within DEGENERACY_TOL, the even sector.
     ``mix_degenerate=True`` instead returns the normalized sum of the two

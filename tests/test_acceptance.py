@@ -2,9 +2,9 @@
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summaries.  Criterion 7 is the full-scale ground-state sweep and dominates
-the suite's runtime (about 2.2 s on 2 cores, nearly all of it the banded
+the suite's runtime (about 1.5 s on 2 cores, nearly all of it the banded
 solves in the two parity sectors of the counter-rotating sweep; the
-co-rotating sweep takes about 0.1 s); everything else finishes in seconds.
+co-rotating sweep takes about 0.04 s); everything else finishes in seconds.
 """
 
 import math
@@ -184,7 +184,7 @@ def test_criterion_5_phase_covariance():
 def test_criterion_6_dicke_desk_scale():
     started = time.perf_counter()
     energies_match = 0.0
-    # The co-rotating model is one tridiagonal solve; the counter-rotating
+    # The co-rotating model is bisected as one tridiagonal chain; the counter-rotating
     # parity sectors (315 states each) go to the banded inverse iteration.
     for counter_rotating, fock_dim in ((False, 40), (True, 70)):
         for g in np.linspace(0.0, 2.0, 11):

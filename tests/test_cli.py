@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -255,10 +257,14 @@ class TestDickeSweep:
     def test_failed_solve_exits_3_with_nan_row(self, capsys, sector_solve_fails):
         self.check_nan_rows_exit_3(capsys)
 
+    def test_failed_tridiagonal_solve_exits_3_with_nan_row(self, capsys, lapack_no_convergence):
+        self.check_nan_rows_exit_3(capsys, counter_rotating=False)
+
     @staticmethod
-    def check_nan_rows_exit_3(capsys):
+    def check_nan_rows_exit_3(capsys, counter_rotating=True):
+        model = ["--counter-rotating"] if counter_rotating else []
         code, out, _ = run_cli(
-            capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", "--counter-rotating",
+            capsys, "dicke-sweep", "--n-atoms", "20", "--fock-dim", "36", *model,
             "--g-min", "1", "--g-max", "2", "--steps", "2",
         )
         assert code == 3
@@ -492,6 +498,33 @@ class TestOracleCheck:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+class TestOutputOption:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["measure", "--v", "0.9", "--n", "0.6"],
+            ["squeezed-sweep", "--steps", "2"],
+            ["dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2"],
+            ["oracle-check", "--trials", "2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, command):
+        # One stderr line, no traceback and nothing on stdout.
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *command, "--output", str(path))
+        assert code == 1 and out == ""
+        assert err == f"cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+        assert not path.parent.exists()
+
+    def test_failed_sweep_leaves_no_file(self, capsys, tmp_path):
+        # The file is opened only once every row is computed.
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "squeezed-sweep", "--r-max", "400", "--output", str(path))
+        assert code == 2 and out == ""
+        assert not path.exists()
 
 
 class TestHelpAndEntryPoints:

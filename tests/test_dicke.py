@@ -223,7 +223,7 @@ class TestBlockGroundState:
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=counter_rotating)
         blocks = ground_state(cfg)
         energies, vectors = dense_reference(cfg)
-        # Only the co-rotating tridiagonal solve takes no banded solve.
+        # Only the co-rotating tridiagonal bisection takes no banded solve.
         assert (blocks.iterations == 0) != counter_rotating and blocks.converged
         assert abs(blocks.energy - energies[0]) < 1e-12
         assert blocks.degenerate == (energies[1] - energies[0] < DEGENERACY_TOL)
@@ -240,7 +240,7 @@ class TestBlockGroundState:
         ],
     )
     def test_path_selection(self, n_atoms, fock_dim, counter_rotating, block_path):
-        # The co-rotating model is one tridiagonal solve at any size.  The
+        # The co-rotating model takes no banded solve at any size.  The
         # even parity sector of the counter-rotating model goes to the banded
         # inverse iteration, at 378 states as at 180.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=1.5, counter_rotating=counter_rotating)
@@ -302,14 +302,25 @@ class TestBlockGroundState:
         assert not result.converged and not result.degenerate
         assert math.isnan(result.energy) and np.isnan(result.vector).all()
 
+    def test_vector_failure_is_nonconvergence(self, monkeypatch):
+        # dstein reports vectors that did not converge: the row is unconverged.
+        def no_vectors(diagonal, off_diagonal, energies, block, split):
+            return np.zeros((diagonal.size, energies.size)), energies.size
+
+        monkeypatch.setattr(dicke, "_STEIN", no_vectors)
+        result = ground_state(DickeConfig(n_atoms=2, fock_dim=8, g=2.0))
+        assert not result.converged and not result.degenerate
+        assert math.isnan(result.energy) and np.isnan(result.vector).all()
+
     def test_nan_residual_is_nonconvergence(self, monkeypatch):
         # A solver that returns NaNs without raising fails the residual check.
-        def nan_pair(diagonal, off_diagonal, **kwargs):
-            return np.full(2, np.nan), np.full((diagonal.size, 2), np.nan)
+        def nan_vectors(diagonal, off_diagonal, energies, block, split):
+            return np.full((diagonal.size, energies.size), np.nan), 0
 
-        monkeypatch.setattr(dicke, "eigh_tridiagonal", nan_pair)
+        monkeypatch.setattr(dicke, "_STEIN", nan_vectors)
         result = ground_state(DickeConfig(n_atoms=2, fock_dim=8, g=2.0))
         assert math.isnan(result.residual) and not result.converged
+        assert not result.degenerate and math.isnan(result.energy)
 
     @pytest.mark.parametrize("counter_rotating", [False, True])
     def test_vacuum_at_the_resolution_bound(self, counter_rotating):
@@ -451,6 +462,115 @@ class TestBlockGroundState:
         # SciPy's start-up costs more than these commands' work; only the
         # Dicke solver needs it.
         assert loaded_modules(code, "scipy") == []
+
+
+def tridiagonal_pair(cfg):
+    """The two lowest levels of cfg's co-rotating chain, from an index solve of the whole chain."""
+    [(_, _, bands, _)] = _sectors(cfg)
+    return scipy.linalg.eigh_tridiagonal(bands[0], -bands[1, :-1], eigvals_only=True,
+                                         select="i", select_range=(0, 1))
+
+
+#: Co-rotating models and the top of their 101-point g grids.
+BRACKET_GRIDS = [
+    (dict(n_atoms=8, fock_dim=40), 2.0),
+    (dict(n_atoms=20, fock_dim=36), 2.0),
+    (dict(n_atoms=80, fock_dim=142), 2.0),
+    (dict(n_atoms=20, fock_dim=36, omega=0.05, omega_eg=3.0), 2.0),
+    (dict(n_atoms=20, fock_dim=36, omega=1.3, omega_eg=0.7), 2.0),
+    (dict(n_atoms=20, fock_dim=36, omega=3.0, omega_eg=0.05), 2.0),
+    # Up to g = 20 the Fock cutoff, not the mean field, sets the ground block.
+    (dict(n_atoms=20, fock_dim=36), 20.0),
+]
+
+#: Co-rotating sweeps at the edges of the block search, with the stdout and
+#: stderr they print.  At omega = 1e-300, (g / omega)^2 overflows and the
+#: mean-field block is clamped; at omega = omega_eg = 1e-300 every level
+#: ties at g = 0, where the vacuum is still reported; omega = 6e4 lies at
+#: DickeConfig's bound; N = 1, fock_dim = 2 has three blocks.
+PINNED_SWEEPS = [
+    (["--n-atoms", "2", "--fock-dim", "8", "--omega", "1e-300"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-1,0,0,0,1
+1,9.9999999999999998e+149,-3.7768729523167348,6.2970637785833992,0,0,0
+2,2e+150,-7.3175563251706555,6.1731245949177005,0,0,0
+""",
+     """warning: g=1: field truncated, squared amplitude 0.46 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=2: field truncated, squared amplitude 0.49 on the top two Fock levels (limit 1e-12); raise --fock-dim
+"""),
+    (["--n-atoms", "2", "--fock-dim", "8", "--omega", "1e-300", "--omega-eg", "1e-300"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-1e-300,0,0,0,1
+1,9.999999999999999e+299,-3.6055512754639891,6.0384615384615383,0,0,0
+2,1.9999999999999998e+300,-7.2111025509279782,6.0384615384615383,0,0,0
+""",
+     """warning: g=1: field truncated, squared amplitude 0.5 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=2: field truncated, squared amplitude 0.5 on the top two Fock levels (limit 1e-12); raise --fock-dim
+"""),
+    (["--n-atoms", "2", "--fock-dim", "8", "--omega", "6e4"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-1,0,0,0,0
+1,0.0040824829046386298,-1,0,0,0,0
+2,0.0081649658092772595,-1,0,0,0,0
+""",
+     ""),
+    (["--n-atoms", "1", "--fock-dim", "2"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-0.5,0,0,0,0
+1,1,-0.5,0,0,0,1
+2,2,-1.5000000000000002,0.49999999999999989,0,0,0
+""",
+     """warning: g=0: field truncated, squared amplitude 1 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=1: field truncated, squared amplitude 1 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=2: field truncated, squared amplitude 0.5 on the top two Fock levels (limit 1e-12); raise --fock-dim
+"""),
+]
+
+
+class TestCoRotatingBracket:
+    """The value bracket of the co-rotating bisection holds the lowest pair."""
+
+    @pytest.mark.parametrize("model, g_max", BRACKET_GRIDS, ids=[
+        "N8", "N20", "N80", "omega0.05", "omega1.3", "omega3", "N20-g20"])
+    def test_bracket_holds_the_lowest_pair(self, monkeypatch, model, g_max):
+        stebz = dicke._STEBZ
+        brackets = []
+
+        def recording(diagonal, off_diagonal, select, *args):
+            result = stebz(diagonal, off_diagonal, select, *args)
+            if select == 1:  # by value: the bracket over the whole chain
+                brackets.append(np.sort(result[1][:result[0]]))
+            return result
+
+        monkeypatch.setattr(dicke, "_STEBZ", recording)
+        for g in np.linspace(0.0, g_max, 101):
+            cfg = DickeConfig(g=float(g), **model)
+            result = ground_state(cfg)
+            reference = tridiagonal_pair(cfg)
+            levels = brackets.pop()
+            assert result.converged
+            assert np.abs(levels[:2] - reference).max() <= 1e-12, g
+            assert result.degenerate == (reference[1] - reference[0] < DEGENERACY_TOL), g
+            if not result.degenerate:
+                assert abs(result.energy - reference[0]) <= 1e-12, g
+            # The mean-field guess keeps the bracket small.
+            assert len(levels) <= 3, g
+
+    @pytest.mark.parametrize("model, stdout, stderr", PINNED_SWEEPS, ids=[
+        "tiny-omega", "tiny-frequencies", "resolution-bound", "smallest-model"])
+    def test_edge_sweeps_are_pinned(self, capsys, model, stdout, stderr):
+        # Energies and photon numbers may move by rounding in the bisection;
+        # every other column, the warnings and the exit code may not.
+        code = cli_main(["dicke-sweep", *model, "--steps", "3"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == stderr
+        rows = [line.split(",") for line in out.splitlines()]
+        pinned = [line.split(",") for line in stdout.splitlines()]
+        assert rows[0] == pinned[0] and len(rows) == len(pinned)
+        for row, pinned_row in zip(rows[1:], pinned[1:]):
+            assert row[:2] == pinned_row[:2] and row[4:] == pinned_row[4:]
+            for column in (2, 3):
+                assert abs(float(row[column]) - float(pinned_row[column])) <= 2e-14
 
 
 SECTOR_CASES = [
