@@ -7,12 +7,14 @@ the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
 measure.
 
 The ground state is found in the sectors of the quantum number each model
-conserves.  Each size and model has one cached sector layout, filled with
-the amplitudes of its DickeConfig.  Without the counter-rotating terms H
+conserves.  Each size and model has one cached sector layout, a template of
+photon numbers, atomic offsets and ladder factors that the frequencies and
+g of a DickeConfig scale.  Without the counter-rotating terms H
 conserves k = m + n: its one sector, ordered by (k, m), is a tridiagonal
 matrix whose off-diagonal vanishes between its N + fock_dim blocks.  The
-lowest levels of three adjacent blocks near the mean-field excitation
-number bound its second level, and one LAPACK bisection below that bound
+lowest levels of three adjacent blocks, around a local minimum of the block
+levels found by walking from the block of the chain's least Gershgorin row
+floor, bound its second level, and one LAPACK bisection below that bound
 gives its two lowest levels.  The vacuum below g_c is then the exact
 1-state block k = 0.  With them only the parity (-1)^(m + n) is
 conserved: each of its two sectors is a banded matrix, and its ground state
@@ -91,8 +93,12 @@ class DickeConfig:
 
     def __post_init__(self):
         for name in ("n_atoms", "fock_dim"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # A truthy string such as "no" would otherwise pick the counter-rotating model.
+        if not isinstance(self.counter_rotating, (bool, np.bool_)):
+            raise ValueError(f"counter_rotating must be a bool, got {self.counter_rotating!r}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.fock_dim < 2:
@@ -154,21 +160,6 @@ class GroundStateResult:
     degenerate: bool
 
 
-def _amplitudes(cfg: DickeConfig):
-    """Diagonal of H and the amplitude of each coupling, the one source of both.
-
-    diagonal[m, n] = omega n + omega_eg (m - N/2) for every state |m, n>, and
-    hop[m, n - 1] = (g / sqrt(N)) sqrt((N - m)(m + 1)) sqrt(n) for m < N and
-    n >= 1 is both <m+1, n-1| S_+ a |m, n> and <m+1, n| S_+ a^dag |m, n-1>.
-    """
-    n_atoms = cfg.n_atoms
-    m = np.arange(n_atoms + 1)[:, None]
-    n = np.arange(cfg.fock_dim)
-    diagonal = cfg.omega * n + cfg.omega_eg * (m - n_atoms / 2.0)
-    hop = cfg.g / math.sqrt(n_atoms) * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
-    return diagonal, hop
-
-
 def _fix_gauge(vector: np.ndarray) -> np.ndarray:
     # Deterministic global sign: largest-magnitude coefficient made positive.
     pivot = int(np.argmax(np.abs(vector)))
@@ -177,7 +168,7 @@ def _fix_gauge(vector: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE)
 def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
-    """Where each sector of a model puts its entries.
+    """Where each sector of a model puts its entries, and what scales them.
 
     Without the counter-rotating terms the one sector holds every state,
     ordered by (k = m + n, m): S_+ a links |m, n> only to |m + 1, n - 1>, the
@@ -187,28 +178,33 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
     coupling of |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the
     order.  H conserves k or the parity, so no coupling leaves a sector.
 
-    Per sector this returns the states, the gauge (-1)^m of each, the band
-    row (i - j) and column j of the lower entry (i, j), i >= j, of each
-    coupling with the index of its amplitude in hop.ravel(), the sorted band
-    rows that hold a coupling, the number of bands and, for the co-rotating
-    sector, where each k block starts (k = 0 .. N + fock_dim - 1, then the
-    sector's length; None for a parity sector).  None of this depends on the
-    frequencies or g, so each size and model is laid out once; the arrays
-    are read-only, as every caller shares them.
+    Per sector this returns the states; the gauge (-1)^m of each; the photon
+    number n and atomic offset m - N/2 of each, which omega and omega_eg
+    scale into the diagonal; the band row (i - j) and column j of the lower
+    entry (i, j), i >= j, of each coupling; its ladder factors, which
+    g / sqrt(N) scales into the gauged entry: -sqrt((N - m)(m + 1)), that
+    of S_+ from the lower m of its ends, less its sign in the gauge, and
+    sqrt(n), that of a or a^dag from the higher n; the sorted band rows that
+    hold a coupling; and, for the co-rotating sector, where each k block
+    starts (k = 0 .. N + fock_dim - 1, then the sector's length; None for a
+    parity sector).  None of this depends on the frequencies or g, so each
+    size and model is laid out once; the arrays are read-only, as every
+    caller shares them.
     """
     dim = (n_atoms + 1) * fock_dim
     m, n = np.divmod(np.arange(dim), fock_dim)
     index = np.arange(dim).reshape(n_atoms + 1, fock_dim)
-    # The couplings of amplitude hop[m, n - 1]: S_+ a, and S_+ a^dag if present.
+    # The couplings: S_+ a, and S_+ a^dag if present.
     first, second = index[:-1, 1:].ravel(), index[1:, :-1].ravel()
-    hop_index = np.arange(n_atoms * (fock_dim - 1))
     if counter_rotating:
         first = np.concatenate([first, index[:-1, :-1]], axis=None)
         second = np.concatenate([second, index[1:, 1:]], axis=None)
-        hop_index = np.tile(hop_index, 2)
         sector_count, order = 2, np.lexsort((m, n))
     else:
         sector_count, order = 1, np.lexsort((m, m + n))
+    lower_m = m[first]
+    atomic = -np.sqrt((n_atoms - lower_m) * (lower_m + 1))
+    photonic = np.sqrt(np.maximum(n[first], n[second]))
     sector = (m + n) % sector_count
     position = np.empty(dim, dtype=np.intp)  # index of each state inside its sector
     layout = []
@@ -218,33 +214,33 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
         inside = sector[first] == p
         column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
         offset = row - column
-        arrays = (states, np.where(m[states] % 2, -1.0, 1.0), offset, column, hop_index[inside])
+        arrays = (states, np.where(m[states] % 2, -1.0, 1.0), n[states].astype(float),
+                  m[states] - n_atoms / 2.0, offset, column, atomic[inside], photonic[inside])
         blocks = None if counter_rotating else np.searchsorted(
             (m + n)[states], np.arange(n_atoms + fock_dim + 1))
         for array in (*arrays, blocks):
             if array is not None:
                 array.flags.writeable = False
-        offsets = tuple(np.unique(offset).tolist())
-        layout.append((*arrays, offsets, offsets[-1] + 1, blocks))
+        layout.append((*arrays, tuple(np.unique(offset).tolist()), blocks))
     return tuple(layout)
 
 
 def _sectors(cfg: DickeConfig):
     """(states, gauge, lower bands, band offsets) of each sector of cfg's model.
 
-    The layout comes from _sector_layout.  In the gauge (-1)^m, the sign of
-    each state, every off-diagonal entry is -hop <= 0; bands[i - j, j] holds
-    the entry (i, j), i >= j, of the gauged sector, and the offsets list the
-    rows of bands below the diagonal that hold a coupling.
+    H = omega a^dag a + omega_eg S_z + (g / sqrt(N)) times the couplings,
+    each scaled from _sector_layout's template.  In the gauge (-1)^m, the
+    sign of each state, every off-diagonal entry is <= 0; bands[i - j, j]
+    holds the entry (i, j), i >= j, of the gauged sector, and the offsets
+    list the rows of bands below the diagonal that hold a coupling.
     """
-    diagonal, hop = _amplitudes(cfg)
-    diagonal, hop = diagonal.ravel(), hop.ravel()
+    coupling = cfg.g / math.sqrt(cfg.n_atoms)
     sectors = []
-    for states, gauge, offset, column, hop_index, offsets, band_count, _ in _sector_layout(
-            cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating):
-        bands = np.zeros((band_count, len(states)))
-        bands[0] = diagonal[states]
-        bands[offset, column] = -hop[hop_index]
+    for states, gauge, photons, atoms, offset, column, atomic, photonic, offsets, _ in (
+            _sector_layout(cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating)):
+        bands = np.zeros((offsets[-1] + 1, len(states)))
+        bands[0] = cfg.omega * photons + cfg.omega_eg * atoms
+        bands[offset, column] = coupling * atomic * photonic
         sectors.append((states, gauge, bands, offsets))
     return sectors
 
@@ -266,30 +262,34 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
     """Ground state of the co-rotating model from one bisection over a value bracket.
 
     The one sector is the chain; it goes to LAPACK un-gauged, its
-    off-diagonal hop >= 0.  Any two eigenvalues of H bound its second level
+    off-diagonal >= 0.  Any two eigenvalues of H bound its second level
     from above, so _second_level_bound, plus the tie margin, is a ceiling
     over the two lowest levels and every level tied to the lowest; the
-    Gershgorin bound, less the same margin, is a floor below them all.  The
-    mean-field guess behind that bound sets only how many levels the
-    bracket holds, never whether it holds the pair.  dstebz bisects the
-    bracket and dstein takes the vectors; both split the chain where its
-    off-diagonal is 0, so each vector lies inside one block.  When the two
-    lowest levels are degenerate, every level within the tie margin of the
-    lowest is taken and the two of lowest k are kept, lower k first: at
-    g = g_c the vacuum (k = 0) and the lowest k = 1 level cross, and the
-    vacuum is reported with its own energy.  Fewer than two levels in the
-    bracket, or a LAPACK error, raises LinAlgError.  Returns what
-    _lowest_pair_parity returns, with no banded solve.
+    Gershgorin bound, the least row floor (diagonal entry less the
+    couplings of its row), less the same margin, is a floor below them all.
+    The block of that least row floor, where the search for the bound
+    starts, sets only how many levels the bracket holds, never whether it
+    holds the pair.  dstebz bisects the bracket and dstein takes the
+    vectors; both split the chain where its off-diagonal is 0, so each
+    vector lies inside one block.  When the two lowest levels are
+    degenerate, every level within the tie margin of the lowest is taken
+    and the two of lowest k are kept, lower k first: at g = g_c the vacuum
+    (k = 0) and the lowest k = 1 level cross, and the vacuum is reported
+    with its own energy.  Fewer than two levels in the bracket, or a LAPACK
+    error, raises LinAlgError.  Returns what _lowest_pair_parity returns,
+    with no banded solve.
     """
     [(states, _, bands, _)] = sectors
     blocks = _sector_layout(cfg.n_atoms, cfg.fock_dim, False)[0][-1]
-    # S_+ a changes m by 1, so the gauge turns each coupling hop into -hop.
+    # S_+ a changes m by 1, so the gauge turned each coupling's sign.
     diagonal, off_diagonal = bands[0], -bands[1, :-1]
     # The least diagonal entry less the couplings of its row; bands[1, -1] is 0.
     row_floor = diagonal + bands[1]
     row_floor[1:] += bands[1, :-1]
-    gershgorin = float(row_floor.min())
-    second = _second_level_bound(cfg, diagonal, off_diagonal, blocks)
+    lowest = int(row_floor.argmin())
+    gershgorin = float(row_floor[lowest])
+    start = int(np.searchsorted(blocks, lowest, side="right")) - 1
+    second = _second_level_bound(diagonal, off_diagonal, blocks, start)
     margin = _tie_margin(max(abs(gershgorin), abs(second)))
     count, energies, block, split, info = _STEBZ(
         diagonal, off_diagonal, 1, gershgorin - margin, second + margin, 0, 0, 0.0, "B")
@@ -319,15 +319,16 @@ def _tie_margin(energy: float) -> float:
     return max(DEGENERACY_TOL, 4.0 * math.ulp(abs(energy)))
 
 
-def _second_level_bound(cfg: DickeConfig, diagonal: np.ndarray, off_diagonal: np.ndarray,
-                        blocks: np.ndarray) -> float:
+def _second_level_bound(diagonal: np.ndarray, off_diagonal: np.ndarray, blocks: np.ndarray,
+                        k: int) -> float:
     """The second-lowest of the lowest levels of three adjacent k blocks of the chain.
 
     Two levels of H, each the lowest of its block, bound its second level
     from above.  The blocks are those around a block whose lowest level lies
-    below both its neighbours': the search starts at _mean_field_block and
-    steps to the lower neighbour while that one lies lower.  Each block's
-    lowest level is bisected once, by dstebz.
+    below both its neighbours': the search starts at block k, the one that
+    holds the chain's least Gershgorin row floor, and steps to the lower
+    neighbour while that one lies lower.  Each block's lowest level is
+    bisected once, by dstebz.
     """
 
     @functools.cache
@@ -342,7 +343,6 @@ def _second_level_bound(cfg: DickeConfig, diagonal: np.ndarray, off_diagonal: np
         return float(energies[0])
 
     last = len(blocks) - 2
-    k = _mean_field_block(cfg, last)
     while True:
         lower = min((j for j in (k - 1, k + 1) if 0 <= j <= last), key=level)
         if not level(lower) < level(k):  # NaN levels stop the search too
@@ -350,26 +350,6 @@ def _second_level_bound(cfg: DickeConfig, diagonal: np.ndarray, off_diagonal: np
         k = lower
     first = min(max(k - 1, 0), last - 2)
     return sorted(level(j) for j in range(first, first + 3))[1]
-
-
-def _mean_field_block(cfg: DickeConfig, last: int) -> int:
-    """The k block, 0 to last, nearest the mean-field excitation number.
-
-    k* = min(N g^2 (1 - mu^2) / (4 omega^2), fock_dim - 1) + N (1 - mu) / 2,
-    mu = min(1, omega omega_eg / g^2) (Emary & Brandes, PRE 67, 066203
-    (2003)): photons, capped where the Fock cutoff holds them, plus excited
-    atoms.  g = 0 gives the vacuum, (g / omega)^2 may overflow to inf,
-    which the cap absorbs, and a k* that is still not finite gives last.
-    """
-    omega, omega_eg, g = float(cfg.omega), float(cfg.omega_eg), float(cfg.g)
-    if g == 0.0:
-        return 0
-    # Python floats overflow to inf and never warn; inf * 0 gives NaN.
-    mu = min(1.0, (omega / g) * (omega_eg / g))
-    ratio = g / omega
-    photons = cfg.n_atoms * ratio * ratio * (1.0 - mu * mu) / 4.0
-    k = min(photons, cfg.fock_dim - 1.0) + cfg.n_atoms * (1.0 - mu) / 2.0
-    return min(round(k), last) if math.isfinite(k) else last
 
 
 def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):

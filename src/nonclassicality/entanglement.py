@@ -266,8 +266,9 @@ def dgcz_lambda(c: CenteredMoments, bs: BeamSplitterParams) -> float:
 
     At |c*|^2 = r / t this is 4 t r (n - v |cos(theta + phi)|).
 
-    Degenerate splitters (t = 0 or r = 0) leave one output empty and no gain
-    can be formed; the quantity is defined as 0 there (no decision possible).
+    Degenerate splitters (t = 0 or r = 0) and an empty input (n = 0) leave
+    an output empty and no gain can be formed; the quantity is defined as 0
+    there (no decision possible).
     """
     n1 = bs.t * bs.t * c.n
     n2 = bs.r * bs.r * c.n

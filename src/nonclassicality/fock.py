@@ -73,7 +73,7 @@ class TwoModeVector:
 def _check_norm(coeffs: np.ndarray) -> None:
     """Raise ValueError unless ``coeffs`` has unit norm within _NORM_TOL."""
     norm = np.linalg.norm(coeffs)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN included
         raise ValueError(f"state norm {norm} is not 1")
 
 
@@ -322,10 +322,12 @@ def covariance_check(
         _check_norm(split)
         measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)
         predicted = covariance_from_input(measured_input, bs)
-        worst = max(
+        discrepancies = (
             worst,
             float(np.abs(measured.A - predicted.A).max()),
             float(np.abs(measured.B - predicted.B).max()),
             float(np.abs(measured.C - predicted.C).max()),
         )
+        # Python's max drops a NaN; a sum of non-negatives is NaN only if a term is.
+        worst = math.nan if math.isnan(sum(discrepancies)) else max(discrepancies)
     return worst

@@ -117,7 +117,7 @@ class SqueezedCoherentParams:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "strength", float(self.strength))
         object.__setattr__(self, "angle", float(self.angle))
-        if self.strength < 0.0:
+        if not self.strength >= 0.0:  # NaN included
             raise ValueError(f"squeezing strength must be >= 0, got {self.strength}")
 
 

@@ -42,7 +42,12 @@ def build_hamiltonian(cfg: nonclassicality.DickeConfig) -> sparse.csr_matrix:
 
 def _entries(cfg: nonclassicality.DickeConfig):
     """(rows, cols, values) of every stored entry of H, both triangles."""
-    diagonal, hop = dicke._amplitudes(cfg)
+    n_atoms = cfg.n_atoms
+    m = np.arange(n_atoms + 1)[:, None]
+    n = np.arange(cfg.fock_dim)
+    diagonal = cfg.omega * n + cfg.omega_eg * (m - n_atoms / 2.0)
+    # hop[m, n - 1] = <m+1, n-1| S_+ a |m, n> = <m+1, n| S_+ a^dag |m, n-1>.
+    hop = cfg.g / np.sqrt(n_atoms) * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
     # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
     index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
     raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a

@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import dense_reference, subprocess_env
 from nonclassicality import (
+    CovarianceBlocks,
     DickeConfig,
     build_report,
     cli,
     field_moments,
+    fock,
     ground_state,
 )
 from nonclassicality.cli import main
@@ -470,6 +473,16 @@ class TestOracleCheck:
         assert code == 0
         discrepancy = float(out.split("max covariance discrepancy:")[1].split()[0])
         assert discrepancy < 1e-12
+
+    def test_nan_discrepancy_exits_4(self, capsys, monkeypatch):
+        # A NaN prediction is no agreement: it must fail, not vanish from the maximum.
+        def nan_blocks(moments, bs):
+            return CovarianceBlocks(*np.full((3, 2, 2), math.nan))
+
+        monkeypatch.setattr(fock, "covariance_from_input", nan_blocks)
+        code, out, _ = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "20")
+        assert code == 4
+        assert out.splitlines()[1:] == ["max covariance discrepancy: nan", "FAIL (threshold 1e-06)"]
 
     def test_corrupted_phase_exits_4(self, capsys):
         code, out, _ = run_cli(

@@ -479,15 +479,23 @@ BRACKET_GRIDS = [
     (dict(n_atoms=20, fock_dim=36, omega=0.05, omega_eg=3.0), 2.0),
     (dict(n_atoms=20, fock_dim=36, omega=1.3, omega_eg=0.7), 2.0),
     (dict(n_atoms=20, fock_dim=36, omega=3.0, omega_eg=0.05), 2.0),
-    # Up to g = 20 the Fock cutoff, not the mean field, sets the ground block.
+    # Up to g = 20 the Fock cutoff sets the ground block, below the least row floor's.
     (dict(n_atoms=20, fock_dim=36), 20.0),
 ]
+BRACKET_IDS = ["N8", "N20", "N80", "omega0.05", "omega1.3", "omega3", "N20-g20"]
+
+#: The most block bisections a row of each of BRACKET_GRIDS may take on
+#: average: about 15% over the 3.04, 3.03, 3.07, 4.74, 2.93, 3.70 and 5.71
+#: of a search from the least Gershgorin row floor.  A search from the
+#: mean-field excitation number took 8.97 on the omega = 0.05 grid.
+MEAN_BLOCK_BISECTIONS = [3.5, 3.5, 3.5, 5.5, 3.5, 4.25, 6.5]
 
 #: Co-rotating sweeps at the edges of the block search, with the stdout and
-#: stderr they print.  At omega = 1e-300, (g / omega)^2 overflows and the
-#: mean-field block is clamped; at omega = omega_eg = 1e-300 every level
-#: ties at g = 0, where the vacuum is still reported; omega = 6e4 lies at
-#: DickeConfig's bound; N = 1, fock_dim = 2 has three blocks.
+#: stderr they print.  At omega = 1e-300 photons cost nothing, and the least
+#: row floor and the ground block lie at the Fock cutoff; at omega = omega_eg
+#: = 1e-300 every level ties at g = 0, where the vacuum is still reported;
+#: omega = 6e4 lies at DickeConfig's bound; N = 1, fock_dim = 2 has three
+#: blocks.
 PINNED_SWEEPS = [
     (["--n-atoms", "2", "--fock-dim", "8", "--omega", "1e-300"],
      """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
@@ -530,8 +538,7 @@ warning: g=2: field truncated, squared amplitude 0.5 on the top two Fock levels 
 class TestCoRotatingBracket:
     """The value bracket of the co-rotating bisection holds the lowest pair."""
 
-    @pytest.mark.parametrize("model, g_max", BRACKET_GRIDS, ids=[
-        "N8", "N20", "N80", "omega0.05", "omega1.3", "omega3", "N20-g20"])
+    @pytest.mark.parametrize("model, g_max", BRACKET_GRIDS, ids=BRACKET_IDS)
     def test_bracket_holds_the_lowest_pair(self, monkeypatch, model, g_max):
         stebz = dicke._STEBZ
         brackets = []
@@ -553,8 +560,27 @@ class TestCoRotatingBracket:
             assert result.degenerate == (reference[1] - reference[0] < DEGENERACY_TOL), g
             if not result.degenerate:
                 assert abs(result.energy - reference[0]) <= 1e-12, g
-            # The mean-field guess keeps the bracket small.
+            # The bound from the blocks around a local minimum keeps the bracket small.
             assert len(levels) <= 3, g
+
+    @pytest.mark.parametrize("model, g_max, most", [
+        (*grid, most) for grid, most in zip(BRACKET_GRIDS, MEAN_BLOCK_BISECTIONS)], ids=BRACKET_IDS)
+    def test_block_search_cost_is_bounded(self, monkeypatch, model, g_max, most):
+        # The search walks from the block of the least Gershgorin row floor
+        # to a local minimum of the block levels, bisecting each block it
+        # reads once; blocks of one state are read off the diagonal.
+        stebz = dicke._STEBZ
+        bisections = []
+
+        def counting(diagonal, off_diagonal, select, *args):
+            bisections[-1] += select == 2  # by index: one block's lowest level
+            return stebz(diagonal, off_diagonal, select, *args)
+
+        monkeypatch.setattr(dicke, "_STEBZ", counting)
+        for g in np.linspace(0.0, g_max, 101):
+            bisections.append(0)
+            assert ground_state(DickeConfig(g=float(g), **model)).converged
+        assert np.mean(bisections) <= most
 
     @pytest.mark.parametrize("model, stdout, stderr", PINNED_SWEEPS, ids=[
         "tiny-omega", "tiny-frequencies", "resolution-bound", "smallest-model"])
@@ -609,6 +635,17 @@ class TestSectorNativeOperators:
                 assert offsets == (1,) and len(bands) == 2
                 assert np.all(bands[1, :-1][k[1:] != k[:-1]] == 0.0)
             assert np.array_equal(gauge, (-1.0) ** m_s)
+            # The template that cfg scales: photon numbers and atomic offsets
+            # of the states, and the ladder factors read off each coupling's
+            # ends, |m, n> and |m + 1, n -+ 1>.
+            _, _, photons, atoms, offset, column, atomic, photonic, _, _ = _sector_layout(
+                n_atoms, fock_dim, counter_rotating)[parity]
+            assert np.array_equal(photons, n_s) and np.array_equal(atoms, m_s - n_atoms / 2)
+            low, high = states[column], states[column + offset]
+            low_m, high_n = np.minimum(m[low], m[high]), np.maximum(n[low], n[high])
+            assert np.all(np.abs(m[low] - m[high]) == 1) and np.all(np.abs(n[low] - n[high]) == 1)
+            assert np.array_equal(atomic, -np.sqrt((n_atoms - low_m) * (low_m + 1)))
+            assert np.array_equal(photonic, np.sqrt(high_n))
             lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
             assert np.all(lower[np.tril_indices(len(states), -1)] <= 0.0)
             # The offsets name every band below the diagonal that a coupling fills.
@@ -636,14 +673,16 @@ class TestSectorNativeOperators:
         # No caller can change a shared layout.
         for counter_rotating in (False, True):
             for sector in _sector_layout(4, 9, counter_rotating):
-                for array in sector[:5]:
+                arrays = [field for field in sector if isinstance(field, np.ndarray)]
+                assert len(arrays) == (8 if counter_rotating else 9)
+                for array in arrays:
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
                         array[0] = 0
         # The two models of one size are separate entries.
         co_rotating, counter = _sector_layout(4, 9, False), _sector_layout(4, 9, True)
         assert len(co_rotating) == 1 and len(counter) == 2
-        assert not any(a is b for a in co_rotating[0][:5] for sector in counter for b in sector[:5])
+        assert not any(a is b for a in co_rotating[0][:8] for sector in counter for b in sector[:8])
         # Sizes and models used in turn, more of them than the cache holds, do
         # not mix: each layout equals one built afresh for its own key.
         for key in keys + [(k, 3, k % 2 == 0) for k in range(1, LAYOUT_CACHE + 1)] + keys:
@@ -804,6 +843,22 @@ class TestDickeConfig:
         for kwargs in invalid:
             with pytest.raises(ValueError):
                 DickeConfig(**{"n_atoms": 2, "fock_dim": 4, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"counter_rotating": "no"}, "counter_rotating must be a bool"),
+        ({"counter_rotating": 1}, "counter_rotating must be a bool"),
+        ({"counter_rotating": None}, "counter_rotating must be a bool"),
+        ({"n_atoms": True}, "n_atoms must be an integer"),
+        ({"fock_dim": True}, "fock_dim must be an integer"),
+    ], ids=["string-flag", "int-flag", "none-flag", "bool-n-atoms", "bool-fock-dim"])
+    def test_flags_and_sizes_are_not_confused(self, kwargs, message):
+        # A truthy string would build the counter-rotating model, and True a one-atom one.
+        with pytest.raises(ValueError, match=message):
+            DickeConfig(**{"n_atoms": 2, "fock_dim": 4, **kwargs})
+
+    def test_numpy_flags_pass(self):
+        for flag in (np.True_, np.False_):
+            assert DickeConfig(n_atoms=2, fock_dim=4, counter_rotating=flag).counter_rotating == flag
 
     def test_integer_sizes_of_any_integer_type(self):
         cfg = DickeConfig(n_atoms=np.int64(3), fock_dim=np.int32(5), omega=2, g=1)

@@ -9,8 +9,10 @@ from scipy.special import gammaln
 from nonclassicality import (
     BALANCED_T,
     BeamSplitterParams,
+    CovarianceBlocks,
     FockVector,
     SqueezedCoherentParams,
+    TwoModeVector,
     apply_beam_splitter,
     center,
     covariance_check,
@@ -276,6 +278,22 @@ class TestCovarianceCheck:
         worst = covariance_check(trials=5, dim=60, seed=123, corrupt_phase=True)
         assert worst > 1e-3
 
+    @pytest.mark.parametrize("nan_trial", [0, 2])
+    def test_nan_discrepancy_is_kept(self, monkeypatch, nan_trial):
+        # One NaN block, on the first trial or after finite ones, makes the result NaN.
+        calls = []
+
+        def predicted(moments, bs):
+            blocks = covariance_from_input(moments, bs)
+            calls.append(bs)
+            if len(calls) - 1 == nan_trial:
+                return CovarianceBlocks(blocks.A, np.full((2, 2), math.nan), blocks.C)
+            return blocks
+
+        monkeypatch.setattr(fock, "covariance_from_input", predicted)
+        assert math.isnan(covariance_check(trials=3, dim=20, seed=1))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         # With nothing compared the discrepancy would read 0, a pass.
@@ -364,6 +382,12 @@ class TestFockVectorInvariants:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             FockVector(np.array([1.0, 1.0], dtype=complex))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="state norm nan"):
+            FockVector(np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError, match="state norm nan"):
+            TwoModeVector(np.full((2, 2), math.nan))
 
     def test_dim_exposed(self):
         assert fock_basis_state(7, 2).dim == 7

@@ -49,6 +49,11 @@ class TestSqueezedCoherentMoments:
         with pytest.raises(ValueError):
             SqueezedCoherentParams(0.0, -0.1, 0.0)
 
+    def test_nan_strength_rejected(self):
+        # Else the Fock state would be all NaN, with a RuntimeWarning.
+        with pytest.raises(ValueError, match="squeezing strength must be >= 0, got nan"):
+            SqueezedCoherentParams(0.0, math.nan, 0.0)
+
     @pytest.mark.parametrize(
         "alpha, r, theta", [(0.0, 1000.0, 0.0), (1e200, 0.0, 0.0), (1e100, 200.0, math.pi)]
     )
