@@ -64,6 +64,10 @@ SHIFT_MARGIN = 64.0
 #: STALL times its previous value.
 STALL = 1e-4
 
+#: Banded solves each Cholesky factor of a parity sector serves while the
+#: residual is above RESIDUAL_TOL; within it, the factor serves every solve.
+SOLVES_PER_FACTOR = 2
+
 #: Sizes and models (n_atoms, fock_dim, counter_rotating) whose sector
 #: layouts stay cached.
 LAYOUT_CACHE = 8
@@ -139,9 +143,10 @@ class GroundStateResult:
 
     ``iterations`` counts the banded solves, summed over the parity
     sectors solved: the even sector always, the odd one only when it lies
-    lower or when mix_degenerate needs its vector.  The factorizations that
-    probe the odd sector are not solves and are not counted.  It is 0 for
-    the co-rotating tridiagonal bisection and when a solver raised.
+    lower or when mix_degenerate needs its vector.  Factorizations are not
+    counted: each serves one or more solves, and those that probe the odd
+    sector serve none.  It is 0 for the co-rotating tridiagonal bisection
+    and when a solver raised.
     ``degenerate`` is set when the two lowest levels sit within
     DEGENERACY_TOL of each other: for the co-rotating model, when the two
     lowest levels that its bisection finds in the bracket below the bound
@@ -422,14 +427,21 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
     Cholesky factorization (dpbtrf) succeeding proves the shift s lies below
     E0 (Sylvester's law of inertia), and then (H - s)^-1 >= 0 keeps x
     positive, so x tends to the sector's ground vector; dpbtrs solves with
-    the factor.  The iteration stops once the residual
-    ||H x - E x|| of the Rayleigh quotient E is at most RESIDUAL_TOL and has
-    stopped falling: the last solve left it above STALL times its previous
-    value.  Near the end each solve about squares the error, so a weaker
-    fall means that rounding holds the residual, or that levels within a few
-    shift margins of the lowest, such as levels tied to rounding, share the
-    vector.  A falling residual keeps the solves going, so the weight of
-    higher levels falls to exact zeros where it can (the vacuum at g = 0).
+    the factor.  Each factor serves SOLVES_PER_FACTOR solves while the
+    residual ||H x - E x|| of the Rayleigh quotient E is above RESIDUAL_TOL,
+    and every later solve once it is within.  The iteration stops once the
+    residual is at most RESIDUAL_TOL and has stopped falling: the last solve
+    left it above STALL times its previous value.  Near the end each solve
+    on a new factor about squares the error, so a weaker fall means that
+    rounding holds the residual, or that levels within a few shift margins
+    of the lowest, such as levels tied to rounding, share the vector.  A
+    solve at an older shift s cuts the error only by the fixed ratio
+    (E0 - s) / (E1 - s), E1 the next level, which can exceed STALL; so only
+    a solve on a new factor, or one that began with the residual within
+    RESIDUAL_TOL, can end the iteration, and a stall after any other solve
+    takes a new factor instead.  A falling residual keeps the solves going,
+    so the weight of higher levels falls to exact zeros where it can (the
+    vacuum at g = 0).  The count returned is of solves, not factorizations.
     A shift that is not finite or that LAPACK refuses, or no stop within
     MAX_SOLVES, raises LinAlgError.
     """
@@ -439,25 +451,33 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
     margin = SHIFT_MARGIN * np.finfo(float).eps * norm_bound
     x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
     previous = math.inf
+    factor, uses, trusted = None, 0, False
     for solves in range(MAX_SOLVES + 1):
         h_x = _band_apply(bands, x, offsets)
         energy = float(x @ h_x)
         r = h_x - energy * x
         residual = math.sqrt(r @ r)
-        if unit * residual <= RESIDUAL_TOL and residual >= STALL * previous:
-            return unit * energy, x, solves
+        within = unit * residual <= RESIDUAL_TOL
+        if within and residual >= STALL * previous:
+            if trusted:
+                return unit * energy, x, solves
+            factor = None  # the fall of a solve at an older shift proves no stall
         if solves == MAX_SOLVES:
             raise np.linalg.LinAlgError(f"sector not converged in {MAX_SOLVES} solves")
         previous = residual
-        # Components that underflowed past the normal range bound nothing;
-        # with none left (a NaN x) the shift is infinite and refused.
-        normal = x >= _TINY
-        shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
-        if not math.isfinite(shift):
-            raise np.linalg.LinAlgError(f"shift {shift} is not finite")
-        factor, info = _factor_shifted(bands, shift)
-        if info:
-            raise np.linalg.LinAlgError(f"dpbtrf refused the shift {unit * shift:g} (info {info})")
+        if factor is None or (uses == SOLVES_PER_FACTOR and not within):
+            # Components that underflowed past the normal range bound nothing;
+            # with none left (a NaN x) the shift is infinite and refused.
+            normal = x >= _TINY
+            shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
+            if not math.isfinite(shift):
+                raise np.linalg.LinAlgError(f"shift {shift} is not finite")
+            factor, info = _factor_shifted(bands, shift)
+            if info:
+                raise np.linalg.LinAlgError(f"dpbtrf refused the shift {unit * shift:g} (info {info})")
+            uses = 0
+        trusted = uses == 0 or within  # whether a stall after this solve ends the iteration
+        uses += 1
         x, info = _PBTRS(factor, x, lower=1, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrs failed (info {info})")

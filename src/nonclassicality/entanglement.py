@@ -81,6 +81,9 @@ class CovarianceBlocks:
                 raise ValueError(f"block {name} must be 2x2, got {block.shape}")
             block.setflags(write=False)
             object.__setattr__(self, name, block)
+        # One test of all twelve entries; a NaN would pass the symmetry test below.
+        if not np.isfinite((self.A, self.B, self.C)).all():
+            raise ValueError("covariance blocks must be finite")
         for name in ("A", "B"):
             block = getattr(self, name)
             if abs(block[0, 1] - block[1, 0]) > _SYMMETRY_TOL:

@@ -289,6 +289,10 @@ def covariance_check(
     ``corrupt_phase`` simulates the splitter at phi + pi but predicts it at
     phi, and serves as a negative control: the discrepancy must become large.
 
+    A trial whose split state fails the norm check, or whose blocks are not
+    finite, has a NaN discrepancy, and any NaN discrepancy makes the result
+    NaN: such a run fails the oracle rather than raising or passing.
+
     The dim x dim arrays of the split and its covariance are allocated once
     per call and refilled by every trial, through the same kernels that
     ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
@@ -319,9 +323,13 @@ def covariance_check(
         _apply_beam_splitter_images(
             state.coefficients, simulated, half_log_fact, split, magnitude, scratch
         )
-        _check_norm(split)
-        measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)
-        predicted = covariance_from_input(measured_input, bs)
+        try:
+            _check_norm(split)
+            measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)
+            predicted = covariance_from_input(measured_input, bs)
+        except ValueError:  # a split state off its norm, or blocks that are not finite
+            worst = math.nan
+            continue
         discrepancies = (
             worst,
             float(np.abs(measured.A - predicted.A).max()),

@@ -4,13 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import dense_reference, subprocess_env
 from nonclassicality import (
-    CovarianceBlocks,
     DickeConfig,
     build_report,
     cli,
@@ -476,12 +476,28 @@ class TestOracleCheck:
 
     def test_nan_discrepancy_exits_4(self, capsys, monkeypatch):
         # A NaN prediction is no agreement: it must fail, not vanish from the maximum.
+        # CovarianceBlocks refuses NaN, so a stand-in carries it.
         def nan_blocks(moments, bs):
-            return CovarianceBlocks(*np.full((3, 2, 2), math.nan))
+            return SimpleNamespace(**dict(zip("ABC", np.full((3, 2, 2), math.nan))))
 
         monkeypatch.setattr(fock, "covariance_from_input", nan_blocks)
         code, out, _ = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "20")
         assert code == 4
+        assert out.splitlines()[1:] == ["max covariance discrepancy: nan", "FAIL (threshold 1e-06)"]
+
+    def test_split_state_off_its_norm_exits_4(self, capsys, monkeypatch):
+        # A split state that fails its norm check is no agreement either: the
+        # run reports NaN and fails, with no traceback.
+        split = fock._apply_beam_splitter_images
+
+        def nan_split(*args):
+            out = split(*args)
+            out *= math.nan
+            return out
+
+        monkeypatch.setattr(fock, "_apply_beam_splitter_images", nan_split)
+        code, out, err = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "20")
+        assert code == 4 and err == ""
         assert out.splitlines()[1:] == ["max covariance discrepancy: nan", "FAIL (threshold 1e-06)"]
 
     def test_corrupted_phase_exits_4(self, capsys):

@@ -163,6 +163,15 @@ class TestSymplecticEta:
         assert math.isclose(eta_p, oracle_p, rel_tol=1e-9, abs_tol=1e-7)
         assert math.isclose(eta_m * eta_p, oracle_m * oracle_p, rel_tol=1e-9, abs_tol=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("block", ["A", "B", "C"])
+    def test_non_finite_blocks_rejected(self, block, bad):
+        # A NaN also passes the symmetry test, which compares with ">".
+        blocks = dict(A=0.5 * np.eye(2), B=0.5 * np.eye(2), C=np.zeros((2, 2)))
+        blocks[block] = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            CovarianceBlocks(**blocks)
+
     def test_negative_detv_rejected(self):
         blocks = CovarianceBlocks(A=np.diag([1.0, -1.0]), B=0.5 * np.eye(2), C=np.zeros((2, 2)))
         with pytest.raises(UnphysicalMomentsError):
