@@ -18,7 +18,7 @@ Above g_c most rows of both counter-rotating sweeps carry truncation
 warnings: their numbers there are set by the Fock cutoff, not by the
 physics.
 
-The full-scale run takes about 4 s on 2 cores of an AMD EPYC machine,
+The full-scale run takes about 2.6 s on 2 cores of an AMD EPYC machine,
 nearly all of it the two counter-rotating sweeps, whose parity sectors go
 to banded Cholesky solves.  Use --quick for a desk-scale version
 (8 atoms, 40 levels) that finishes in seconds.

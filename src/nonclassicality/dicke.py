@@ -22,8 +22,8 @@ is found by a certified inverse iteration on banded Cholesky factors.  Only
 the even sector is solved as a rule: whether the odd sector lies lower, or
 within DEGENERACY_TOL of the even ground energy, which sets the degeneracy
 flag, is decided by whether its banded Cholesky factorization exists at
-shifts around that energy.  In the gauge (-1)^m every off-diagonal entry
-of a sector is <= 0.  The whole matrix is never assembled.
+shifts around that energy.  The signs (-1)^m of a sector's ground vector
+seed its iteration.  The whole matrix is never assembled.
 
 In units hbar = 1:
 
@@ -183,18 +183,18 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
     coupling of |m, n> to |m + 1, n -+ 1> spans about N/2 + 1 places of the
     order.  H conserves k or the parity, so no coupling leaves a sector.
 
-    Per sector this returns the states; the gauge (-1)^m of each; the photon
-    number n and atomic offset m - N/2 of each, which omega and omega_eg
+    Per sector this returns the states; the signs (-1)^m that seed
+    _lowest_in_sector (None for the co-rotating chain); the photon number
+    n and atomic offset m - N/2 of each state, which omega and omega_eg
     scale into the diagonal; the band row (i - j) and column j of the lower
     entry (i, j), i >= j, of each coupling; its ladder factors, which
-    g / sqrt(N) scales into the gauged entry: -sqrt((N - m)(m + 1)), that
-    of S_+ from the lower m of its ends, less its sign in the gauge, and
-    sqrt(n), that of a or a^dag from the higher n; the sorted band rows that
-    hold a coupling; and, for the co-rotating sector, where each k block
-    starts (k = 0 .. N + fock_dim - 1, then the sector's length; None for a
-    parity sector).  None of this depends on the frequencies or g, so each
-    size and model is laid out once; the arrays are read-only, as every
-    caller shares them.
+    g / sqrt(N) scales into the entry: sqrt((N - m)(m + 1)), that of S_+
+    from the lower m of its ends, and sqrt(n), that of a or a^dag from the
+    higher n; the sorted band rows that hold a coupling; and where each k
+    block of the co-rotating chain starts (k = 0 .. N + fock_dim - 1, then
+    the sector's length; None for a parity sector).  None of this depends
+    on the frequencies or g, so each size and model is laid out once; the
+    arrays are read-only, as every caller shares them.
     """
     dim = (n_atoms + 1) * fock_dim
     m, n = np.divmod(np.arange(dim), fock_dim)
@@ -208,7 +208,7 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
     else:
         sector_count, order = 1, np.lexsort((m, m + n))
     lower_m = m[first]
-    atomic = -np.sqrt((n_atoms - lower_m) * (lower_m + 1))
+    atomic = np.sqrt((n_atoms - lower_m) * (lower_m + 1))
     photonic = np.sqrt(np.maximum(n[first], n[second]))
     sector = (m + n) % sector_count
     position = np.empty(dim, dtype=np.intp)  # index of each state inside its sector
@@ -219,10 +219,10 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
         inside = sector[first] == p
         column, row = np.sort([position[first[inside]], position[second[inside]]], axis=0)
         offset = row - column
-        arrays = (states, np.where(m[states] % 2, -1.0, 1.0), n[states].astype(float),
-                  m[states] - n_atoms / 2.0, offset, column, atomic[inside], photonic[inside])
-        blocks = None if counter_rotating else np.searchsorted(
-            (m + n)[states], np.arange(n_atoms + fock_dim + 1))
+        signs, blocks = (np.where(m[states] % 2, -1.0, 1.0), None) if counter_rotating else (
+            None, np.searchsorted((m + n)[states], np.arange(n_atoms + fock_dim + 1)))
+        arrays = (states, signs, n[states].astype(float), m[states] - n_atoms / 2.0,
+                  offset, column, atomic[inside], photonic[inside])
         for array in (*arrays, blocks):
             if array is not None:
                 array.flags.writeable = False
@@ -231,22 +231,22 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
 
 
 def _sectors(cfg: DickeConfig):
-    """(states, gauge, lower bands, band offsets) of each sector of cfg's model.
+    """(states, signs, lower bands, band offsets, blocks) of each sector of cfg's model.
 
     H = omega a^dag a + omega_eg S_z + (g / sqrt(N)) times the couplings,
-    each scaled from _sector_layout's template.  In the gauge (-1)^m, the
-    sign of each state, every off-diagonal entry is <= 0; bands[i - j, j]
-    holds the entry (i, j), i >= j, of the gauged sector, and the offsets
-    list the rows of bands below the diagonal that hold a coupling.
+    each scaled from _sector_layout's template, whose signs and blocks pass
+    through; bands[i - j, j] holds the entry (i, j), i >= j, every
+    off-diagonal one >= 0, and the offsets list the rows of bands below the
+    diagonal that hold a coupling.
     """
     coupling = cfg.g / math.sqrt(cfg.n_atoms)
     sectors = []
-    for states, gauge, photons, atoms, offset, column, atomic, photonic, offsets, _ in (
+    for states, signs, photons, atoms, offset, column, atomic, photonic, offsets, blocks in (
             _sector_layout(cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating)):
         bands = np.zeros((offsets[-1] + 1, len(states)))
         bands[0] = cfg.omega * photons + cfg.omega_eg * atoms
         bands[offset, column] = coupling * atomic * photonic
-        sectors.append((states, gauge, bands, offsets))
+        sectors.append((states, signs, bands, offsets, blocks))
     return sectors
 
 
@@ -266,7 +266,7 @@ def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
 def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
     """Ground state of the co-rotating model from one bisection over a value bracket.
 
-    The one sector is the chain; it goes to LAPACK un-gauged, its
+    The one sector is the chain, which goes to LAPACK as it is, its
     off-diagonal >= 0.  Any two eigenvalues of H bound its second level
     from above, so _second_level_bound, plus the tie margin, is a ceiling
     over the two lowest levels and every level tied to the lowest; the
@@ -284,13 +284,11 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
     error, raises LinAlgError.  Returns what _lowest_pair_parity returns,
     with no banded solve.
     """
-    [(states, _, bands, _)] = sectors
-    blocks = _sector_layout(cfg.n_atoms, cfg.fock_dim, False)[0][-1]
-    # S_+ a changes m by 1, so the gauge turned each coupling's sign.
-    diagonal, off_diagonal = bands[0], -bands[1, :-1]
+    [(states, _, bands, _, blocks)] = sectors
+    diagonal, off_diagonal = bands[0], bands[1, :-1]
     # The least diagonal entry less the couplings of its row; bands[1, -1] is 0.
-    row_floor = diagonal + bands[1]
-    row_floor[1:] += bands[1, :-1]
+    row_floor = diagonal - bands[1]
+    row_floor[1:] -= off_diagonal
     lowest = int(row_floor.argmin())
     gershgorin = float(row_floor[lowest])
     start = int(np.searchsorted(blocks, lowest, side="right")) - 1
@@ -375,17 +373,17 @@ def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
     partner's vector (None unless the pair is degenerate and want_partner
     asks for it) and the number of banded solves; probes are not solves.
     """
-    (states, gauge, bands, offsets), (odd_states, odd_gauge, odd_bands, odd_offsets) = sectors
-    energy, x, solves = _lowest_in_sector(bands, offsets)
+    (states, signs, bands, offsets, _), (odd_states, odd_signs, odd_bands, odd_offsets, _) = sectors
+    energy, x, solves = _lowest_in_sector(bands, offsets, signs)
     odd_scaled, unit, _ = _unit_scaled(odd_bands)
     above = _factor_shifted(odd_scaled, (energy + DEGENERACY_TOL) / unit)[1] == 0
     degenerate = not above and _factor_shifted(odd_scaled, (energy - DEGENERACY_TOL) / unit)[1] == 0
     pair = np.zeros((cfg.dim, 2))  # the even sector's state, then the odd one's
-    pair[states, 0] = gauge * x
+    pair[states, 0] = x
     if above or (degenerate and not want_partner):
         return energy, pair[:, 0], degenerate, None, solves
-    odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_offsets)
-    pair[odd_states, 1] = odd_gauge * odd_x
+    odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_offsets, odd_signs)
+    pair[odd_states, 1] = odd_x
     solves += odd_solves
     if degenerate:
         return energy, pair[:, 0], True, pair[:, 1], solves
@@ -417,16 +415,17 @@ def _factor_shifted(bands: np.ndarray, shift: float):
     return _PBTRF(shifted, lower=1, overwrite_ab=1)
 
 
-def _lowest_in_sector(bands: np.ndarray, offsets):
-    """Lowest eigenvalue and positive vector of a sector, with the number of banded solves.
+def _lowest_in_sector(bands: np.ndarray, offsets, signs: np.ndarray):
+    """Lowest eigenvalue and vector of a sector, with the number of banded solves.
 
-    Noda's inverse iteration (Numer. Math. 17, 382 (1971)) on the gauged
-    sector, whose off-diagonal entries are <= 0.  For a positive x the
-    Collatz-Wielandt bound min_i (H x)_i / x_i lies at or below the lowest
-    eigenvalue E0; each solve shifts to just below it.  LAPACK's banded
-    Cholesky factorization (dpbtrf) succeeding proves the shift s lies below
-    E0 (Sylvester's law of inertia), and then (H - s)^-1 >= 0 keeps x
-    positive, so x tends to the sector's ground vector; dpbtrs solves with
+    Noda's inverse iteration (Numer. Math. 17, 382 (1971)) from the signs,
+    normalized.  Every coupling changes m by 1 and is >= 0, so while each
+    signs[i] x[i] is positive the Collatz-Wielandt bound min_i (H x)_i / x_i
+    lies at or below the lowest eigenvalue E0; each solve shifts to just
+    below it.  LAPACK's banded Cholesky factorization (dpbtrf) succeeding
+    proves the shift s lies below E0 (Sylvester's law of inertia), and then
+    each entry of (H - s)^-1 has the sign of signs[i] signs[j], so x keeps
+    its signs and tends to the sector's ground vector; dpbtrs solves with
     the factor.  Each factor serves SOLVES_PER_FACTOR solves while the
     residual ||H x - E x|| of the Rayleigh quotient E is above RESIDUAL_TOL,
     and every later solve once it is within.  The iteration stops once the
@@ -449,7 +448,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
     # also sets the shift margin.
     bands, unit, norm_bound = _unit_scaled(bands)
     margin = SHIFT_MARGIN * np.finfo(float).eps * norm_bound
-    x = np.full(bands.shape[1], 1.0 / math.sqrt(bands.shape[1]))
+    x = signs / math.sqrt(len(signs))
     previous = math.inf
     factor, uses, trusted = None, 0, False
     for solves in range(MAX_SOLVES + 1):
@@ -468,7 +467,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets):
         if factor is None or (uses == SOLVES_PER_FACTOR and not within):
             # Components that underflowed past the normal range bound nothing;
             # with none left (a NaN x) the shift is infinite and refused.
-            normal = x >= _TINY
+            normal = np.abs(x) >= _TINY
             shift = float(np.min(h_x[normal] / x[normal], initial=math.inf)) - margin
             if not math.isfinite(shift):
                 raise np.linalg.LinAlgError(f"shift {shift} is not finite")
@@ -492,9 +491,9 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     matrix is never assembled, but the residual is that of the whole H.  No
     ground state is missed for being orthogonal to a start vector: the
     co-rotating chain is bisected whole, between its Gershgorin bound and
-    a bound on its second level, the shifts of each parity sector
-    solved stay below its lowest level, whose positive vector the iterate
-    tends to, and the inertia test of the odd sector counts all its levels.
+    a bound on its second level, each parity sector solved starts from its
+    ground vector's signs, with shifts below its lowest level, and the
+    inertia test of the odd sector counts all its levels.
 
     Convergence is decided here alone: a result whose whole-H residual
     exceeds RESIDUAL_TOL or is NaN, or whose solver raised, is returned
@@ -534,8 +533,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
     h_x = np.empty_like(vector)
-    for states, gauge, bands, offsets in sectors:
-        h_x[states] = gauge * _band_apply(bands, gauge * vector[states], offsets)
+    for states, _, bands, offsets, _ in sectors:
+        h_x[states] = _band_apply(bands, vector[states], offsets)
     residual = float(np.linalg.norm(h_x - energy * vector))
     if not residual <= RESIDUAL_TOL:  # NaN included
         return _unconverged(cfg, residual, iterations)

@@ -53,7 +53,7 @@ class BeamSplitterParams:
     def __post_init__(self):
         if not (math.isfinite(self.t) and math.isfinite(self.phi)):
             raise ValueError(f"t and phi must be finite, got {self.t}, {self.phi}")
-        t = float(self.t)
+        t = float(self.t) + 0.0  # + 0.0 turns a -0.0 into 0.0
         # t * t, unlike t**2, gives inf instead of raising OverflowError.
         if t < 0.0 or t * t - 1.0 > _SYMMETRY_TOL:
             raise ValueError(f"need 0 <= t <= 1, got t={t}")

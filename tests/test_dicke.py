@@ -399,13 +399,13 @@ class TestBlockGroundState:
         degenerate = 0
         for g in np.linspace(0.0, 2.0, 101):
             cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=float(g), counter_rotating=True)
-            (_, _, bands, offsets), (_, _, odd_bands, odd_offsets) = _sectors(cfg)
-            even_solves = _lowest_in_sector(bands, offsets)[2]
+            (_, signs, bands, offsets, _), (_, odd_signs, odd_bands, odd_offsets, _) = _sectors(cfg)
+            even_solves = _lowest_in_sector(bands, offsets, signs)[2]
             result = ground_state(cfg)
             assert result.converged and np.all(result.vector[odd] == 0.0)
             assert result.iterations == even_solves
             mixed = ground_state(cfg, mix_degenerate=True)
-            odd_solves = _lowest_in_sector(odd_bands, odd_offsets)[2] if result.degenerate else 0
+            odd_solves = _lowest_in_sector(odd_bands, odd_offsets, odd_signs)[2] if result.degenerate else 0
             assert mixed.iterations == even_solves + odd_solves
             degenerate += result.degenerate
         assert degenerate == flagged
@@ -418,17 +418,18 @@ class TestBlockGroundState:
         # degenerate.  At N = 1 the sector solved first has its ground
         # vector, at E = 0, as the start vector.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=True)
-        (states, gauge, bands, offsets), higher = _sectors(cfg)
+        lower, higher = _sectors(cfg)
+        states, signs, bands, offsets, _ = lower
         for want_partner in (False, True):
             energy, vector, degenerate, partner, solves = _lowest_pair_parity(
-                cfg, [higher, (states, gauge, bands, offsets)], want_partner)
+                cfg, [higher, lower], want_partner)
             assert not degenerate and partner is None
             assert abs(energy - dense_reference(cfg)[0][0]) < 1e-12
             outside = np.ones(cfg.dim, dtype=bool)
             outside[states] = False
             assert np.all(vector[outside] == 0.0)
-            assert np.array_equal(vector[states], gauge * _lowest_in_sector(bands, offsets)[1])
-            assert solves == _lowest_in_sector(bands, offsets)[2] + _lowest_in_sector(*higher[2:])[2]
+            assert np.array_equal(vector[states], _lowest_in_sector(bands, offsets, signs)[1])
+            assert solves == sum(_lowest_in_sector(b, o, s)[2] for _, s, b, o, _ in (lower, higher))
 
     @pytest.mark.parametrize("n_atoms, fock_dim", [(20, 36), (8, 40)])
     def test_mixed_doublet_breaks_the_symmetry(self, n_atoms, fock_dim):
@@ -466,8 +467,8 @@ class TestBlockGroundState:
 
 def tridiagonal_pair(cfg):
     """The two lowest levels of cfg's co-rotating chain, from an index solve of the whole chain."""
-    [(_, _, bands, _)] = _sectors(cfg)
-    return scipy.linalg.eigh_tridiagonal(bands[0], -bands[1, :-1], eigvals_only=True,
+    [(_, _, bands, _, _)] = _sectors(cfg)
+    return scipy.linalg.eigh_tridiagonal(bands[0], bands[1, :-1], eigvals_only=True,
                                          select="i", select_range=(0, 1))
 
 
@@ -587,16 +588,21 @@ class TestCoRotatingBracket:
     def test_edge_sweeps_are_pinned(self, capsys, model, stdout, stderr):
         # Energies and photon numbers may move by rounding in the bisection;
         # every other column, the warnings and the exit code may not.
-        code = cli_main(["dicke-sweep", *model, "--steps", "3"])
-        out, err = capsys.readouterr()
-        assert code == 0 and err == stderr
-        rows = [line.split(",") for line in out.splitlines()]
-        pinned = [line.split(",") for line in stdout.splitlines()]
-        assert rows[0] == pinned[0] and len(rows) == len(pinned)
-        for row, pinned_row in zip(rows[1:], pinned[1:]):
-            assert row[:2] == pinned_row[:2] and row[4:] == pinned_row[4:]
-            for column in (2, 3):
-                assert abs(float(row[column]) - float(pinned_row[column])) <= 2e-14
+        assert_sweep_pinned(capsys, model, stdout, stderr)
+
+
+def assert_sweep_pinned(capsys, model, stdout, stderr):
+    """A 3-point dicke-sweep of model prints stdout and stderr, up to 2e-14 in E0 and <a^dag a>."""
+    code = cli_main(["dicke-sweep", *model, "--steps", "3"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == stderr
+    rows = [line.split(",") for line in out.splitlines()]
+    pinned = [line.split(",") for line in stdout.splitlines()]
+    assert rows[0] == pinned[0] and len(rows) == len(pinned)
+    for row, pinned_row in zip(rows[1:], pinned[1:]):
+        assert row[:2] == pinned_row[:2] and row[4:] == pinned_row[4:]
+        for column in (2, 3):
+            assert abs(float(row[column]) - float(pinned_row[column])) <= 2e-14
 
 
 #: Counter-rotating models on 101-point g grids up to 2.
@@ -613,6 +619,43 @@ COUNTER_IDS = ["N8", "N20", "omega0.05", "omega3"]
 #: about 15% over the 5.13 and 5.32 of factors that serve two solves each.
 #: A factor for every solve took 8.10 and 8.29.
 MEAN_FACTORIZATIONS = [6.0, 6.0]
+
+#: Counter-rotating sweeps at the edges of the parity iteration, with the
+#: stdout and stderr they print.  At omega = 1e-300 the photon levels tie
+#: to rounding and every row is flagged; up to g = 20 the coupling lies far
+#: above g_c, no row is flagged, and --mix-degenerate leaves every row as
+#: it is; N = 1, fock_dim = 2 has parity sectors of 2 states.
+COUNTER_PINNED_SWEEPS = [
+    (["--n-atoms", "2", "--fock-dim", "8", "--omega", "1e-300"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-1,3,0,0,1
+1,2e+150,-5.9459686137792689,5.1953885726649789,0,0,1
+2,3.9999999999999999e+150,-11.765125202231912,5.1960016043521113,0,0,1
+""",
+     """warning: g=0: field truncated, squared amplitude 0.25 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=1: field truncated, squared amplitude 0.21 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=2: field truncated, squared amplitude 0.18 on the top two Fock levels (limit 1e-12); raise --fock-dim
+"""),
+    *[(["--n-atoms", "2", "--fock-dim", "8", "--g-max", "20", *mix],
+       """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-1,0,0,0,0
+10,20,-53.497503267015077,5.0471428768918036,0,0,0
+20,40,-112.06874463160098,5.1248403580809443,0,0,0
+""",
+       """warning: g=10: field truncated, squared amplitude 0.14 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=20: field truncated, squared amplitude 0.15 on the top two Fock levels (limit 1e-12); raise --fock-dim
+""") for mix in ([], ["--mix-degenerate"])],
+    (["--n-atoms", "1", "--fock-dim", "2"],
+     """g,g_over_gc,ground_energy,mean_photon,E_N,lambda_simon,degenerate_flag
+0,0,-0.5,0,0,0,0
+1,2,-0.91421356237309515,0.1464466094067263,0,0,0
+2,4,-1.7360679774997896,0.27639320225002101,0,0,0
+""",
+     """warning: g=0: field truncated, squared amplitude 1 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=1: field truncated, squared amplitude 0.85 on the top two Fock levels (limit 1e-12); raise --fock-dim
+warning: g=2: field truncated, squared amplitude 0.72 on the top two Fock levels (limit 1e-12); raise --fock-dim
+"""),
+]
 
 
 class TestCounterRotatingIteration:
@@ -641,6 +684,20 @@ class TestCounterRotatingIteration:
             result = ground_state(DickeConfig(g=float(g), counter_rotating=True, **model))
             assert result.converged and result.residual <= 1e-12, g
 
+    @pytest.mark.parametrize("model", COUNTER_GRIDS, ids=COUNTER_IDS)
+    def test_sector_vectors_carry_the_signs(self, model):
+        # The iteration starts from the signs (-1)^m and keeps them.
+        for g in np.linspace(0.0, 2.0, 101):
+            cfg = DickeConfig(g=float(g), counter_rotating=True, **model)
+            for _, signs, bands, offsets, _ in _sectors(cfg):
+                assert np.all(signs * _lowest_in_sector(bands, offsets, signs)[1] >= 0.0), g
+
+    @pytest.mark.parametrize("model, stdout, stderr", COUNTER_PINNED_SWEEPS, ids=[
+        "tiny-omega", "g20", "g20-mixed", "smallest-model"])
+    def test_edge_sweeps_are_pinned(self, capsys, model, stdout, stderr):
+        # As for the co-rotating edges: only E0 and <a^dag a> may move, by rounding.
+        assert_sweep_pinned(capsys, [*model, "--counter-rotating"], stdout, stderr)
+
 
 SECTOR_CASES = [
     # n_atoms, fock_dim, omega, omega_eg, g
@@ -666,7 +723,7 @@ class TestSectorNativeOperators:
         sectors = _sectors(cfg)
         assert len(sectors) == (2 if counter_rotating else 1)
         covered = []
-        for parity, (states, gauge, bands, offsets) in enumerate(sectors):
+        for parity, (states, signs, bands, offsets, blocks) in enumerate(sectors):
             m_s, n_s = m[states], n[states]
             if counter_rotating:
                 assert np.all((m_s + n_s) % 2 == parity)
@@ -677,7 +734,10 @@ class TestSectorNativeOperators:
                 assert np.array_equal(np.lexsort((m_s, k)), np.arange(len(states)))
                 assert offsets == (1,) and len(bands) == 2
                 assert np.all(bands[1, :-1][k[1:] != k[:-1]] == 0.0)
-            assert np.array_equal(gauge, (-1.0) ** m_s)
+            if counter_rotating:
+                assert np.array_equal(signs, (-1.0) ** m_s) and blocks is None
+            else:
+                assert signs is None and np.array_equal(blocks, np.searchsorted(k, np.arange(k[-1] + 2)))
             # The template that cfg scales: photon numbers and atomic offsets
             # of the states, and the ladder factors read off each coupling's
             # ends, |m, n> and |m + 1, n -+ 1>.
@@ -687,16 +747,15 @@ class TestSectorNativeOperators:
             low, high = states[column], states[column + offset]
             low_m, high_n = np.minimum(m[low], m[high]), np.maximum(n[low], n[high])
             assert np.all(np.abs(m[low] - m[high]) == 1) and np.all(np.abs(n[low] - n[high]) == 1)
-            assert np.array_equal(atomic, -np.sqrt((n_atoms - low_m) * (low_m + 1)))
+            assert np.array_equal(atomic, np.sqrt((n_atoms - low_m) * (low_m + 1)))
             assert np.array_equal(photonic, np.sqrt(high_n))
             lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
-            assert np.all(lower[np.tril_indices(len(states), -1)] <= 0.0)
+            assert np.all(lower[np.tril_indices(len(states), -1)] >= 0.0)
             # The offsets name every band below the diagonal that a coupling fills.
             assert offsets == tuple(sorted(offsets)) and len(bands) == offsets[-1] + 1
             assert np.all(np.delete(bands, (0, *offsets), axis=0) == 0.0)
             assert g == 0.0 or all(bands[k].any() for k in offsets)
-            un_gauged = gauge[:, None] * (lower + np.tril(lower, -1).T) * gauge[None, :]
-            assert np.array_equal(un_gauged, matrix[np.ix_(states, states)])
+            assert np.array_equal(lower + np.tril(lower, -1).T, matrix[np.ix_(states, states)])
             covered.append(states)
         # The sectors hold every state once, so they hold all of H.
         assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(cfg.dim))
@@ -711,13 +770,15 @@ class TestSectorNativeOperators:
                                      counter_rotating=counter_rotating))
                 for omega, g in ((1.0, 0.3), (2.5, 1.7))
             )
-            for (states, gauge, _, offsets), (states_2, gauge_2, _, offsets_2) in zip(first, second):
-                assert states is states_2 and gauge is gauge_2 and offsets is offsets_2
+            for (states, signs, _, offsets, blocks), (states_2, signs_2, _, offsets_2, blocks_2) in zip(
+                    first, second):
+                assert states is states_2 and signs is signs_2 and offsets is offsets_2
+                assert blocks is blocks_2
         # No caller can change a shared layout.
         for counter_rotating in (False, True):
             for sector in _sector_layout(4, 9, counter_rotating):
                 arrays = [field for field in sector if isinstance(field, np.ndarray)]
-                assert len(arrays) == (8 if counter_rotating else 9)
+                assert len(arrays) == 8
                 for array in arrays:
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):

@@ -276,10 +276,12 @@ class TestDgczLambda:
         assert dgcz_lambda(inp, BeamSplitterParams(1.0, 0.0)) == 0.0
         # Both criteria read +0.0, never -0.0, in the report, also for v > n.
         for inp in (inp, CenteredMoments(0.5, 1.0, 0.4)):
-            for t in (0.0, 1.0):
+            for t in (0.0, -0.0, 1.0):
                 report = build_report(inp, BeamSplitterParams(t, 0.0))
                 for value in (report.lambda_simon, report.lambda_dgcz):
                     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+                # A -0.0 transmission is reported as +0.0 too.
+                assert report.best_t == t and math.copysign(1.0, report.best_t) == 1.0
 
     def test_nearly_degenerate_splitter_stays_finite(self):
         # At t = 3.3e-158 the gain r / t overflows; the quantity is 4 t r n.
