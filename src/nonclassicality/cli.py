@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 
@@ -34,7 +35,19 @@ ORACLE_THRESHOLD = 1e-6
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on malformed arguments, with one
-    stderr line like the CLI's own argument checks (usage is under --help)."""
+    stderr line like the CLI's own argument checks (usage is under --help).
+
+    Option values that start like a negative number are taken as values.
+    argparse's default pattern in Python 3.10 to 3.12 matches only plain
+    decimals such as -0.5, so it read "--n -1e-10" and "--alpha -0.5+0.2j"
+    as an option with its value missing.  No option of this CLI looks like
+    a number, so none is shadowed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Applied with re.match: "-" and a digit, or "-." and a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -97,7 +110,9 @@ def _cmd_measure(args) -> int:
         sys.stderr.write(f"unphysical moments: {exc}\n")
         return 2
     with _output_stream(args.output) as stream:
-        stream.write(json.dumps(dataclasses.asdict(report)) + "\n")
+        # The report is flat, so its __dict__ serializes as asdict would,
+        # in field order, without asdict's deep copy.
+        stream.write(json.dumps(vars(report)) + "\n")
     return 0
 
 

@@ -9,8 +9,10 @@ evaluates the auxiliary separability quantities: the Simon determinant
 combination lambda_simon, the variance-sum quantity lambda_dgcz with its
 optimal gain, the simple second-moment condition v > n, and the first-moment
 condition |<a>|^2 > <a^dag a>.  The report takes every criterion from closed
-forms in (v, n, t, theta + phi); the 2x2 blocks feed the Fock oracle, and
-:func:`eta_minus_sq` runs the block algebra on them for :mod:`.optimize`.
+forms in (v, n, t, theta + phi), evaluated on Python floats with :mod:`math`
+(:func:`output_spectrum`, :func:`build_report`); NumPy serves only the 2x2
+blocks, which feed the Fock oracle, and :func:`eta_minus_sq`, which runs the
+block algebra on them for :mod:`.optimize`.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -167,8 +169,8 @@ def eta_minus_sq(v, theta, n, t, phi):
     return np.maximum(0.5 * (sigma - np.sqrt(disc)), 0.0)
 
 
-def output_spectrum(v, n, t):
-    """Vectorized ((eta^-)^2, (eta^+)^2) for centered (v, n) at transmission t.
+def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
+    """((eta^-)^2, (eta^+)^2) for centered (v, n) at transmission t.
 
     The spectrum depends on neither theta nor phi: both are local phase
     rotations of the output modes.  With a = (1 - 2 t^2)^2, b = 4 t^2 (1 - t^2)
@@ -185,8 +187,14 @@ def output_spectrum(v, n, t):
     and l- are exact in floating point (Sterbenz).  A classical input
     (v <= n) has 2 eta^- >= 1 at every splitter, and (eta^-)^2 is held at
     1/4 or above there so that rounding cannot report E_N ~ 1e-16.
+
+    Scalar arithmetic in :mod:`math`, in the same order as the vectorized
+    NumPy reference in the tests, and bit for bit equal to it.  The squares
+    written ``** 2`` stay so: libm ``pow`` rounds them, as NumPy's float64
+    power does, and ``x * x`` differs from it by 1 ulp on some inputs.  On
+    physical moments (see :class:`.CenteredMoments`) no term overflows,
+    where Python's float ``**`` would raise OverflowError.
     """
-    v, n, t = np.asarray(v, dtype=float), np.asarray(n, dtype=float), np.asarray(t, dtype=float)
     t2 = t * t
     a = (1.0 - 2.0 * t2) ** 2
     b = 4.0 * t2 * (1.0 - t2)
@@ -194,16 +202,17 @@ def output_spectrum(v, n, t):
     impurity = lam_minus * lam_plus - 0.25
     excess = a * impurity + b * n  # sigma - 1/2
     classical = v <= n
-    disc = np.where(
-        classical,
-        (a * impurity) ** 2
-        + a * b * ((2.0 * n + 1.0) * (n - v) * (n + v) + 2.0 * v * v)
-        + (b * v) ** 2,
-        excess * excess + b * (v - n) * (v + n),
-    )
-    eta_plus_sq = 0.5 * (0.5 + excess + np.sqrt(disc))
+    if classical:
+        disc = (
+            (a * impurity) ** 2
+            + a * b * ((2.0 * n + 1.0) * (n - v) * (n + v) + 2.0 * v * v)
+            + (b * v) ** 2
+        )
+    else:
+        disc = excess * excess + b * (v - n) * (v + n)
+    eta_plus_sq = 0.5 * (0.5 + excess + math.sqrt(disc))
     eta_minus_sq = 0.25 * lam_minus * lam_plus / eta_plus_sq
-    return np.where(classical, np.maximum(eta_minus_sq, 0.25), eta_minus_sq), eta_plus_sq
+    return (max(eta_minus_sq, 0.25) if classical else eta_minus_sq), eta_plus_sq
 
 
 def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
@@ -297,8 +306,10 @@ def build_report(
 
     ``m`` is either raw moments, centered here, or centered moments, taken as
     a state with <a> = 0.  ``bs=None`` selects :func:`maximizing_splitter`.
-    eta-+ and E_N come from :func:`output_spectrum`.  No covariance matrix is
-    formed: with x = n - v and y = n + v the blocks have det A = (t^2 x + 1/2)
+    eta-+ and E_N come from the two floats of :func:`output_spectrum`; every
+    field is a Python float or bool, so ``vars(report)`` is the flat dict of
+    the fields in declaration order.  No covariance matrix is formed: with
+    x = n - v and y = n + v the blocks have det A = (t^2 x + 1/2)
     (t^2 y + 1/2), det B the same with r, det C = t^2 r^2 x y and det V =
     (x + 1/2)(y + 1/2)/4, so Simon's combination
     det V + 1/16 - (det A + det B + 2 |det C|)/4 is exactly
@@ -311,7 +322,7 @@ def build_report(
         c, hz = center(m), hz_condition(m)
     if bs is None:
         bs = maximizing_splitter(c)
-    eta_m_sq, eta_p_sq = (float(x) for x in output_spectrum(c.v, c.n, bs.t))
+    eta_m_sq, eta_p_sq = output_spectrum(c.v, c.n, bs.t)
     if not eta_m_sq > 0.0:
         raise UnphysicalMomentsError(
             f"covariance matrix has det V = {eta_m_sq * eta_p_sq} <= 0"

@@ -2,10 +2,11 @@
 
 The general 4x4 block algebra on a covariance matrix [[A, C], [C^T, B]]
 (symplectic eigenvalues of the partial transpose and the Simon combination),
-the dense ladder operator of a truncated mode, and a truncation guideline
-for squeezed coherent states.  The package computes every criterion from
-closed forms in (v, n, t); these are what those closed forms are checked
-against.
+the NumPy form of the closed-form output spectrum, the log negativity of a
+split pure state from its Schmidt coefficients, the dense ladder operator
+of a truncated mode, and a truncation guideline for squeezed coherent
+states.  The package computes every criterion from closed forms in
+(v, n, t); these are what those closed forms are checked against.
 """
 
 import math
@@ -72,6 +73,43 @@ def simon_lambda(blocks: CovarianceBlocks) -> float:
         - trace
         - 0.25 * (det_a + det_b)
     )
+
+
+def vectorized_output_spectrum(v, n, t):
+    """((eta^-)^2, (eta^+)^2) of :func:`nonclassicality.output_spectrum`, vectorized.
+
+    The same operations in the same order on NumPy arrays broadcast over v,
+    n and t, with np.where for the v <= n branch and np.maximum for the 1/4
+    floor; on scalars it gives the package's floats bit for bit.
+    """
+    v, n, t = np.asarray(v, dtype=float), np.asarray(n, dtype=float), np.asarray(t, dtype=float)
+    t2 = t * t
+    a = (1.0 - 2.0 * t2) ** 2
+    b = 4.0 * t2 * (1.0 - t2)
+    lam_minus, lam_plus = (n - v) + 0.5, (n + v) + 0.5
+    impurity = lam_minus * lam_plus - 0.25
+    excess = a * impurity + b * n  # sigma - 1/2
+    classical = v <= n
+    disc = np.where(
+        classical,
+        (a * impurity) ** 2
+        + a * b * ((2.0 * n + 1.0) * (n - v) * (n + v) + 2.0 * v * v)
+        + (b * v) ** 2,
+        excess * excess + b * (v - n) * (v + n),
+    )
+    eta_plus_sq = 0.5 * (0.5 + excess + np.sqrt(disc))
+    eta_minus_sq = 0.25 * lam_minus * lam_plus / eta_plus_sq
+    return np.where(classical, np.maximum(eta_minus_sq, 0.25), eta_minus_sq), eta_plus_sq
+
+
+def schmidt_log_negativity(table) -> float:
+    """E_N = 2 ln sum_i s_i of a pure two-mode state, from its coefficient table.
+
+    The s_i are the singular values of psi[n1, n2], the state's Schmidt
+    coefficients; for a pure state the trace norm of the partial transpose
+    is (sum_i s_i)^2.  No Gaussian formula enters.
+    """
+    return 2.0 * math.log(np.linalg.svd(table, compute_uv=False).sum())
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -11,7 +12,10 @@ import pytest
 
 from conftest import dense_reference, subprocess_env
 from nonclassicality import (
+    BeamSplitterParams,
+    CenteredMoments,
     DickeConfig,
+    NonclassicalityReport,
     build_report,
     cli,
     field_moments,
@@ -117,9 +121,12 @@ class TestMeasure:
             assert err.startswith("invalid splitter")
 
     def test_occupation_within_tolerance_below_zero_is_clamped(self, capsys):
-        code, out, _ = run_cli(capsys, "measure", "--v", "0", "--n=-1e-10")
-        assert code == 0
-        assert json.loads(out)["E_N"] == 0.0
+        zero = run_cli(capsys, "measure", "--v", "0", "--n", "0")
+        for n in (["--n=-1e-10"], ["--n", "-1e-10"]):
+            code, out, err = run_cli(capsys, "measure", "--v", "0", *n)
+            assert code == 0
+            assert json.loads(out)["E_N"] == 0.0
+            assert (code, out, err) == zero  # reported as n = 0
 
     def test_large_squeezing_at_every_angle(self, capsys):
         r = 6.0
@@ -134,9 +141,46 @@ class TestMeasure:
             lambda_simon.add(json.loads(out)["lambda_simon"])
         assert len(lambda_simon) == 1  # a local-symplectic invariant
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--v", "0.5", "--n", "-1e-10"],
+            ["--v", "0.9", "--n", "0.6", "--theta", "-1e-3"],
+            ["--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3", "--phi", "-1e-300"],
+        ],
+    )
+    def test_negative_values_in_scientific_notation_are_values(self, capsys, args):
+        spaced = run_cli(capsys, "measure", *args)
+        joined = run_cli(capsys, "measure", *args[:-2], f"{args[-2]}={args[-1]}")
+        assert spaced == joined
+        assert spaced[0] != 1
+
+    def test_stdout_is_the_report_as_a_dict(self, capsys):
+        for args, c, bs in (
+            (["--v", "0.9", "--theta", "0.4", "--n", "0.6"], CenteredMoments(0.9, 0.4, 0.6), None),
+            (["--v", "0.5", "--n", "0.4", "--mode", "fixed", "--t", "0.3", "--phi", "1"],
+             CenteredMoments(0.5, 0.0, 0.4), BeamSplitterParams(0.3, 1.0)),
+        ):
+            report = build_report(c, bs)
+            code, out, _ = run_cli(capsys, "measure", *args)
+            assert code == 0
+            assert out == json.dumps(dataclasses.asdict(report)) + "\n"
+            fields = [f.name for f in dataclasses.fields(NonclassicalityReport)]
+            assert list(vars(report)) == fields == REPORT_KEYS
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "measure", "--n", "0", "--v", "0", "--bogus", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "extra", [["-q"], ["-1e-3"], ["--n2", "-1e-3"]],
+        ids=["short", "negative-number", "long-with-negative-value"],
+    )
+    def test_unknown_argument_still_exits_1(self, capsys, extra):
+        code, out, err = run_cli(capsys, "measure", "--n", "0", "--v", "0", *extra)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
     def test_missing_required_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "measure", "--v", "0")
@@ -205,6 +249,11 @@ class TestSqueezedSweep:
             capsys, "squeezed-sweep", "--r-min", "2", "--r-max", "1"
         )
         assert code == 1
+
+    def test_negative_complex_alpha_is_a_value(self, capsys):
+        spaced = run_cli(capsys, "squeezed-sweep", "--steps", "2", "--alpha", "-0.5+0.2j")
+        assert spaced == run_cli(capsys, "squeezed-sweep", "--steps", "2", "--alpha=-0.5+0.2j")
+        assert spaced[0] == 0
 
     @pytest.mark.parametrize(
         "option,value",

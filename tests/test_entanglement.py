@@ -15,6 +15,7 @@ from nonclassicality import (
     SingleModeMoments,
     SqueezedCoherentParams,
     UnphysicalMomentsError,
+    apply_beam_splitter,
     build_report,
     center,
     covariance_from_input,
@@ -25,9 +26,16 @@ from nonclassicality import (
     maximizing_splitter,
     output_spectrum,
     squeezed_coherent_moments,
+    squeezed_coherent_vector,
 )
 from nonclassicality.entanglement import _block_entries, _invariants, eta_minus_sq
-from oracles import covariance_matrix, simon_lambda, symplectic_eta
+from oracles import (
+    covariance_matrix,
+    schmidt_log_negativity,
+    simon_lambda,
+    symplectic_eta,
+    vectorized_output_spectrum,
+)
 
 OMEGA = np.array(
     [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
@@ -456,9 +464,63 @@ class TestOutputSpectrum:
 
     def test_vectorized_like_scalar(self):
         ts = np.linspace(0.0, 1.0, 7)
-        eta_m_sq, eta_p_sq = output_spectrum(0.9, 0.6, ts)
+        eta_m_sq, eta_p_sq = vectorized_output_spectrum(0.9, 0.6, ts)
         for t, m, p in zip(ts, eta_m_sq, eta_p_sq):
-            assert (m, p) == tuple(float(x) for x in output_spectrum(0.9, 0.6, t))
+            assert (m, p) == output_spectrum(0.9, 0.6, float(t))
+
+
+def assert_spectrum_bit_identical(v, n, t):
+    """The package's scalar spectrum is the NumPy reference's, bit for bit."""
+    scalar = output_spectrum(v, n, t)
+    assert all(type(x) is float for x in scalar)
+    reference = tuple(float(x) for x in vectorized_output_spectrum(v, n, t))
+    assert [x.hex() for x in scalar] == [x.hex() for x in reference], (v, n, t)
+
+
+#: Inputs on which the spectrum changes by an ulp if a ``** 2`` of the
+#: closed form is written ``x * x``: libm pow and the product round apart.
+#: Each of the three squares has at least one such input here.
+POW_ROUNDING_INPUTS = [
+    (2.3412950707776243, 2.343529598003326, 0.4081600888085283),
+    (0.2851134515767768, 1.8636677135575566, 0.4100225744114625),
+    (0.0895922506490047, 0.08958442213651255, 0.8420041179802971),
+    (5951.444876232918, 9172.173761660964, 0.3005823408320598),
+    (0.6811125134461541, 0.742762462955057, 0.7909297836753186),
+]
+
+#: The largest occupation whose (n(n + 1))^2 is finite, so CenteredMoments
+#: admits it; every squared term of the spectrum stays below overflow there.
+PHYSICALITY_BOUND = 1.1579208923731618e77
+
+
+class TestScalarSpectrum:
+    """The math port of output_spectrum against the NumPy form it replaced."""
+
+    @given(
+        n=st.floats(0.0, 1e4),
+        frac=st.one_of(st.floats(1.0 - 1e-3, 1.0 + 1e-3), st.floats(0.0, 1.0)),
+        t=st.one_of(st.sampled_from([0.0, BALANCED_T, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300)
+    def test_matches_numpy_reference_bit_for_bit(self, n, frac, t):
+        v = min(frac * n, math.sqrt(n * (n + 1.0)))
+        assert_spectrum_bit_identical(v, n, t)
+
+    def test_pow_rounding_inputs_match_bit_for_bit(self):
+        for v, n, t in POW_ROUNDING_INPUTS:
+            assert_spectrum_bit_identical(v, n, t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, BALANCED_T, 1.0])
+    def test_edges_match_numpy_reference_bit_for_bit(self, t):
+        for n in (0.0, 1e-300, 1e-12, 0.6, 1.0, 1e2, 1e4, 1e76):
+            # v = n (1 + 1e-3) is physical only up to n ~ 500.
+            for v in (n, n * (1.0 - 1e-3), n * (1.0 + 1e-3)):
+                if v * v <= n * (n + 1.0):
+                    assert_spectrum_bit_identical(v, n, t)
+        for v in (0.0, PHYSICALITY_BOUND):
+            CenteredMoments(v, 0.0, PHYSICALITY_BOUND)  # admitted, so reachable
+            assert_spectrum_bit_identical(v, PHYSICALITY_BOUND, t)
+            assert all(map(math.isfinite, output_spectrum(v, PHYSICALITY_BOUND, t)))
 
 
 class TestEntanglementPotential:
@@ -496,3 +558,50 @@ class TestEntanglementPotential:
         for v, n in ((0.0, 0.0), (0.6, 0.6), (0.5, 0.9)):
             bs = maximizing_splitter(CenteredMoments(v, 1.0, n))
             assert (bs.t, bs.r, bs.phi) == (0.0, 1.0, 0.0)
+
+
+def schmidt_dim(r):
+    """Fock levels for the Schmidt oracle at squeezing r <= 1 and |alpha| <= 0.7.
+
+    The smallest Schmidt modes need far more levels than the tail weight
+    suggests.  At r = 1 with alpha on the anti-squeezed axis, E_N is off by
+    9e-12 at dim 240 and by 9e-16 at dim 320; at r = 0.5, by 8e-16 at dim 120.
+    """
+    return 120 if r <= 0.5 else 320
+
+
+class TestExactEntanglement:
+    """The reported E_N against the Schmidt spectrum of the split Fock state."""
+
+    def test_report_matches_schmidt_log_negativity(self):
+        # Both at the maximizing splitter and at random (t, phi); alpha on
+        # the squeezed, the anti-squeezed and a mixed axis.
+        rng = np.random.default_rng(20261019)
+        for r in (0.3, 0.5, 0.75, 1.0):
+            for alpha in (0.0, 0.7, 0.7j, 0.42 + 0.56j):
+                for angle in (0.0, 2.0):
+                    params = SqueezedCoherentParams(alpha, r, angle)
+                    state = squeezed_coherent_vector(params, schmidt_dim(r))
+                    moments = squeezed_coherent_moments(params)
+                    random_splitters = [
+                        BeamSplitterParams(rng.uniform(), rng.uniform(0.0, 2.0 * math.pi))
+                        for _ in range(2)
+                    ]
+                    for bs in [maximizing_splitter(center(moments)), *random_splitters]:
+                        exact = schmidt_log_negativity(apply_beam_splitter(state, bs).coefficients)
+                        assert abs(build_report(moments, bs).E_N - exact) <= 1e-12, (params, bs)
+
+    @pytest.mark.parametrize(
+        "params",
+        [SqueezedCoherentParams(0.7j, 1.0, 0.0), SqueezedCoherentParams(0.5, 0.5, 1.0)],
+        ids=["anti-squeezed-alpha", "mixed"],
+    )
+    def test_no_splitter_on_a_grid_beats_the_maximizing_one(self, params):
+        state = squeezed_coherent_vector(params, schmidt_dim(params.strength))
+        best_bs = maximizing_splitter(center(squeezed_coherent_moments(params)))
+        best = schmidt_log_negativity(apply_beam_splitter(state, best_bs).coefficients)
+        assert best > 0.0
+        for t in np.linspace(0.0, 1.0, 9):
+            for phi in (0.0, 1.0, 2.5, 4.0):
+                split = apply_beam_splitter(state, BeamSplitterParams(t, phi))
+                assert schmidt_log_negativity(split.coefficients) <= best + 1e-12, (t, phi)
