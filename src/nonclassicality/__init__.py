@@ -11,8 +11,6 @@ collectively coupled atomic ensemble.
 import importlib
 
 from .entanglement import (
-    BALANCED_T,
-    BeamSplitterParams,
     CovarianceBlocks,
     NonclassicalityReport,
     build_report,
@@ -21,7 +19,6 @@ from .entanglement import (
     dgcz_simple,
     hz_condition,
     log_negativity,
-    maximizing_splitter,
     output_spectrum,
 )
 from .fock import (
@@ -34,6 +31,7 @@ from .fock import (
     two_mode_covariance,
 )
 from .moments import (
+    BeamSplitterParams,
     CenteredMoments,
     SingleModeMoments,
     SqueezedCoherentParams,
@@ -41,7 +39,7 @@ from .moments import (
     center,
     squeezed_coherent_moments,
 )
-from .optimize import OptimizationResult, maximize_EN
+from .optimize import BALANCED_T, maximizing_splitter
 
 __version__ = "0.1.0"
 
@@ -69,7 +67,6 @@ __all__ = [
     "FockVector",
     "GroundStateResult",
     "NonclassicalityReport",
-    "OptimizationResult",
     "SingleModeMoments",
     "SqueezedCoherentParams",
     "TwoModeVector",
@@ -85,7 +82,6 @@ __all__ = [
     "ground_state",
     "hz_condition",
     "log_negativity",
-    "maximize_EN",
     "maximizing_splitter",
     "moments_from_vector",
     "output_spectrum",

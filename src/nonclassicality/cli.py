@@ -21,14 +21,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .entanglement import BALANCED_T, BeamSplitterParams, build_report
+from .entanglement import build_report
 from .fock import TAIL_TOL, covariance_check
 from .moments import (
+    BeamSplitterParams,
     CenteredMoments,
     SqueezedCoherentParams,
     UnphysicalMomentsError,
     squeezed_coherent_moments,
 )
+from .optimize import BALANCED_T
 
 ORACLE_THRESHOLD = 1e-6
 
@@ -39,15 +41,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     Option values that start like a negative number are taken as values.
     argparse's default pattern in Python 3.10 to 3.12 matches only plain
-    decimals such as -0.5, so it read "--n -1e-10" and "--alpha -0.5+0.2j"
-    as an option with its value missing.  No option of this CLI looks like
-    a number, so none is shadowed.
+    decimals such as -0.5, so it read "--n -1e-10", "--alpha -0.5+0.2j" and
+    "--n -inf" as an option with its value missing.  No option of this CLI
+    looks like a number, so none is shadowed.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Applied with re.match: "-" and a digit, or "-." and a digit.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # Applied with re.match: "-" and a digit, "-." and a digit, or "-inf"
+        # or "-nan" in any case ("-Infinity" included), as float() reads them.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         sys.stderr.write(f"{self.prog}: error: {message}\n")

@@ -3,16 +3,16 @@
 A single mode with centered moments (v e^{i theta}, n) entering one port of a
 beam splitter (vacuum at the other) produces a two-mode Gaussian covariance
 matrix V = [[A, C], [C^T, B]].  This module computes the partial-transpose
-symplectic eigenvalues eta-+ and the logarithmic negativity, maximizes the
-latter over the splitter in closed form (the entanglement potential), and
+symplectic eigenvalues eta-+ and the logarithmic negativity, at a given
+splitter or at the one that maximizes it (the entanglement potential), and
 evaluates the auxiliary separability quantities: the Simon determinant
 combination lambda_simon, the variance-sum quantity lambda_dgcz with its
 optimal gain, the simple second-moment condition v > n, and the first-moment
 condition |<a>|^2 > <a^dag a>.  The report takes every criterion from closed
 forms in (v, n, t, theta + phi), evaluated on Python floats with :mod:`math`
-(:func:`output_spectrum`, :func:`build_report`); NumPy serves only the 2x2
-blocks, which feed the Fock oracle, and :func:`eta_minus_sq`, which runs the
-block algebra on them for :mod:`.optimize`.
+(:func:`output_spectrum`, :func:`build_report`); the maximizing splitter
+comes from :mod:`.optimize`.  NumPy serves only the 2x2 blocks of
+:func:`covariance_from_input`, which feed the Fock oracle.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -22,46 +22,20 @@ reads 2 eta^- >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import (
-    TWO_PI,
+    BeamSplitterParams,
     CenteredMoments,
     SingleModeMoments,
     UnphysicalMomentsError,
     center,
 )
-
-#: Transmission amplitude of the balanced (50:50) splitter.
-BALANCED_T = math.sqrt(0.5)
+from .optimize import maximizing_splitter
 
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BeamSplitterParams:
-    """Transmission t and phase phi; the reflection r = sqrt(1 - t^2) is derived.
-
-    Needs finite t >= 0 with t^2 - 1 <= 1e-12 (a t rounded just above 1 gets
-    r = 0) and finite phi, which is wrapped into [0, 2 pi).
-    """
-
-    t: float
-    phi: float = 0.0
-    r: float = field(init=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.phi)):
-            raise ValueError(f"t and phi must be finite, got {self.t}, {self.phi}")
-        t = float(self.t) + 0.0  # + 0.0 turns a -0.0 into 0.0
-        # t * t, unlike t**2, gives inf instead of raising OverflowError.
-        if t < 0.0 or t * t - 1.0 > _SYMMETRY_TOL:
-            raise ValueError(f"need 0 <= t <= 1, got t={t}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-        object.__setattr__(self, "r", math.sqrt(max(0.0, 1.0 - t**2)))
 
 
 @dataclass(frozen=True)
@@ -133,42 +107,6 @@ def _block_entries(v, theta, n, t, phi, r=None):
     return a11, a12, a22, b11, b12, b22, c11, c12, c21, c22
 
 
-def _invariants(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22):
-    """det A, det B, det C, tr(A J C J B J C^T J) and det V from block entries.
-
-    Uses the block identity det V = det A det B + (det C)^2 - tr(AJCJBJC^TJ),
-    valid for any symmetric A, B, with J = [[0, 1], [-1, 0]].
-    """
-    det_a = a11 * a22 - a12 * a12
-    det_b = b11 * b22 - b12 * b12
-    det_c = c11 * c22 - c12 * c21
-    trace = (
-        a11 * (b11 * c22 * c22 - 2.0 * b12 * c21 * c22 + b22 * c21 * c21)
-        + a22 * (b11 * c12 * c12 - 2.0 * b12 * c11 * c12 + b22 * c11 * c11)
-        + 2.0
-        * a12
-        * (b12 * (c11 * c22 + c12 * c21) - b11 * c12 * c22 - b22 * c11 * c21)
-    )
-    det_v = det_a * det_b + det_c * det_c - trace
-    return det_a, det_b, det_c, trace, det_v
-
-
-def eta_minus_sq(v, theta, n, t, phi):
-    """Vectorized (eta^-)^2 of the partial transpose; broadcasts all arguments.
-
-    This is the general 4x4-block algebra, kept as the reference that
-    :func:`output_spectrum` and the grid oracle of :mod:`.optimize` are
-    checked against.  Inputs are assumed physical; the discriminant is
-    clamped at zero so pure states on the degeneracy do not generate complex
-    values.  sigma - sqrt(sigma^2 - 4 det V) cancels for large squeezing.
-    """
-    inv = _invariants(*_block_entries(v, theta, n, t, phi))
-    det_a, det_b, det_c, _, det_v = inv
-    sigma = det_a + det_b - 2.0 * det_c
-    disc = np.maximum(sigma * sigma - 4.0 * det_v, 0.0)
-    return np.maximum(0.5 * (sigma - np.sqrt(disc)), 0.0)
-
-
 def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
     """((eta^-)^2, (eta^+)^2) for centered (v, n) at transmission t.
 
@@ -210,28 +148,9 @@ def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
         )
     else:
         disc = excess * excess + b * (v - n) * (v + n)
-    eta_plus_sq = 0.5 * (0.5 + excess + math.sqrt(disc))
-    eta_minus_sq = 0.25 * lam_minus * lam_plus / eta_plus_sq
-    return (max(eta_minus_sq, 0.25) if classical else eta_minus_sq), eta_plus_sq
-
-
-def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
-    """The splitter setting that maximizes E_N: balanced if v > n, else t = 0.
-
-    (eta^-)^2 is phi-independent and, for v > n, smallest at t = 1/sqrt(2),
-    where 2 (eta^-)^2 = l- = (n - v) + 1/2.  The maximum is therefore the
-    entanglement potential E_N^max = max(0, -ln(1 + 2 (n - v)) / 2) of
-    Asboth, Calsamiglia & Ritsch, PRL 94, 173602 (2005).  A classical input
-    entangles at no setting; it gets (t, phi) = (0, 0), the tie-break of the
-    grid oracle :func:`nonclassicality.optimize.maximize_EN`.
-    """
-    return BeamSplitterParams(BALANCED_T if c.v > c.n else 0.0)
-
-
-def log_negativity_from_eta_sq(eta_sq):
-    """E_N = max(0, -ln 2 eta^-) from (eta^-)^2, vectorized."""
-    with np.errstate(divide="ignore"):
-        return np.maximum(0.0, -0.5 * np.log(np.maximum(4.0 * eta_sq, 1e-300))) + 0.0
+    plus_sq = 0.5 * (0.5 + excess + math.sqrt(disc))
+    minus_sq = 0.25 * lam_minus * lam_plus / plus_sq
+    return (max(minus_sq, 0.25) if classical else minus_sq), plus_sq
 
 
 def covariance_from_input(

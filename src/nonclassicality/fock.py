@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import BeamSplitterParams, CovarianceBlocks, covariance_from_input
-from .moments import SingleModeMoments, SqueezedCoherentParams, center
+from .entanglement import CovarianceBlocks, covariance_from_input
+from .moments import BeamSplitterParams, SingleModeMoments, SqueezedCoherentParams, center
 
 _NORM_TOL = 1e-10
 

@@ -1,18 +1,19 @@
-"""Single-mode bosonic moment data: validation, centering, squeezed-coherent family.
+"""Validated inputs: single-mode moments, the beam splitter, the squeezed-coherent family.
 
 Every criterion in this package consumes a mode through the pair
-(<a^2>, <a^dag a>), optionally after subtracting first moments.  This module
-owns the containers for those numbers and the physicality check that guards
-the downstream Gaussian formulas: center() forms the centered pair and
-CenteredMoments refuses to hold an unphysical one, so nothing downstream
-checks it again.
+(<a^2>, <a^dag a>), optionally after subtracting first moments, and a
+beam-splitter setting (t, phi).  This module owns the containers for those
+numbers and the checks that guard the downstream Gaussian formulas: center()
+forms the centered pair, CenteredMoments refuses to hold an unphysical one
+and BeamSplitterParams a t outside [0, 1], so nothing downstream checks them
+again.  Both wrap their angle, theta and phi, into [0, 2 pi) by one rule.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,9 +23,17 @@ PHYSICALITY_EPS = 1e-9
 # Centered |<a^2>| below this is treated as exactly zero when assigning a phase.
 ZERO_MAGNITUDE_CUTOFF = 1e-14
 
+# A transmission t with t^2 - 1 up to this is taken as t = 1 (r = 0).
+_UNIT_T_TOL = 1e-12
+
 
 class UnphysicalMomentsError(ValueError):
     """Raised for moment combinations no quantum state can produce."""
+
+
+def _wrap_angle(x: float) -> float:
+    # A second % maps a tiny negative x, which the first rounds up to 2 pi, to 0.
+    return x % TWO_PI % TWO_PI
 
 
 def _physicality_slack(v: float, n: float) -> float:
@@ -92,11 +101,35 @@ class CenteredMoments:
             )
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        # A second % maps a tiny negative theta, which rounds up to 2 pi, to 0.
-        theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else self.theta % TWO_PI % TWO_PI
+        theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else _wrap_angle(self.theta)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "n", max(n, 0.0))
+
+
+@dataclass(frozen=True)
+class BeamSplitterParams:
+    """Transmission t and phase phi; the reflection r = sqrt(1 - t^2) is derived.
+
+    Needs finite t >= 0 with t^2 - 1 <= 1e-12 (a t rounded just above 1 gets
+    r = 0) and finite phi, which is wrapped into [0, 2 pi) as
+    :class:`CenteredMoments` wraps theta.
+    """
+
+    t: float
+    phi: float = 0.0
+    r: float = field(init=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.phi)):
+            raise ValueError(f"t and phi must be finite, got {self.t}, {self.phi}")
+        t = float(self.t) + 0.0  # + 0.0 turns a -0.0 into 0.0
+        # t * t, unlike t**2, gives inf instead of raising OverflowError.
+        if t < 0.0 or t * t - 1.0 > _UNIT_T_TOL:
+            raise ValueError(f"need 0 <= t <= 1, got t={t}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "phi", _wrap_angle(float(self.phi)))
+        object.__setattr__(self, "r", math.sqrt(max(0.0, 1.0 - t**2)))
 
 
 @dataclass(frozen=True)

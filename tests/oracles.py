@@ -1,24 +1,76 @@
 """Brute-force references that only the tests call.
 
 The general 4x4 block algebra on a covariance matrix [[A, C], [C^T, B]]
-(symplectic eigenvalues of the partial transpose and the Simon combination),
-the NumPy form of the closed-form output spectrum, the log negativity of a
-split pure state from its Schmidt coefficients, the dense ladder operator
-of a truncated mode, and a truncation guideline for squeezed coherent
-states.  The package computes every criterion from closed forms in
-(v, n, t); these are what those closed forms are checked against.
+(symplectic eigenvalues of the partial transpose and the Simon combination,
+also vectorized over splitter settings), the grid search over (t, phi) that
+the closed-form maximizing splitter is checked against, the NumPy form of
+the closed-form output spectrum, the log negativity of a split pure state
+from its Schmidt coefficients, the dense ladder operator of a truncated
+mode, and a truncation guideline for squeezed coherent states.  The package
+computes every criterion from closed forms in (v, n, t); these are what
+those closed forms are checked against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from nonclassicality import CovarianceBlocks, SqueezedCoherentParams, UnphysicalMomentsError
-from nonclassicality.entanglement import _invariants
+from nonclassicality import (
+    BALANCED_T,
+    CenteredMoments,
+    CovarianceBlocks,
+    SqueezedCoherentParams,
+    UnphysicalMomentsError,
+)
+from nonclassicality.entanglement import _block_entries
+from nonclassicality.moments import TWO_PI
 
 # Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point
 # noise must not produce complex eigenvalues.
 CLAMP_TOL = 1e-10
+
+
+def _invariants(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22):
+    """det A, det B, det C, tr(A J C J B J C^T J) and det V from block entries.
+
+    Uses the block identity det V = det A det B + (det C)^2 - tr(AJCJBJC^TJ),
+    valid for any symmetric A, B, with J = [[0, 1], [-1, 0]].
+    """
+    det_a = a11 * a22 - a12 * a12
+    det_b = b11 * b22 - b12 * b12
+    det_c = c11 * c22 - c12 * c21
+    trace = (
+        a11 * (b11 * c22 * c22 - 2.0 * b12 * c21 * c22 + b22 * c21 * c21)
+        + a22 * (b11 * c12 * c12 - 2.0 * b12 * c11 * c12 + b22 * c11 * c11)
+        + 2.0
+        * a12
+        * (b12 * (c11 * c22 + c12 * c21) - b11 * c12 * c22 - b22 * c11 * c21)
+    )
+    det_v = det_a * det_b + det_c * det_c - trace
+    return det_a, det_b, det_c, trace, det_v
+
+
+def eta_minus_sq(v, theta, n, t, phi):
+    """Vectorized (eta^-)^2 of the partial transpose; broadcasts all arguments.
+
+    This is the general 4x4-block algebra, kept as the reference that
+    :func:`nonclassicality.output_spectrum` is checked against and that
+    :func:`maximize_EN` below searches.  Inputs are assumed physical; the discriminant is
+    clamped at zero so pure states on the degeneracy do not generate complex
+    values.  sigma - sqrt(sigma^2 - 4 det V) cancels for large squeezing.
+    """
+    inv = _invariants(*_block_entries(v, theta, n, t, phi))
+    det_a, det_b, det_c, _, det_v = inv
+    sigma = det_a + det_b - 2.0 * det_c
+    disc = np.maximum(sigma * sigma - 4.0 * det_v, 0.0)
+    return np.maximum(0.5 * (sigma - np.sqrt(disc)), 0.0)
+
+
+def log_negativity_from_eta_sq(eta_sq):
+    """E_N = max(0, -ln 2 eta^-) from (eta^-)^2, vectorized."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(0.0, -0.5 * np.log(np.maximum(4.0 * eta_sq, 1e-300))) + 0.0
 
 
 def covariance_matrix(blocks: CovarianceBlocks) -> np.ndarray:
@@ -127,3 +179,100 @@ def recommended_dim(params: SqueezedCoherentParams) -> int:
     return math.ceil(
         20.0 + 8.0 * abs(params.alpha) ** 2 + 10.0 * math.exp(2.0 * params.strength)
     )
+
+
+# --- The grid search over (t, phi) ------------------------------------------
+#
+# The brute-force oracle for the closed-form maximum of
+# nonclassicality.optimize.maximizing_splitter: it searches the 4x4 block
+# algebra of eta_minus_sq and assumes nothing about where the optimum lies.
+# The measure is clamped at zero on the classical side, which flattens
+# gradients exactly where near-boundary states need resolving, so the search
+# minimizes the unclamped (eta^-)^2 -- the two problems share their argmax
+# wherever the measure is positive -- on a coarse grid followed by a
+# shrinking-interval coordinate refinement.  Ties break deterministically:
+# identical inputs give bit-identical outputs.
+
+DEFAULT_GRID_T = 33
+DEFAULT_GRID_PHI = 64
+DEFAULT_REFINE_ITERS = 40
+
+#: Refinement stops once the step is below this in both coordinates.
+STEP_TOL = 1e-6
+
+#: Values within this of the best are ties, broken by lowest t then lowest phi.
+TIE_TOL = 1e-12
+
+_LOCAL_POINTS = 9  # points per coordinate in one refinement pass
+_SHRINK = 4.0      # step shrink factor per refinement pass
+
+
+@dataclass(frozen=True)
+class OptimizationResult:
+    best_value: float
+    best_t: float
+    best_phi: float
+    evaluations: int
+
+
+def _best_on_grid(values: np.ndarray, ts: np.ndarray, phis: np.ndarray):
+    """Index of the smallest value; ties within TIE_TOL go to lowest t, then phi."""
+    vmin = values.min()
+    tied = np.argwhere(values <= vmin + TIE_TOL)
+    best = min(tied.tolist(), key=lambda ij: (ts[ij[0]], phis[ij[1]]))
+    return best[0], best[1]
+
+
+def maximize_EN(
+    c: CenteredMoments,
+    grid_t: int = DEFAULT_GRID_T,
+    grid_phi: int = DEFAULT_GRID_PHI,
+    refine_iters: int = DEFAULT_REFINE_ITERS,
+) -> OptimizationResult:
+    """Maximize E_N over t in [0, 1] and phi in [0, 2 pi).
+
+    The initial grid is uniform, includes both t endpoints and the balanced
+    point t = 1/sqrt(2) exactly, and phi is sampled without its periodic
+    endpoint.  Refinement re-centers a 9x9 local grid on the incumbent and
+    shrinks the step by 4x per pass until both steps fall below STEP_TOL or
+    refine_iters passes are spent; phi wraps around modulo 2 pi.  When the
+    coarse grid is flat to within TIE_TOL (vacuum input, for instance) there
+    is nothing to refine and only the grid is evaluated.
+    """
+    if grid_t < 8 or grid_phi < 8:
+        raise ValueError(f"grids must have >= 8 points, got ({grid_t}, {grid_phi})")
+
+    ts = np.unique(np.append(np.linspace(0.0, 1.0, grid_t), BALANCED_T))
+    phis = np.linspace(0.0, TWO_PI, grid_phi, endpoint=False)
+    values = eta_minus_sq(c.v, c.theta, c.n, ts[:, None], phis[None, :])
+    evaluations = values.size
+
+    i, j = _best_on_grid(values, ts, phis)
+    best_t, best_phi, best_val = float(ts[i]), float(phis[j]), float(values[i, j])
+
+    flat = values.max() - values.min() <= TIE_TOL
+    if not flat:
+        h_t = 1.0 / (grid_t - 1)
+        h_phi = TWO_PI / grid_phi
+        offsets = np.linspace(-1.0, 1.0, _LOCAL_POINTS)
+        for _ in range(refine_iters):
+            if h_t < STEP_TOL and h_phi < STEP_TOL:
+                break
+            local_ts = np.unique(np.clip(best_t + h_t * offsets, 0.0, 1.0))
+            local_phis = (best_phi + h_phi * offsets) % TWO_PI
+            local = eta_minus_sq(c.v, c.theta, c.n, local_ts[:, None], local_phis[None, :])
+            evaluations += local.size
+            i, j = _best_on_grid(local, local_ts, local_phis)
+            if local[i, j] <= best_val:
+                best_t, best_phi = float(local_ts[i]), float(local_phis[j])
+                best_val = float(local[i, j])
+            h_t /= _SHRINK
+            h_phi /= _SHRINK
+
+    return OptimizationResult(
+        best_value=float(log_negativity_from_eta_sq(best_val)),
+        best_t=best_t,
+        best_phi=best_phi,
+        evaluations=evaluations,
+    )
+

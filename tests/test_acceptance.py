@@ -24,14 +24,12 @@ from nonclassicality import (
     covariance_from_input,
     field_moments,
     ground_state,
-    maximize_EN,
     squeezed_coherent_moments,
     squeezed_coherent_vector,
     two_mode_covariance,
 )
 from nonclassicality.cli import main
-from nonclassicality.entanglement import eta_minus_sq
-from oracles import simon_lambda, symplectic_eta
+from oracles import eta_minus_sq, maximize_EN, simon_lambda, symplectic_eta
 
 ANCHOR_STRENGTHS = (0.25, 0.5, 1.0, 1.5, 2.0)
 #: The balanced splitter as maximizing_splitter builds it, r from t.

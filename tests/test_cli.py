@@ -147,6 +147,14 @@ class TestMeasure:
             ["--v", "0.5", "--n", "-1e-10"],
             ["--v", "0.9", "--n", "0.6", "--theta", "-1e-3"],
             ["--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3", "--phi", "-1e-300"],
+            # Non-finite values exit 2, as unphysical or invalid moments.
+            ["--v", "0", "--n", "-inf"],
+            ["--v", "0", "--n", "-Infinity"],
+            ["--v", "0", "--n", "-nan"],
+            ["--v", "0", "--n", "-INF"],
+            ["--v", "1", "--n", "1", "--theta", "-inf"],
+            ["--v", "1", "--n", "1", "--theta", "-NaN"],
+            ["--n", "1", "--v", "-inf"],
         ],
     )
     def test_negative_values_in_scientific_notation_are_values(self, capsys, args):
@@ -154,6 +162,32 @@ class TestMeasure:
         joined = run_cli(capsys, "measure", *args[:-2], f"{args[-2]}={args[-1]}")
         assert spaced == joined
         assert spaced[0] != 1
+
+    def test_value_that_is_not_a_number_still_exits_1(self, capsys):
+        spaced = run_cli(capsys, "measure", "--v", "0", "--n", "-infx")
+        assert spaced == run_cli(capsys, "measure", "--v", "0", "--n=-infx")
+        assert spaced[0] == 1 and spaced[1] == ""
+        assert "invalid float value" in spaced[2]
+
+    @pytest.mark.parametrize("phi", ["-1e-300", "-1e-17", "-0.0"])
+    def test_tiny_negative_phi_prints_zero(self, capsys, phi):
+        # One % would round -1e-300 up to 2 pi, outside [0, 2 pi).
+        fixed = ["measure", "--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3"]
+        zero = run_cli(capsys, *fixed, "--phi", "0")
+        for args in (["--phi", phi], [f"--phi={phi}"]):
+            result = run_cli(capsys, *fixed, *args)
+            assert result == zero
+            assert json.loads(result[1])["best_phi"] == 0.0
+
+    def test_rounding_inside_the_physicality_slack_exits_2(self, capsys):
+        # Within the slack of CenteredMoments, yet det V rounds below zero.
+        v, n = 100000.50004870025, 100000.0
+        assert CenteredMoments(v, 0.0, n).v == v
+        code, out, err = run_cli(capsys, "measure", "--v", repr(v), "--n", repr(n))
+        assert (code, out) == (2, "")
+        assert err == (
+            "unphysical moments: covariance matrix has det V = -2.435024896181796 <= 0\n"
+        )
 
     def test_stdout_is_the_report_as_a_dict(self, capsys):
         for args, c, bs in (
@@ -249,6 +283,15 @@ class TestSqueezedSweep:
             capsys, "squeezed-sweep", "--r-min", "2", "--r-max", "1"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("option,value", [("--theta", "-nan"), ("--theta", "-inf"),
+                                              ("--r-max", "-inf"), ("--alpha", "-inf")])
+    def test_spaced_non_finite_values_are_values(self, capsys, option, value):
+        spaced = run_cli(capsys, "squeezed-sweep", "--steps", "2", option, value)
+        assert spaced == run_cli(capsys, "squeezed-sweep", "--steps", "2", f"{option}={value}")
+        code, out, err = spaced
+        assert code == 1 and out == ""
+        assert err.endswith("must be finite\n")
 
     def test_negative_complex_alpha_is_a_value(self, capsys):
         spaced = run_cli(capsys, "squeezed-sweep", "--steps", "2", "--alpha", "-0.5+0.2j")

@@ -28,9 +28,11 @@ from nonclassicality import (
     squeezed_coherent_moments,
     squeezed_coherent_vector,
 )
-from nonclassicality.entanglement import _block_entries, _invariants, eta_minus_sq
+from nonclassicality.entanglement import _block_entries
 from oracles import (
+    _invariants,
     covariance_matrix,
+    eta_minus_sq,
     schmidt_log_negativity,
     simon_lambda,
     symplectic_eta,
@@ -91,6 +93,14 @@ class TestBeamSplitterParams:
         assert BeamSplitterParams(BALANCED_T, phi=-1.0).phi == pytest.approx(
             2.0 * math.pi - 1.0
         )
+
+    @pytest.mark.parametrize("angle", [-1e-300, -1e-17, -0.0, 2.0 * math.pi, -1.0, 7.0])
+    def test_phi_and_theta_share_one_wrap(self, angle):
+        # A tiny negative angle that one % rounds up to 2 pi lands on 0.
+        phi = BeamSplitterParams(0.3, angle).phi
+        assert 0.0 <= phi < 2.0 * math.pi
+        assert math.copysign(1.0, phi) == 1.0
+        assert phi == CenteredMoments(0.5, angle, 1.0).theta
 
 
 class TestCovarianceFromInput:
@@ -178,6 +188,21 @@ class TestSymplecticEta:
         blocks = dict(A=0.5 * np.eye(2), B=0.5 * np.eye(2), C=np.zeros((2, 2)))
         blocks[block] = np.full((2, 2), bad)
         with pytest.raises(ValueError, match="must be finite"):
+            CovarianceBlocks(**blocks)
+
+    @pytest.mark.parametrize(
+        "block,value,message",
+        [
+            ("A", np.eye(3), "block A must be 2x2"),
+            ("C", np.zeros(4), "block C must be 2x2"),
+            ("A", np.array([[0.5, 0.1], [0.0, 0.5]]), "block A must be symmetric"),
+            ("B", np.array([[0.5, 0.0], [0.1, 0.5]]), "block B must be symmetric"),
+        ],
+    )
+    def test_malformed_blocks_rejected(self, block, value, message):
+        blocks = dict(A=0.5 * np.eye(2), B=0.5 * np.eye(2), C=np.zeros((2, 2)))
+        blocks[block] = value
+        with pytest.raises(ValueError, match=message):
             CovarianceBlocks(**blocks)
 
     def test_negative_detv_rejected(self):
@@ -561,13 +586,16 @@ class TestEntanglementPotential:
 
 
 def schmidt_dim(r):
-    """Fock levels for the Schmidt oracle at squeezing r <= 1 and |alpha| <= 0.7.
+    """Fock levels for the Schmidt oracle at squeezing r <= 1.5 and |alpha| <= 0.7.
 
     The smallest Schmidt modes need far more levels than the tail weight
     suggests.  At r = 1 with alpha on the anti-squeezed axis, E_N is off by
     9e-12 at dim 240 and by 9e-16 at dim 320; at r = 0.5, by 8e-16 at dim 120.
+    At r = 1.5 the worst gap at the maximizing splitter is 1.1e-8 at dim 480,
+    where the truncation is already healthy, 1.2e-11 at 640 and 3.6e-13 at
+    720.
     """
-    return 120 if r <= 0.5 else 320
+    return 120 if r <= 0.5 else 320 if r <= 1.0 else 720
 
 
 class TestExactEntanglement:
@@ -590,6 +618,19 @@ class TestExactEntanglement:
                     for bs in [maximizing_splitter(center(moments)), *random_splitters]:
                         exact = schmidt_log_negativity(apply_beam_splitter(state, bs).coefficients)
                         assert abs(build_report(moments, bs).E_N - exact) <= 1e-12, (params, bs)
+
+    def test_strong_squeezing_at_the_maximizing_splitter(self):
+        # r = 1.5 needs dim 720 or more at 1e-12, though the tail weight
+        # passes from dim 480 on: size dim from the gap, not from TAIL_TOL.
+        for alpha in (0.0, 0.7, 0.7j, 0.42 + 0.56j):
+            for angle in (0.0, 2.0, math.pi):
+                params = SqueezedCoherentParams(alpha, 1.5, angle)
+                state = squeezed_coherent_vector(params, schmidt_dim(1.5))
+                assert state.truncation_healthy
+                moments = squeezed_coherent_moments(params)
+                bs = maximizing_splitter(center(moments))
+                exact = schmidt_log_negativity(apply_beam_splitter(state, bs).coefficients)
+                assert abs(build_report(moments, bs).E_N - exact) <= 1e-12, params
 
     @pytest.mark.parametrize(
         "params",

@@ -399,5 +399,20 @@ class TestFockVectorInvariants:
         with pytest.raises(ValueError, match="state norm nan"):
             TwoModeVector(np.full((2, 2), math.nan))
 
+    @pytest.mark.parametrize(
+        "coefficients", [np.eye(2) / math.sqrt(2.0), np.array([1.0])], ids=["2-d", "one-level"]
+    )
+    def test_single_mode_shape_enforced(self, coefficients):
+        with pytest.raises(ValueError, match="1-d array with dim >= 2"):
+            FockVector(coefficients)
+
+    def test_two_mode_shape_enforced(self):
+        with pytest.raises(ValueError, match="2-d array"):
+            TwoModeVector(np.array([1.0, 0.0]))
+
+    def test_one_level_truncation_rejected(self):
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            squeezed_coherent_vector(SqueezedCoherentParams(0.0, 0.5, 0.0), 1)
+
     def test_dim_exposed(self):
         assert fock_basis_state(7, 2).dim == 7

@@ -11,10 +11,9 @@ from nonclassicality import (
     UnphysicalMomentsError,
     build_report,
     center,
-    maximize_EN,
     squeezed_coherent_moments,
 )
-from nonclassicality.entanglement import eta_minus_sq, log_negativity_from_eta_sq
+from oracles import eta_minus_sq, log_negativity_from_eta_sq, maximize_EN
 
 
 def squeezed_vacuum_centered(r):

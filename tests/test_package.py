@@ -34,7 +34,11 @@ def test_lazy_public_api():
 
 
 #: References that only the tests run; they live in tests/oracles.py.
-TEST_ONLY_NAMES = ("symplectic_eta", "simon_lambda", "annihilation_matrix", "recommended_dim")
+TEST_ONLY_NAMES = (
+    "symplectic_eta", "simon_lambda", "annihilation_matrix", "recommended_dim",
+    "maximize_EN", "OptimizationResult", "eta_minus_sq", "_invariants",
+    "log_negativity_from_eta_sq",
+)
 
 
 def test_test_only_references_are_not_shipped():
