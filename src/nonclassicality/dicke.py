@@ -80,8 +80,8 @@ _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 #: same reason: each co-rotating row bisects several k blocks.
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
-#: Smallest normal double, bound once for the same reason.
-_TINY = np.finfo(float).tiny
+#: Smallest normal double and the double epsilon, bound once for the same reason.
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class DickeConfig:
         m = (n_atoms - 1) // 2  # where (N - m)(m + 1), the S_+ amplitude squared, peaks
         coupling = self.g / math.sqrt(n_atoms) * math.sqrt((n_atoms - m) * (m + 1)) * math.sqrt(top)
         bound = self.omega * top + self.omega_eg * n_atoms + 4.0 * coupling
-        if not bound * np.finfo(float).eps <= DEGENERACY_TOL:
+        if not bound * _EPS <= DEGENERACY_TOL:
             raise ValueError(f"omega (fock_dim - 1) + omega_eg n_atoms + 4 x largest coupling = "
                              f"{bound:g} is too large to resolve {DEGENERACY_TOL:g} in double precision")
 
@@ -310,11 +310,13 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
         k = np.searchsorted(blocks, np.argmax(np.abs(vectors[:, keep]), axis=0), side="right")
         keep = keep[np.argsort(k, kind="stable")]
     energies, keep = energies[keep[:2]], keep[:2]
-    pair = np.zeros((cfg.dim, 2))
-    pair[states] = vectors[:, keep]
     degenerate = abs(energies[1] - energies[0]) < DEGENERACY_TOL
-    partner = pair[:, 1] if degenerate and want_partner else None
-    return float(energies[0]), pair[:, 0], degenerate, partner, 0
+    vector, partner = np.zeros(cfg.dim), None
+    vector[states] = vectors[:, keep[0]]
+    if degenerate and want_partner:
+        partner = np.zeros(cfg.dim)
+        partner[states] = vectors[:, keep[1]]
+    return float(energies[0]), vector, degenerate, partner, 0
 
 
 def _tie_margin(energy: float) -> float:
@@ -333,17 +335,20 @@ def _second_level_bound(diagonal: np.ndarray, off_diagonal: np.ndarray, blocks: 
     neighbour while that one lies lower.  Each block's lowest level is
     bisected once, by dstebz.
     """
+    levels = {}
 
-    @functools.cache
     def level(k: int) -> float:
-        start, stop = blocks[k], blocks[k + 1]
-        if stop - start == 1:
-            return float(diagonal[start])
-        count, energies, _, _, info = _STEBZ(
-            diagonal[start:stop], off_diagonal[start:stop - 1], 2, 0.0, 0.0, 1, 1, 0.0, "E")
-        if info or count < 1:
-            raise np.linalg.LinAlgError(f"dstebz found no level in block {k} (info {info})")
-        return float(energies[0])
+        if k not in levels:
+            start, stop = blocks[k], blocks[k + 1]
+            if stop - start == 1:
+                levels[k] = float(diagonal[start])
+            else:
+                count, energies, _, _, info = _STEBZ(
+                    diagonal[start:stop], off_diagonal[start:stop - 1], 2, 0.0, 0.0, 1, 1, 0.0, "E")
+                if info or count < 1:
+                    raise np.linalg.LinAlgError(f"dstebz found no level in block {k} (info {info})")
+                levels[k] = float(energies[0])
+        return levels[k]
 
     last = len(blocks) - 2
     while True:
@@ -447,7 +452,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets, signs: np.ndarray):
     # The iteration runs on the sector scaled by _unit_scaled, whose bound
     # also sets the shift margin.
     bands, unit, norm_bound = _unit_scaled(bands)
-    margin = SHIFT_MARGIN * np.finfo(float).eps * norm_bound
+    margin = SHIFT_MARGIN * _EPS * norm_bound
     x = signs / math.sqrt(len(signs))
     previous = math.inf
     factor, uses, trusted = None, 0, False
@@ -535,7 +540,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     h_x = np.empty_like(vector)
     for states, _, bands, offsets, _ in sectors:
         h_x[states] = _band_apply(bands, vector[states], offsets)
-    residual = float(np.linalg.norm(h_x - energy * vector))
+    r = h_x - energy * vector
+    residual = math.sqrt(r @ r)
     if not residual <= RESIDUAL_TOL:  # NaN included
         return _unconverged(cfg, residual, iterations)
     return GroundStateResult(

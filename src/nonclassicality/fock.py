@@ -10,6 +10,7 @@ with the closed-form covariance blocks of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -24,6 +25,10 @@ _NORM_TOL = 1e-10
 
 #: Squared amplitude allowed on the last retained Fock level of an "exact" state.
 TAIL_TOL = 1e-12
+
+#: Sizes whose read-only tables (ladder roots, half-log-factorials and their
+#: Hankel sums) stay cached.
+TABLE_CACHE = 8
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,26 @@ def _check_norm(coeffs: np.ndarray) -> None:
 
 def _tail_weight(psi: np.ndarray) -> float:
     """Largest squared amplitude on the two highest Fock levels of the last axis."""
-    return float(np.max(np.abs(psi[..., -2:]) ** 2))
+    return float((np.abs(psi[..., -2:]) ** 2).max())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _ladder_roots(size: int) -> np.ndarray:
+    """Read-only sqrt(k) for k = 0, ..., size, the ladder factors of a mode with size levels."""
+    return _read_only(np.sqrt(np.arange(size + 1)))
 
 
 def _lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting.
 
     The result is written to ``out`` when given, which must not overlap ``psi``.
+    The factors sqrt(k) are read from the cached ``_ladder_roots`` of the
+    mode's size.
     """
     if out is None:
         out = np.empty_like(psi)
@@ -94,9 +112,9 @@ def _lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np
         # column slices would allocate NumPy's iteration buffers on every call.
         out[..., :-1] = psi[..., 1:]
         out[..., -1] = 0.0
-        out *= np.sqrt(np.arange(1, psi.shape[-1] + 1))
+        out *= _ladder_roots(psi.shape[-1])[1:]
     else:
-        np.multiply(np.sqrt(np.arange(1, psi.shape[0]))[:, None], psi[1:], out=out[:-1])
+        np.multiply(_ladder_roots(psi.shape[0])[1:-1, None], psi[1:], out=out[:-1])
         out[-1] = 0.0
     return out
 
@@ -109,6 +127,7 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
     c_{k+1} = (alpha sech r c_k - e^{i theta} tanh r sqrt(k) c_{k-1}) / sqrt(k+1)
     from c_0 = 1.  The levels found so far are rescaled whenever an amplitude
     passes 1e150, since amplitudes grow like e^{|alpha|^2 / 2} before they fall.
+    The square roots are read from the cached ``_ladder_roots`` of ``dim``.
     Check ``truncation_healthy`` on the result: leakage past the truncation
     shows up there, not as an exception.
     """
@@ -119,11 +138,12 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
     sech = 2.0 * decay / (1.0 + decay * decay)  # cannot overflow at large r
     drive = params.alpha * sech
     pull = -complex(math.cos(params.angle), math.sin(params.angle)) * math.tanh(r)
+    roots = _ladder_roots(dim).tolist()
     coeffs = np.zeros(dim, dtype=complex)
     prev, cur = 0j, 1 + 0j
     coeffs[0] = cur
     for k in range(1, dim):
-        prev, cur = cur, (drive * cur + pull * math.sqrt(k - 1) * prev) / math.sqrt(k)
+        prev, cur = cur, (drive * cur + pull * roots[k - 1] * prev) / roots[k]
         if abs(cur) > 1e150:
             scale = 1.0 / abs(cur)
             coeffs[:k] *= scale
@@ -161,19 +181,29 @@ def _powers(mu: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hankel(values: np.ndarray) -> np.ndarray:
     """Read-only view h[k, j] = values[k + j], reading 0 past the end."""
-    padded = np.concatenate([values, np.zeros(values.size - 1, dtype=values.dtype)])
-    return np.lib.stride_tricks.sliding_window_view(padded, values.size)
+    size = values.size
+    padded = np.zeros(2 * size - 1, dtype=values.dtype)
+    padded[:size] = values
+    # Both axes step one element: row k starts at values[k].
+    return _read_only(np.ndarray((size, size), values.dtype, padded, strides=2 * padded.strides))
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE)
 def _half_log_factorials(dim: int) -> np.ndarray:
-    """(1/2) log k! for k = 0, ..., dim-1, from the exact integer factorials.
+    """Read-only (1/2) log k! for k = 0, ..., dim-1, from the exact integer factorials.
 
     ``math.log`` of an int stays within about 1 ulp of the true value at any
     size, while ``math.lgamma`` (CPython's own Lanczos sum) is already 3 ulp
-    off at log 2!.
+    off at log 2!.  The table is cached per size, with its Hankel sums.
     """
     factorials = itertools.accumulate(range(1, dim), operator.mul, initial=1)
-    return np.array([0.5 * math.log(factorial) for factorial in factorials])
+    return _read_only(np.array([0.5 * math.log(factorial) for factorial in factorials]))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _half_log_factorial_sums(dim: int) -> np.ndarray:
+    """Read-only contiguous dim x dim table h[k, j] = (1/2) log (k + j)!, 0 where k + j >= dim."""
+    return _read_only(np.ascontiguousarray(_hankel(_half_log_factorials(dim))))
 
 
 def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:
@@ -194,25 +224,24 @@ def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVec
     dim = state.dim
     out, scratch = np.empty((2, dim, dim), dtype=complex)
     magnitude = np.empty((dim, dim))
-    half_log_fact = _half_log_factorials(dim)
-    return TwoModeVector(
-        _apply_beam_splitter_images(state.coefficients, bs, half_log_fact, out, magnitude, scratch)
-    )
+    return TwoModeVector(_apply_beam_splitter_images(state.coefficients, bs, out, magnitude, scratch))
 
 
 def _apply_beam_splitter_images(
-    vec: np.ndarray, bs: BeamSplitterParams, half_log_fact: np.ndarray,
-    out: np.ndarray, magnitude: np.ndarray, scratch: np.ndarray,
+    vec: np.ndarray, bs: BeamSplitterParams, out: np.ndarray, magnitude: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Fill the dim x dim ``out`` with the split table of ``apply_beam_splitter`` and return it.
 
-    ``half_log_fact`` is ``_half_log_factorials(dim)``; ``magnitude`` (real)
-    and ``scratch`` (complex) are dim x dim work arrays, overwritten.
+    ``magnitude`` (real) and ``scratch`` (complex) are dim x dim work arrays,
+    overwritten.  The half-log-factorials and their Hankel sums are the
+    cached tables of ``dim``.
     """
     dim = vec.size
+    half_log_fact = _half_log_factorials(dim)
     log_abs1, phase1 = _powers(bs.t * np.exp(1j * bs.phi), dim)
     log_abs2, phase2 = _powers(-bs.r, dim)
-    np.add(_hankel(half_log_fact), (log_abs1 - half_log_fact)[:, None], out=magnitude)
+    np.add(_half_log_factorial_sums(dim), (log_abs1 - half_log_fact)[:, None], out=magnitude)
     magnitude += (log_abs2 - half_log_fact)[None, :]
     np.exp(magnitude, out=magnitude)
     # Copies and whole-array in-place products only: a casting product over
@@ -296,33 +325,33 @@ def covariance_check(
     The dim x dim arrays of the split and its covariance are allocated once
     per call and refilled by every trial, through the same kernels that
     ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
-    no memory back to the allocator between them.
+    no memory back to the allocator between them.  The tables that depend
+    only on ``dim`` (ladder roots, half-log-factorials and their Hankel sums)
+    are built once per size and cached across calls.  One draw per call
+    gives every trial's six uniform parameters.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= r_max < math.inf:  # NaN included
+        raise ValueError(f"r_max must be finite and >= 0, got {r_max}")
     rng = np.random.default_rng(seed)
-    half_log_fact = _half_log_factorials(dim)
+    # Generator.uniform(low, high) is low + (high - low) u for the stream's
+    # next double u, so these are the doubles that six uniform calls per
+    # trial give: |alpha|^2 / alpha_max^2, arg alpha, r, its angle, t, phi.
+    low, high = 0.0, np.array([1.0, 2.0 * math.pi, r_max, 2.0 * math.pi, 1.0, 2.0 * math.pi])
+    draws = low + (high - low) * rng.random((trials, 6))
     split, a1_psi, a2_psi, scratch = np.empty((4, dim, dim), dtype=complex)
     magnitude = np.empty((dim, dim))
     worst = 0.0
-    for _ in range(trials):
-        alpha = (
-            alpha_max
-            * math.sqrt(rng.uniform(0.0, 1.0))
-            * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        )
-        params = SqueezedCoherentParams(
-            alpha=alpha,
-            strength=rng.uniform(0.0, r_max),
-            angle=rng.uniform(0.0, 2.0 * math.pi),
-        )
-        bs = BeamSplitterParams(t=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * math.pi))
+    for row in draws:
+        radius_sq, phase, strength, angle, t, phi = row.tolist()
+        alpha = alpha_max * math.sqrt(radius_sq) * np.exp(1j * phase)
+        params = SqueezedCoherentParams(alpha=alpha, strength=strength, angle=angle)
+        bs = BeamSplitterParams(t=t, phi=phi)
         state = squeezed_coherent_vector(params, dim)
         measured_input = center(moments_from_vector(state))
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
-        _apply_beam_splitter_images(
-            state.coefficients, simulated, half_log_fact, split, magnitude, scratch
-        )
+        _apply_beam_splitter_images(state.coefficients, simulated, split, magnitude, scratch)
         try:
             _check_norm(split)
             measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)

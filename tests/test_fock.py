@@ -141,6 +141,52 @@ class TestSqueezedCoherentVector:
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(state.coefficients, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 80, 400])
+    def test_recurrence_is_byte_exact(self, dim):
+        rng = np.random.default_rng(dim)
+        cases = [SqueezedCoherentParams(0.0, 0.0, 0.0), SqueezedCoherentParams(0.0, 1.2, 0.4)]
+        cases += [
+            SqueezedCoherentParams(complex(*rng.uniform(-2.0, 2.0, 2)), rng.uniform(0.0, 2.0),
+                                   rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(8)
+        ]
+        for params in cases:
+            expected, _ = squeezed_coherent_by_math_sqrt(params, dim)
+            assert squeezed_coherent_vector(params, dim).coefficients.tobytes() == expected.tobytes()
+
+    def test_rescaled_recurrence_is_byte_exact(self):
+        params = SqueezedCoherentParams(1e4 * cmath.exp(0.7j), 0.3, 1.1)
+        expected, rescales = squeezed_coherent_by_math_sqrt(params, 200)
+        assert rescales > 0
+        assert squeezed_coherent_vector(params, 200).coefficients.tobytes() == expected.tobytes()
+
+
+def squeezed_coherent_by_math_sqrt(params, dim):
+    """squeezed_coherent_vector's recurrence with math.sqrt per level, and its count of rescales.
+
+    The reference for the cached ladder roots: the same operations in the
+    same order, so the coefficients must match byte for byte.
+    """
+    r = params.strength
+    decay = math.exp(-r)
+    sech = 2.0 * decay / (1.0 + decay * decay)
+    drive = params.alpha * sech
+    pull = -complex(math.cos(params.angle), math.sin(params.angle)) * math.tanh(r)
+    coeffs = np.zeros(dim, dtype=complex)
+    prev, cur = 0j, 1 + 0j
+    coeffs[0] = cur
+    rescales = 0
+    for k in range(1, dim):
+        prev, cur = cur, (drive * cur + pull * math.sqrt(k - 1) * prev) / math.sqrt(k)
+        if abs(cur) > 1e150:
+            rescales += 1
+            scale = 1.0 / abs(cur)
+            coeffs[:k] *= scale
+            prev *= scale
+            cur *= scale
+        coeffs[k] = cur
+    return coeffs / np.linalg.norm(coeffs), rescales
+
 
 def splitter_by_photon_number(vec, mu1, mu2):
     """Reference: map each |n, 0> to sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>."""
@@ -310,9 +356,19 @@ class TestCovarianceCheck:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             covariance_check(trials=trials, dim=80, seed=1)
 
+    @pytest.mark.parametrize("r_max", [-1.0, math.inf, math.nan])
+    def test_unbounded_squeezing_range_rejected(self, r_max):
+        # Generator.uniform refused these ranges when each trial drew its own.
+        with pytest.raises(ValueError, match="r_max must be finite and >= 0"):
+            covariance_check(trials=1, dim=8, seed=1, r_max=r_max)
+
 
 def covariance_check_by_public_path(trials, dim, seed, corrupt_phase=False):
-    """covariance_check's trials through the public splitter and covariance functions."""
+    """covariance_check's trials through the public splitter and covariance functions.
+
+    Six scalar ``rng.uniform`` draws per trial are the reference for the one
+    batched draw per call that covariance_check makes.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -345,9 +401,9 @@ class TestOnePath:
         split = fock._apply_beam_splitter_images
         calls = []
 
-        def leaky_on_second_trial(vec, bs, half_log_fact, out, magnitude, scratch):
+        def leaky_on_second_trial(vec, bs, out, magnitude, scratch):
             calls.append(bs)
-            split(vec, bs, half_log_fact, out, magnitude, scratch)
+            split(vec, bs, out, magnitude, scratch)
             if len(calls) == 2:
                 out *= 1.001
             return out
@@ -386,6 +442,46 @@ class TestOnePath:
         expected = 0.5 * gammaln(np.arange(dim) + 1.0)
         assert table[0] == table[1] == 0.0
         assert np.all(np.abs(table - expected) <= 2.0 * np.spacing(expected))
+
+
+class TestSizeTables:
+    """The tables that depend only on the size are built once per size and shared."""
+
+    TABLES = [fock._ladder_roots, fock._half_log_factorials, fock._half_log_factorial_sums]
+
+    @pytest.mark.parametrize("table", TABLES, ids=lambda table: table.__name__)
+    @pytest.mark.parametrize("dim", [2, 17, 80])
+    def test_cached_tables_are_read_only(self, table, dim):
+        array = table(dim)
+        assert table(dim) is array
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+    def test_tables_hold_their_definitions(self):
+        dim = 9
+        np.testing.assert_array_equal(fock._ladder_roots(dim), [math.sqrt(k) for k in range(dim + 1)])
+        half_log_fact = _half_log_factorials(dim)
+        sums = fock._half_log_factorial_sums(dim)
+        assert sums.flags.c_contiguous
+        for k in range(dim):
+            for j in range(dim):
+                assert sums[k, j] == (half_log_fact[k + j] if k + j < dim else 0.0)
+
+    def test_evicted_size_gives_the_same_value(self):
+        first = covariance_check(trials=3, dim=17, seed=11)
+        for dim in range(20, 20 + fock.TABLE_CACHE + 1):
+            covariance_check(trials=1, dim=dim, seed=1)
+        misses = [table.cache_info().misses for table in self.TABLES]
+        for table in self.TABLES:
+            info = table.cache_info()
+            assert info.currsize == info.maxsize == fock.TABLE_CACHE
+        again = covariance_check(trials=3, dim=17, seed=11)
+        # Every table of dim 17 was evicted and is built again.
+        assert all(table.cache_info().misses > before for table, before in zip(self.TABLES, misses))
+        assert again == first
+        assert again == covariance_check_by_public_path(3, 17, 11)
 
 
 class TestFockVectorInvariants:
