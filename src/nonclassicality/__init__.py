@@ -43,8 +43,9 @@ from .optimize import BALANCED_T, maximizing_splitter
 
 __version__ = "0.1.0"
 
-#: Served from the dicke module on first use: it imports SciPy, which only
-#: the Dicke sweep needs.
+#: Served from the dicke module on first use: it loads SciPy's compiled
+#: LAPACK (the top-level scipy package, not scipy.linalg), which only the
+#: Dicke sweep needs.
 _DICKE_NAMES = frozenset({"DickeConfig", "GroundStateResult", "field_moments", "ground_state"})
 
 

@@ -154,7 +154,7 @@ def _cmd_squeezed_sweep(args) -> int:
 
 
 def _cmd_dicke_sweep(args) -> int:
-    # Imported here: dicke loads SciPy, which no other command needs.
+    # Imported here: dicke loads SciPy's LAPACK, which no other command needs.
     from .dicke import DickeConfig, field_moments, fock_tail_weight, ground_state
 
     # Chained comparisons are False for NaN, so these also reject it.

@@ -38,12 +38,16 @@ or explicit mixing of a degenerate ground pair; both are exposed.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .fock import _lower, _mode_moments, _tail_weight
 from .moments import SingleModeMoments
@@ -72,13 +76,41 @@ SOLVES_PER_FACTOR = 2
 #: layouts stay cached.
 LAYOUT_CACHE = 8
 
-#: LAPACK's banded Cholesky factorization and solve, bound once: each
-#: sector takes several solves, and every one of them would look these up.
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
-#: LAPACK's tridiagonal bisection and inverse iteration, bound once for the
-#: same reason: each co-rotating row bisects several k blocks.
-_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+def _load_lapack():
+    """SciPy's double-precision LAPACK routines dpbtrf, dpbtrs, dstebz, dstein.
+
+    They are the objects scipy.linalg.get_lapack_funcs returns, taken from
+    SciPy's compiled _flapack extension without importing the scipy.linalg
+    package, whose import costs more than a full co-rotating sweep.  Only
+    the top-level scipy package is imported, which also sets up SciPy's
+    library search path on Windows.  The extension is loaded by file path
+    under its own name, so a later scipy.linalg import finds the same
+    module already initialized; sys.modules is left as it was.  There is no
+    other way to these routines: if the file is missing this raises
+    ImportError naming the directory searched.
+    """
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    paths = [os.path.join(directory, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled LAPACK extension _flapack in {directory}")
+    name = "scipy.linalg._flapack"
+    loaded = name in sys.modules
+    spec = importlib.util.spec_from_file_location(name, path)
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    if not loaded:
+        # A single-phase extension enters itself into sys.modules as it loads.
+        sys.modules.pop(name, None)
+    return flapack.dpbtrf, flapack.dpbtrs, flapack.dstebz, flapack.dstein
+
+
+#: LAPACK's banded Cholesky factorization and solve, and its tridiagonal
+#: bisection and inverse iteration, bound once: each sector takes several
+#: solves and each co-rotating row bisects several k blocks.
+_PBTRF, _PBTRS, _STEBZ, _STEIN = _load_lapack()
 
 #: Smallest normal double and the double epsilon, bound once for the same reason.
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -444,10 +445,14 @@ class TestBlockGroundState:
         assert mean_a.imag == 0.0 and mean_a.real > 1.0
 
     def test_cli_does_not_load_scipy_sparse(self):
-        # No command solves or assembles a sparse matrix.
-        for model in ([], ["--counter-rotating"]):
-            argv = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", "--steps", "3", *model]
-            assert loaded_modules(cli_call(argv), "scipy.sparse") == [], model
+        # No command solves or assembles a sparse matrix, and the LAPACK
+        # routines come without the scipy.linalg package.
+        for options in ([], ["--counter-rotating"],
+                        # At g = 2 the 8-atom parity doublet is degenerate: the odd sector is solved too.
+                        ["--n-atoms", "8", "--fock-dim", "40", "--counter-rotating", "--mix-degenerate"]):
+            argv = ["dicke-sweep", "--n-atoms", "4", "--fock-dim", "12", "--steps", "3", *options]
+            loaded = loaded_modules(cli_call(argv), "scipy")
+            assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))], options
 
     @pytest.mark.parametrize(
         "code",
@@ -463,6 +468,91 @@ class TestBlockGroundState:
         # SciPy's start-up costs more than these commands' work; only the
         # Dicke solver needs it.
         assert loaded_modules(code, "scipy") == []
+
+
+#: Run in a fresh interpreter after {imports}: prints a digest of every
+#: output of dicke's four LAPACK routines, then one of scipy.linalg's, on a
+#: banded SPD sector, a shift dpbtrf refuses and a co-rotating chain through
+#: dstebz and dstein; then the CSV of two toy sweeps.
+LAPACK_SCRIPT = """
+{imports}
+import hashlib
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+from nonclassicality.cli import main
+from nonclassicality.dicke import DickeConfig, _sectors
+
+
+def digest(pbtrf, pbtrs, stebz, stein):
+    outputs = []
+    [(_, signs, bands, _, _), _] = _sectors(
+        DickeConfig(n_atoms=6, fock_dim=12, g=0.8, counter_rotating=True))
+    radius = 2.0 * np.abs(bands[1:]).max(axis=1).sum()
+    for shift, refused in ((bands[0].min() - radius - 1.0, False),
+                           (bands[0].max() + radius + 1.0, True)):
+        shifted = bands.copy(order="F")
+        shifted[0] -= shift
+        factor, info = pbtrf(shifted, lower=1, overwrite_ab=1)
+        assert (info > 0) == refused, info
+        outputs += [factor, info]
+        if not refused:
+            outputs += pbtrs(factor, signs.copy(), lower=1, overwrite_b=1)
+    [(_, _, chain, _, _)] = _sectors(DickeConfig(n_atoms=6, fock_dim=12, g=1.3))
+    diagonal, off_diagonal = chain[0], chain[1, :-1]
+    count, energies, block, split, info = stebz(
+        diagonal, off_diagonal, 2, 0.0, 0.0, 1, 4, 0.0, "B")
+    assert info == 0 and count == 4, (count, info)
+    outputs += [count, energies, block, split, info]
+    outputs += stein(diagonal, off_diagonal, energies[:count], block, split)
+    return hashlib.sha256(b"".join(np.asarray(x).tobytes() for x in outputs)).hexdigest()
+
+
+from nonclassicality import dicke
+print(digest(dicke._PBTRF, dicke._PBTRS, dicke._STEBZ, dicke._STEIN))
+print(digest(*get_lapack_funcs(("pbtrf", "pbtrs", "stebz", "stein"), dtype=np.float64)))
+for argv in (["--n-atoms", "4", "--fock-dim", "12", "--steps", "3"],
+             ["--n-atoms", "8", "--fock-dim", "40", "--steps", "2", "--counter-rotating",
+              "--mix-degenerate"]):
+    assert main(["dicke-sweep", *argv]) == 0
+"""
+
+
+class TestLapackBinding:
+    """dicke takes SciPy's own LAPACK routines, without the scipy.linalg package."""
+
+    def test_routines_are_scipys_in_either_import_order(self):
+        # Whether dicke or scipy.linalg loads the extension first changes no bit.
+        stdouts = []
+        for imports in ("from nonclassicality import dicke\nimport scipy.linalg",
+                        "import scipy.linalg\nfrom nonclassicality import dicke"):
+            proc = subprocess.run(
+                [sys.executable, "-c", LAPACK_SCRIPT.format(imports=imports)],
+                capture_output=True, text=True, env=subprocess_env())
+            assert proc.returncode == 0, proc.stderr
+            ours, theirs, csv = proc.stdout.split("\n", 2)
+            assert ours == theirs, imports
+            assert csv.count("\n") == (1 + 3) + (1 + 2)  # each sweep's header and rows
+            stdouts.append(proc.stdout)
+        assert stdouts[0] == stdouts[1]
+
+    def test_missing_extension_raises_naming_the_directory(self, monkeypatch, tmp_path):
+        # One binding path: no file, no routines, and no fallback to scipy.linalg.
+        (tmp_path / "linalg").mkdir()
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("fell back to get_lapack_funcs")
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fallback)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            dicke._load_lapack()
+
+    def test_sys_modules_is_left_as_it_was(self):
+        # Here scipy.linalg holds the extension already; a fresh process,
+        # where it does not, is test_cli_does_not_load_scipy_sparse.
+        held = sys.modules["scipy.linalg._flapack"]
+        assert len(dicke._load_lapack()) == 4
+        assert sys.modules["scipy.linalg._flapack"] is held
 
 
 def tridiagonal_pair(cfg):
