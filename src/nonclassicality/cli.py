@@ -59,17 +59,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @contextmanager
 def _output_stream(path):
-    """stdout, or the file at path; one that cannot be opened exits 1 with one stderr line."""
+    """stdout, or the file at path; one that cannot be opened, written, flushed
+    or closed exits 1 with one stderr line."""
     if path is None:
         yield sys.stdout
         return
     try:
-        handle = open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
     except OSError as exc:
         sys.stderr.write(f"cannot write {path}: {exc.strerror or exc}\n")
         raise SystemExit(1) from None
-    with handle:
-        yield handle
 
 
 def _fmt(x) -> str:
@@ -130,7 +130,8 @@ def _cmd_squeezed_sweep(args) -> int:
         return 1
     header = ["r", "E_N_fixed_theta", "E_N_optimized_theta", "best_t", "best_phi"]
     rows = []
-    for r in np.linspace(args.r_min, args.r_max, args.steps):
+    # + 0.0 turns the -0.0 that linspace can end on (stop = -0.0) into 0.0.
+    for r in np.linspace(args.r_min, args.r_max, args.steps) + 0.0:
         params = SqueezedCoherentParams(alpha=args.alpha, strength=float(r), angle=args.theta)
         # The maximum over (t, phi) does not depend on the squeezing angle, so
         # the angle-optimized column equals this one.
@@ -183,7 +184,7 @@ def _cmd_dicke_sweep(args) -> int:
     ]
     rows = []
     any_unconverged = False
-    for g in np.linspace(args.g_min, args.g_max, args.steps):
+    for g in np.linspace(args.g_min, args.g_max, args.steps) + 0.0:  # no -0.0, as above
         cfg = dataclasses.replace(model, g=float(g))
         result = ground_state(cfg, mix_degenerate=args.mix_degenerate)
         if not result.converged:
@@ -254,12 +255,15 @@ def _cmd_oracle_check(args) -> int:
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     # Built once per process: parse_args leaves the parser unchanged, and
-    # building it costs more than the measure command's arithmetic.
+    # building it costs more than the measure command's arithmetic.  Its
+    # ``commands`` maps each command word to that subcommand's parser, so
+    # main can parse a call's options in one pass instead of two.
     parser = _ArgumentParser(
         prog="nonclassicality",
         description="Quantify single-mode nonclassicality from <a^2> and <a^dag a>.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    parser.commands = sub.choices
 
     measure = sub.add_parser(
         "measure",
@@ -329,8 +333,20 @@ def _build_parser() -> _ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # The top-level pass would only read the command word and hand the
+        # rest to the subcommand's parser.  Top-level help, an unknown or
+        # missing command and leftover arguments still go through the
+        # top-level parser, which words their messages.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code

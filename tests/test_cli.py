@@ -276,6 +276,15 @@ class TestSqueezedSweep:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("unphysical moments at r="), args
 
+    def test_negative_zero_range_prints_zero(self, capsys):
+        # linspace ends on its stop, here -0.0; the r column prints 0, not -0.
+        code, out, _ = run_cli(
+            capsys, "squeezed-sweep", "--steps", "2", "--r-min", "-0.0", "--r-max", "-0.0"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["0", "0"]
+
     def test_bad_range_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "squeezed-sweep", "--steps", "1")
         assert code == 1
@@ -335,6 +344,16 @@ class TestDickeSweep:
         assert float(g0[3]) == 0.0  # mean_photon
         assert float(g0[4]) == 0.0  # E_N
         assert float(g0[2]) == pytest.approx(-1.0)  # -omega_eg * N / 2
+
+    def test_negative_zero_coupling_prints_zero(self, capsys):
+        # linspace ends on its stop, here -0.0; neither g column prints -0.
+        code, out, _ = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2",
+            "--g-min", "-0.0", "--g-max", "-0.0",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[:2] for row in rows] == [["0", "0"], ["0", "0"]]
 
     def test_g_over_gc_column(self, capsys):
         code, out, _ = run_cli(
@@ -621,16 +640,17 @@ class TestOracleCheck:
         assert len(err.splitlines()) == 1
 
 
+OUTPUT_COMMANDS = {
+    "measure": ["measure", "--v", "0.9", "--n", "0.6"],
+    "squeezed-sweep": ["squeezed-sweep", "--steps", "2"],
+    "dicke-sweep": ["dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2"],
+    "oracle-check": ["oracle-check", "--trials", "2"],
+}
+
+
 class TestOutputOption:
     @pytest.mark.parametrize(
-        "command",
-        [
-            ["measure", "--v", "0.9", "--n", "0.6"],
-            ["squeezed-sweep", "--steps", "2"],
-            ["dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "2"],
-            ["oracle-check", "--trials", "2"],
-        ],
-        ids=lambda command: command[0],
+        "command", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS.keys()
     )
     def test_unwritable_output_exits_1(self, capsys, tmp_path, command):
         # One stderr line, no traceback and nothing on stdout.
@@ -640,12 +660,64 @@ class TestOutputOption:
         assert err == f"cannot write {path}: {os.strerror(errno.ENOENT)}\n"
         assert not path.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "command",
+        [*OUTPUT_COMMANDS.values(), ["squeezed-sweep", "--steps", "400"]],
+        ids=[*OUTPUT_COMMANDS.keys(), "write-past-the-buffer"],
+    )
+    def test_failed_write_exits_1(self, capsys, command):
+        # /dev/full opens but refuses every write: a short output fails at the
+        # flush on close, a long one at a write once the buffer fills.
+        code, out, err = run_cli(capsys, *command, "--output", "/dev/full")
+        assert code == 1 and out == ""
+        assert err == f"cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
     def test_failed_sweep_leaves_no_file(self, capsys, tmp_path):
         # The file is opened only once every row is computed.
         path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "squeezed-sweep", "--r-max", "400", "--output", str(path))
         assert code == 2 and out == ""
         assert not path.exists()
+
+
+#: The largest occupation the physicality bound admits.
+LARGEST_N = "1.1579208923731618e+77"
+
+#: argv forms that take each branch of main's dispatch.
+PARSE_CORPUS = {
+    **OUTPUT_COMMANDS,
+    "help": ["--help"],
+    "measure-help": ["measure", "--help"],
+    "help-after-options": ["measure", "--v", "1", "--n", "1", "-h"],
+    "empty": [],
+    "command-only": ["measure"],
+    "unknown-command": ["bogus"],
+    "abbreviated-command": ["meas", "--v", "1", "--n", "1"],
+    "dashes-before-command": ["--", "measure", "--v", "1", "--n", "1"],
+    "dashes-after-command": ["measure", "--", "--v", "1", "--n", "1"],
+    "option-before-command": ["-x", "measure", "--v", "1", "--n", "1"],
+    "extra-positional": ["measure", "--v", "1", "--n", "1", "extra"],
+    "extra-option": ["measure", "--v", "1", "--n", "1", "--bogus", "1"],
+    "extra-after-sweep": ["squeezed-sweep", "--steps", "2", "stray"],
+    "missing-required": ["measure", "--v", "1"],
+    "abbreviated-option": ["measure", "--v", "1", "--n", "1", "--thet", "0.5"],
+    "invalid-choice": ["measure", "--v", "1", "--n", "1", "--mode", "f"],
+    "repeated-option": ["measure", "--v", "1", "--v", "0.5", "--n", "1"],
+    "spaced-exponent": ["measure", "--v", "0", "--n", "-1e-10"],
+    "spaced-inf": ["measure", "--v", "0", "--n", "-inf"],
+    "spaced-complex": ["squeezed-sweep", "--steps", "2", "--alpha", "-0.5+0.2j"],
+    "attached-value": ["measure", "--v=1", "--n", "1"],
+}
+
+
+def top_level_main(argv):
+    """main as one top-level parse_args of the whole argv, with its exit codes."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
 
 
 class TestHelpAndEntryPoints:
@@ -671,10 +743,53 @@ class TestHelpAndEntryPoints:
         assert run_cli(capsys, *valid) == first
         assert cli._build_parser() is cli._build_parser()
 
-    def test_module_invocation(self):
+    @pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+    def test_both_parse_routes_agree(self, capsys, monkeypatch, argv):
+        # main parses the options once, with the named subcommand's parser;
+        # one top-level parse_args of the whole argv is the reference.
+        direct = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["nonclassicality", *argv])
+        from_sys_argv = main()
+        assert (from_sys_argv, *capsys.readouterr()) == direct
+        code = top_level_main(list(argv))
+        assert (code, *capsys.readouterr()) == direct
+
+    @pytest.mark.parametrize(
+        "args,code,printed",
+        [
+            (["measure", "--n", "0", "--v", "0"], 0, '"E_N": 0.0,'),
+            # The spectrum is float arithmetic, whose ** raises OverflowError
+            # where NumPy returned inf: at the largest admitted occupation,
+            # with v = 0 and v = n, maximized and at a fixed splitter.
+            (["measure", "--v", "0", "--n", LARGEST_N], 0, ""),
+            (["measure", "--v", "0", "--n", LARGEST_N, "--mode", "fixed", "--t", "0.3"], 0, ""),
+            (["measure", "--v", LARGEST_N, "--n", LARGEST_N], 0, ""),
+            (["measure", "--v", LARGEST_N, "--n", LARGEST_N, "--mode", "fixed", "--t", "0.3"],
+             0, ""),
+            # A negative value in scientific notation after a space is a value.
+            (["measure", "--v", "0.9", "--n", "0.6", "--theta", "-1e-3"], 0, ""),
+            # So is a spaced -inf: an unphysical moment, as --n=-inf is.
+            (["measure", "--v", "0", "--n", "-inf"], 2, ""),
+            # theta and phi share one wrap into [0, 2 pi): a tiny negative phi is 0.
+            (["measure", "--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3",
+              "--phi", "-1e-300"], 0, '"best_phi": 0.0'),
+        ],
+        ids=[
+            "vacuum", "largest-n-v0", "largest-n-v0-fixed", "largest-n-v-n",
+            "largest-n-v-n-fixed", "spaced-exponent-theta", "spaced-inf-n", "tiny-negative-phi",
+        ],
+    )
+    def test_module_invocation(self, args, code, printed):
+        # A fresh interpreter with every warning an error, through sys.argv.
         proc = subprocess.run(
-            [sys.executable, "-m", "nonclassicality", "measure", "--n", "0", "--v", "0"],
-            capture_output=True, text=True,
+            [sys.executable, "-W", "error", "-m", "nonclassicality", *args],
+            capture_output=True, text=True, env=subprocess_env(),
         )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["E_N"] == 0.0
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            assert list(json.loads(proc.stdout)) == REPORT_KEYS
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("unphysical moments: ")
+            assert len(proc.stderr.splitlines()) == 1
+        assert printed in proc.stdout
