@@ -11,24 +11,13 @@ collectively coupled atomic ensemble.
 import importlib
 
 from .entanglement import (
-    CovarianceBlocks,
     NonclassicalityReport,
     build_report,
-    covariance_from_input,
     dgcz_lambda,
     dgcz_simple,
     hz_condition,
     log_negativity,
     output_spectrum,
-)
-from .fock import (
-    FockVector,
-    TwoModeVector,
-    apply_beam_splitter,
-    covariance_check,
-    moments_from_vector,
-    squeezed_coherent_vector,
-    two_mode_covariance,
 )
 from .moments import (
     BeamSplitterParams,
@@ -43,20 +32,25 @@ from .optimize import BALANCED_T, maximizing_splitter
 
 __version__ = "0.1.0"
 
-#: Served from the dicke module on first use: it loads SciPy's compiled
-#: LAPACK (the top-level scipy package, not scipy.linalg), which only the
-#: Dicke sweep needs.
-_DICKE_NAMES = frozenset({"DickeConfig", "GroundStateResult", "field_moments", "ground_state"})
+#: Served on first use from the back end that holds them: fock loads NumPy,
+#: and dicke also SciPy's compiled LAPACK (the top-level scipy package, not
+#: scipy.linalg), neither of which the measure core needs.
+_LAZY = {
+    "fock": "fock", "dicke": "dicke",
+    **dict.fromkeys(["CovarianceBlocks", "FockVector", "TwoModeVector", "apply_beam_splitter",
+                     "covariance_check", "covariance_from_input", "moments_from_vector",
+                     "squeezed_coherent_vector", "two_mode_covariance"], "fock"),
+    **dict.fromkeys(["DickeConfig", "GroundStateResult", "field_moments", "ground_state"], "dicke"),
+}
 
 
 def __getattr__(name):
-    # import_module, not "from . import dicke": the from-import probes the
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import fock": the from-import probes the
     # package with hasattr, which would call back into this hook.
-    if name == "dicke":
-        return importlib.import_module(".dicke", __name__)
-    if name in _DICKE_NAMES:
-        return getattr(importlib.import_module(".dicke", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 __all__ = [

@@ -15,14 +15,12 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from .entanglement import build_report
-from .fock import TAIL_TOL, covariance_check
 from .moments import (
     BeamSplitterParams,
     CenteredMoments,
@@ -61,15 +59,29 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _output_stream(path):
     """stdout, or the file at path; one that cannot be opened, written, flushed
     or closed exits 1 with one stderr line."""
-    if path is None:
-        yield sys.stdout
-        return
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                yield handle
     except OSError as exc:
-        sys.stderr.write(f"cannot write {path}: {exc.strerror or exc}\n")
+        sys.stderr.write(f"cannot write {'stdout' if path is None else path}: {exc.strerror or exc}\n")
+        if path is None:  # so that Python's flush of stdout at exit has nothing to fail on
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise SystemExit(1) from None
+
+
+def _grid(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) + 0.0 for num >= 2, bit for bit: point i
+    is i * step + start (i / div * delta + start where the step underflows to 0),
+    the last is stop, and + 0.0 turns the -0.0 of a stop of -0.0 into 0.0."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    points = [(i / div * delta if step == 0 else i * step) + start for i in range(div)]
+    return [point + 0.0 for point in (*points, stop)]
 
 
 def _fmt(x) -> str:
@@ -130,9 +142,8 @@ def _cmd_squeezed_sweep(args) -> int:
         return 1
     header = ["r", "E_N_fixed_theta", "E_N_optimized_theta", "best_t", "best_phi"]
     rows = []
-    # + 0.0 turns the -0.0 that linspace can end on (stop = -0.0) into 0.0.
-    for r in np.linspace(args.r_min, args.r_max, args.steps) + 0.0:
-        params = SqueezedCoherentParams(alpha=args.alpha, strength=float(r), angle=args.theta)
+    for r in _grid(args.r_min, args.r_max, args.steps):
+        params = SqueezedCoherentParams(alpha=args.alpha, strength=r, angle=args.theta)
         # The maximum over (t, phi) does not depend on the squeezing angle, so
         # the angle-optimized column equals this one.
         try:
@@ -157,6 +168,7 @@ def _cmd_squeezed_sweep(args) -> int:
 def _cmd_dicke_sweep(args) -> int:
     # Imported here: dicke loads SciPy's LAPACK, which no other command needs.
     from .dicke import DickeConfig, field_moments, fock_tail_weight, ground_state
+    from .fock import TAIL_TOL
 
     # Chained comparisons are False for NaN, so these also reject it.
     if _failed_check([
@@ -184,8 +196,8 @@ def _cmd_dicke_sweep(args) -> int:
     ]
     rows = []
     any_unconverged = False
-    for g in np.linspace(args.g_min, args.g_max, args.steps) + 0.0:  # no -0.0, as above
-        cfg = dataclasses.replace(model, g=float(g))
+    for g in _grid(args.g_min, args.g_max, args.steps):
+        cfg = dataclasses.replace(model, g=g)
         result = ground_state(cfg, mix_degenerate=args.mix_degenerate)
         if not result.converged:
             any_unconverged = True
@@ -232,6 +244,8 @@ def _cmd_oracle_check(args) -> int:
         (math.isfinite(args.alpha_max), "alpha-max must be finite"),
     ]):
         return 1
+    from .fock import covariance_check  # imported here: the Fock oracle loads NumPy
+
     worst = covariance_check(
         trials=args.trials,
         dim=args.dim,

@@ -142,6 +142,8 @@ class DickeConfig:
         # Chained comparisons are False for NaN, so these also reject it.
         if not (0.0 < self.omega < math.inf and 0.0 < self.omega_eg < math.inf):
             raise ValueError("omega and omega_eg must be finite and > 0")
+        if not self.g_critical > 0.0:  # g / g_critical is a column of the sweep
+            raise ValueError("omega omega_eg is so small that the critical coupling underflows to 0")
         if not 0.0 <= self.g < math.inf:
             raise ValueError(f"coupling must be finite and >= 0, got {self.g}")
         # The diagonal's spread plus the four couplings a row can hold bound

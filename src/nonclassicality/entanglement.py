@@ -11,8 +11,8 @@ optimal gain, the simple second-moment condition v > n, and the first-moment
 condition |<a>|^2 > <a^dag a>.  The report takes every criterion from closed
 forms in (v, n, t, theta + phi), evaluated on Python floats with :mod:`math`
 (:func:`output_spectrum`, :func:`build_report`); the maximizing splitter
-comes from :mod:`.optimize`.  NumPy serves only the 2x2 blocks of
-:func:`covariance_from_input`, which feed the Fock oracle.
+comes from :mod:`.optimize`.  Only the Fock oracle (:mod:`.fock`) forms the
+covariance blocks themselves, to check them against a simulated splitter.
 
 Quadratures are x = (a^dag + a)/sqrt(2), p = i (a^dag - a)/sqrt(2), so the
 vacuum covariance matrix is I/2 and separability of the partial transpose
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .moments import (
     BeamSplitterParams,
     CenteredMoments,
@@ -34,36 +32,6 @@ from .moments import (
     center,
 )
 from .optimize import maximizing_splitter
-
-_SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CovarianceBlocks:
-    """The 2x2 blocks of the two-mode covariance matrix [[A, C], [C^T, B]].
-
-    A and B are symmetric; C is stored unsymmetrized and enters the assembled
-    matrix as C in the upper-right and C^T in the lower-left block.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        for name in ("A", "B", "C"):
-            block = np.array(getattr(self, name), dtype=float)
-            if block.shape != (2, 2):
-                raise ValueError(f"block {name} must be 2x2, got {block.shape}")
-            block.setflags(write=False)
-            object.__setattr__(self, name, block)
-        # One test of all twelve entries; a NaN would pass the symmetry test below.
-        if not np.isfinite((self.A, self.B, self.C)).all():
-            raise ValueError("covariance blocks must be finite")
-        for name in ("A", "B"):
-            block = getattr(self, name)
-            if abs(block[0, 1] - block[1, 0]) > _SYMMETRY_TOL:
-                raise ValueError(f"block {name} must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -79,32 +47,6 @@ class NonclassicalityReport:
     hz: bool
     best_t: float
     best_phi: float
-
-
-def _block_entries(v, theta, n, t, phi, r=None):
-    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi).
-
-    All arguments broadcast; r defaults to sqrt(1 - t^2).  Output order:
-    (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22).
-    """
-    t2 = np.multiply(t, t)
-    r2 = np.multiply(r, r) if r is not None else 1.0 - t2
-    tr = np.sqrt(t2 * r2)
-    ca, sa = np.cos(theta + 2.0 * phi), np.sin(theta + 2.0 * phi)
-    cb, sb = np.cos(theta), np.sin(theta)
-    cc, sc = np.cos(theta + phi), np.sin(theta + phi)
-    cp, sp = np.cos(phi), np.sin(phi)
-    a11 = t2 * (ca * v + n) + 0.5
-    a12 = t2 * v * sa
-    a22 = t2 * (-ca * v + n) + 0.5
-    b11 = r2 * (cb * v + n) + 0.5
-    b12 = r2 * v * sb
-    b22 = r2 * (-cb * v + n) + 0.5
-    c11 = -tr * (cc * v + cp * n)
-    c12 = tr * (-sc * v + sp * n)
-    c21 = -tr * (sc * v + sp * n)
-    c22 = tr * (cc * v - cp * n)
-    return a11, a12, a22, b11, b12, b22, c11, c12, c21, c22
 
 
 def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
@@ -151,30 +93,6 @@ def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
     plus_sq = 0.5 * (0.5 + excess + math.sqrt(disc))
     minus_sq = 0.25 * lam_minus * lam_plus / plus_sq
     return (max(minus_sq, 0.25) if classical else minus_sq), plus_sq
-
-
-def covariance_from_input(
-    c: CenteredMoments, bs: BeamSplitterParams
-) -> CovarianceBlocks:
-    """Two-mode output covariance blocks for a centered input state.
-
-    With <a^2> = v e^{i theta} and <a^dag a> = n at the fed port and vacuum at
-    the idle port, the transformed mode operators a1 = t e^{i phi} a1 + r a2,
-    a2 = -r a1 + t e^{-i phi} a2 give
-
-        A11 = t^2 [cos(theta + 2 phi) v + n] + 1/2,   A12 = t^2 v sin(theta + 2 phi),
-        B   = same with r^2 and phase theta,
-        C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
-                   [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
-    """
-    a11, a12, a22, b11, b12, b22, c11, c12, c21, c22 = _block_entries(
-        c.v, c.theta, c.n, bs.t, bs.phi, r=bs.r
-    )
-    return CovarianceBlocks(
-        A=np.array([[a11, a12], [a12, a22]]),
-        B=np.array([[b11, b12], [b12, b22]]),
-        C=np.array([[c11, c12], [c21, c22]]),
-    )
 
 
 def log_negativity(eta_minus: float) -> float:

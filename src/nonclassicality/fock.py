@@ -3,9 +3,10 @@
 Each squeezed coherent state is the exact state projected onto a truncated
 number basis.  It is pushed through the beam splitter exactly (photon number
 is conserved, so no additional truncation occurs there), and its two-mode
-covariance matrix is measured directly from expectation values.  Agreement
-with the closed-form covariance blocks of
-:mod:`nonclassicality.entanglement` validates those formulas independently.
+covariance matrix is measured directly from expectation values and compared
+with the oracle's own closed-form prediction, :func:`covariance_from_input`.
+Their agreement validates the splitter formulas that the closed-form spectrum
+of :mod:`nonclassicality.entanglement` rests on.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import CovarianceBlocks, covariance_from_input
-from .moments import BeamSplitterParams, SingleModeMoments, SqueezedCoherentParams, center
+from .moments import (
+    BeamSplitterParams, CenteredMoments, SingleModeMoments, SqueezedCoherentParams, center,
+)
 
 _NORM_TOL = 1e-10
+_SYMMETRY_TOL = 1e-12
 
 #: Squared amplitude allowed on the last retained Fock level of an "exact" state.
 TAIL_TOL = 1e-12
@@ -73,6 +76,34 @@ class TwoModeVector:
         _check_norm(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+
+@dataclass(frozen=True)
+class CovarianceBlocks:
+    """The 2x2 blocks of the two-mode covariance matrix [[A, C], [C^T, B]].
+
+    A and B are symmetric; C is stored unsymmetrized and enters the assembled
+    matrix as C in the upper-right and C^T in the lower-left block.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+    def __post_init__(self):
+        for name in ("A", "B", "C"):
+            block = np.array(getattr(self, name), dtype=float)
+            if block.shape != (2, 2):
+                raise ValueError(f"block {name} must be 2x2, got {block.shape}")
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
+        # One test of all twelve entries; a NaN would pass the symmetry test below.
+        if not np.isfinite((self.A, self.B, self.C)).all():
+            raise ValueError("covariance blocks must be finite")
+        for name in ("A", "B"):
+            block = getattr(self, name)
+            if abs(block[0, 1] - block[1, 0]) > _SYMMETRY_TOL:
+                raise ValueError(f"block {name} must be symmetric")
 
 
 def _check_norm(coeffs: np.ndarray) -> None:
@@ -255,6 +286,54 @@ def _apply_beam_splitter_images(
     return out
 
 
+def _block_entries(v, theta, n, t, phi, r=None):
+    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi).
+
+    All arguments broadcast; r defaults to sqrt(1 - t^2).  Output order:
+    (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22).
+    """
+    t2 = np.multiply(t, t)
+    r2 = np.multiply(r, r) if r is not None else 1.0 - t2
+    tr = np.sqrt(t2 * r2)
+    ca, sa = np.cos(theta + 2.0 * phi), np.sin(theta + 2.0 * phi)
+    cb, sb = np.cos(theta), np.sin(theta)
+    cc, sc = np.cos(theta + phi), np.sin(theta + phi)
+    cp, sp = np.cos(phi), np.sin(phi)
+    a11 = t2 * (ca * v + n) + 0.5
+    a12 = t2 * v * sa
+    a22 = t2 * (-ca * v + n) + 0.5
+    b11 = r2 * (cb * v + n) + 0.5
+    b12 = r2 * v * sb
+    b22 = r2 * (-cb * v + n) + 0.5
+    c11 = -tr * (cc * v + cp * n)
+    c12 = tr * (-sc * v + sp * n)
+    c21 = -tr * (sc * v + sp * n)
+    c22 = tr * (cc * v - cp * n)
+    return a11, a12, a22, b11, b12, b22, c11, c12, c21, c22
+
+
+def _blocks(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22) -> CovarianceBlocks:
+    """The blocks of the ten entries, in the order that ``_block_entries`` returns them."""
+    return CovarianceBlocks(
+        A=[[a11, a12], [a12, a22]], B=[[b11, b12], [b12, b22]], C=[[c11, c12], [c21, c22]]
+    )
+
+
+def covariance_from_input(c: CenteredMoments, bs: BeamSplitterParams) -> CovarianceBlocks:
+    """Two-mode output covariance blocks for a centered input state.
+
+    With <a^2> = v e^{i theta} and <a^dag a> = n at the fed port and vacuum at
+    the idle port, the transformed mode operators a1 = t e^{i phi} a1 + r a2,
+    a2 = -r a1 + t e^{-i phi} a2 give
+
+        A11 = t^2 [cos(theta + 2 phi) v + n] + 1/2,   A12 = t^2 v sin(theta + 2 phi),
+        B   = same with r^2 and phase theta,
+        C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
+                   [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
+    """
+    return _blocks(*_block_entries(c.v, c.theta, c.n, bs.t, bs.phi, r=bs.r))
+
+
 def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
     """Measure the centered covariance blocks of a two-mode state.
 
@@ -285,18 +364,11 @@ def _covariance_blocks(
     w = np.vdot(psi, _lower(a1_psi, 1, out=scratch)) - m1 * m2      # <da1 da2>
     z = np.vdot(a1_psi, a2_psi) - np.conj(m1) * m2                  # <da1^dag da2>
 
-    def mode_block(sq: complex, occ: float) -> np.ndarray:
-        return np.array(
-            [[sq.real + occ + 0.5, sq.imag], [sq.imag, -sq.real + occ + 0.5]]
-        )
-
-    cross = np.array(
-        [
-            [w.real + z.real, w.imag + z.imag],
-            [w.imag - z.imag, -w.real + z.real],
-        ]
+    return _blocks(
+        sq1.real + n1 + 0.5, sq1.imag, -sq1.real + n1 + 0.5,
+        sq2.real + n2 + 0.5, sq2.imag, -sq2.real + n2 + 0.5,
+        w.real + z.real, w.imag + z.imag, w.imag - z.imag, -w.real + z.real,
     )
-    return CovarianceBlocks(A=mode_block(sq1, n1), B=mode_block(sq2, n2), C=cross)
 
 
 def covariance_check(

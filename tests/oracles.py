@@ -23,7 +23,7 @@ from nonclassicality import (
     SqueezedCoherentParams,
     UnphysicalMomentsError,
 )
-from nonclassicality.entanglement import _block_entries
+from nonclassicality.fock import _block_entries
 from nonclassicality.moments import TWO_PI
 
 # Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -285,6 +287,20 @@ class TestSqueezedSweep:
         _, rows = parse_csv(out)
         assert [row[0] for row in rows] == ["0", "0"]
 
+    def test_underflowing_step_grid(self, capsys):
+        # The step 5e-324 / 2 rounds to 0: linspace's other branch, whose
+        # middle point 1/2 * 5e-324 rounds to 0 too.
+        code, out, err = run_cli(
+            capsys, "squeezed-sweep", "--r-min", "0", "--r-max", "5e-324", "--steps", "3"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "r,E_N_fixed_theta,E_N_optimized_theta,best_t,best_phi\n"
+            "0,0,0,0,0\n"
+            "0,0,0,0,0\n"
+            "4.9406564584124654e-324,0,0,0.70710678118654757,0\n"
+        )
+
     def test_bad_range_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "squeezed-sweep", "--steps", "1")
         assert code == 1
@@ -324,6 +340,35 @@ class TestSqueezedSweep:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+#: (start, stop, num) for both branches of numpy.linspace: a zero step from
+#: equal ends or from underflow (where 1e-323 / 5 rounds to 0 but the points
+#: i / 5 * 1e-323 do not), a -0.0 stop, spans across zero, magnitudes near
+#: 1e300, and 2 and 400 points.
+GRID_CORPUS = [
+    (0.3, 0.3, 7), (0.0, 5e-324, 3), (0.0, 1e-323, 6), (-0.0, -0.0, 2), (1.0, -0.0, 4),
+    (0.0, -0.0, 400), (-1.5, 2.5, 41), (2.5, -1e-3, 7), (-1e300, 1.7e300, 9),
+    (1e300, 1.1e300, 400), (1.7e300, 1.7e300, 3), (0.1, 0.7, 2), (0.0, 2.0, 400),
+]
+
+
+@pytest.mark.parametrize("start,stop,num", GRID_CORPUS)
+def test_grid_is_linspace_bit_for_bit(start, stop, num):
+    grid = cli._grid(start, stop, num)
+    assert all(type(point) is float for point in grid)
+    expected = np.linspace(start, stop, num) + 0.0
+    assert [point.hex() for point in grid] == [float(point).hex() for point in expected]
+
+
+def test_grid_is_linspace_on_random_grids():
+    rng = np.random.default_rng(32)
+    for _ in range(500):
+        scale = 10.0 ** rng.integers(-320, 300)
+        start, stop = (rng.standard_normal(2) * scale).tolist()
+        num = int(rng.integers(2, 60))
+        expected = np.linspace(start, stop, num) + 0.0
+        assert [p.hex() for p in cli._grid(start, stop, num)] == [float(p).hex() for p in expected]
 
 
 class TestDickeSweep:
@@ -414,6 +459,17 @@ class TestDickeSweep:
                 for _ in range(3)]
         assert all(run.returncode == 0 for run in runs)
         assert len({run.stdout for run in runs}) == 1
+
+    def test_frequencies_whose_g_critical_underflows_exit_1(self, capsys):
+        # At the subnormal floor the counter-rotating g_c, half of
+        # sqrt(omega omega_eg) = 5e-324, rounds to 0: no g / g_c column.
+        code, out, err = run_cli(
+            capsys, "dicke-sweep", "--n-atoms", "2", "--fock-dim", "8", "--steps", "3",
+            "--omega", "5e-324", "--omega-eg", "5e-324", "--counter-rotating",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("invalid model: omega omega_eg is so small that the critical "
+                       "coupling underflows to 0\n")
 
     def test_tiny_frequencies_give_finite_g_over_gc(self):
         # omega omega_eg = 1e-600 underflows to 0; g_c must not.
@@ -672,6 +728,31 @@ class TestOutputOption:
         code, out, err = run_cli(capsys, *command, "--output", "/dev/full")
         assert code == 1 and out == ""
         assert err == f"cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command", [OUTPUT_COMMANDS["measure"], ["squeezed-sweep", "--steps", "400"]],
+        ids=["measure", "squeezed-sweep"],
+    )
+    def test_failed_stdout_write_exits_1(self, command, unbuffered):
+        # A buffered stdout fails at the command's flush, an unbuffered one at
+        # its first write.  Either way one stderr line, and nothing more from
+        # the flush of stdout at interpreter exit.
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "nonclassicality", *command], stdout=full,
+                stderr=subprocess.PIPE, text=True,
+                env={**subprocess_env(), "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert run.returncode == 1
+        assert run.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_string_io_stdout(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(OUTPUT_COMMANDS["measure"]) == 0
+        assert list(json.loads(out.getvalue())) == REPORT_KEYS
 
     def test_failed_sweep_leaves_no_file(self, capsys, tmp_path):
         # The file is opened only once every row is computed.

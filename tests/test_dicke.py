@@ -491,19 +491,21 @@ class TestBlockGroundState:
             assert not [m for m in loaded if m.startswith(("scipy.sparse", "scipy.linalg"))], options
 
     @pytest.mark.parametrize(
-        "code",
+        "code,prefix",
         [
-            "import nonclassicality",
-            cli_call(["measure", "--v", "0.9", "--n", "0.6"]),
-            cli_call(["squeezed-sweep", "--steps", "3"]),
-            cli_call(["oracle-check", "--trials", "2"]),
+            ("import nonclassicality", "numpy"),
+            (cli_call(["measure", "--v", "0.9", "--n", "0.6"]), "numpy"),
+            (cli_call(["squeezed-sweep", "--steps", "3"]), "numpy"),
+            (cli_call(["oracle-check", "--trials", "2"]), "scipy"),
         ],
         ids=["import", "measure", "squeezed-sweep", "oracle-check"],
     )
-    def test_commands_other_than_dicke_sweep_load_no_scipy(self, code):
+    def test_commands_other_than_dicke_sweep_load_no_scipy(self, code, prefix):
         # SciPy's start-up costs more than these commands' work; only the
-        # Dicke solver needs it.
-        assert loaded_modules(code, "scipy") == []
+        # Dicke solver needs it.  The measure core runs on the standard
+        # library, so the package and its closed-form commands load no NumPy
+        # (which SciPy needs) either; the Fock oracle loads NumPy alone.
+        assert loaded_modules(code, prefix) == []
 
 
 #: Run in a fresh interpreter after {imports}: prints a digest of every

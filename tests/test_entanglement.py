@@ -28,7 +28,7 @@ from nonclassicality import (
     squeezed_coherent_moments,
     squeezed_coherent_vector,
 )
-from nonclassicality.entanglement import _block_entries
+from nonclassicality.fock import _block_entries
 from oracles import (
     _invariants,
     covariance_matrix,

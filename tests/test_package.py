@@ -6,14 +6,21 @@ import nonclassicality
 from conftest import subprocess_env
 from nonclassicality import CenteredMoments, CovarianceBlocks
 
-#: Run in a fresh interpreter, so that the dicke names are first served by
-#: the package's lazy module __getattr__ rather than by an earlier import.
+#: Run in a fresh interpreter, so that the fock and dicke names are first
+#: served by the package's lazy module __getattr__ rather than by an earlier
+#: import.
 LAZY_API = """
 import sys
 import nonclassicality
 
 assert "nonclassicality.dicke" not in sys.modules
+assert "nonclassicality.fock" not in sys.modules
 assert not hasattr(nonclassicality, "no_such_name")
+# fock first: dicke imports it.
+fock = getattr(nonclassicality, "fock")
+assert fock is sys.modules["nonclassicality.fock"]
+assert "nonclassicality.dicke" not in sys.modules
+assert nonclassicality.CovarianceBlocks is fock.CovarianceBlocks
 dicke = getattr(nonclassicality, "dicke")
 assert dicke is sys.modules["nonclassicality.dicke"]
 for name in nonclassicality.__all__:
