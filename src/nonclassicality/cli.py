@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -58,9 +59,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 @contextmanager
 def _output_stream(path):
     """stdout, or the file at path; one that cannot be opened, written, flushed
-    or closed exits 1 with one stderr line."""
+    or closed exits 1 with one stderr line.  So does a closed stdout, which
+    Python gives as None when descriptor 1 is closed at start-up."""
     try:
         if path is None:
+            if sys.stdout is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             yield sys.stdout
             sys.stdout.flush()
         else:
@@ -68,7 +72,9 @@ def _output_stream(path):
                 yield handle
     except OSError as exc:
         sys.stderr.write(f"cannot write {'stdout' if path is None else path}: {exc.strerror or exc}\n")
-        if path is None:  # so that Python's flush of stdout at exit has nothing to fail on
+        # So that Python's flush of stdout at exit has nothing to fail on; a
+        # closed stdout has no descriptor to redirect.
+        if path is None and sys.stdout is not None:
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise SystemExit(1) from None

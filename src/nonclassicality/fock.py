@@ -3,10 +3,14 @@
 Each squeezed coherent state is the exact state projected onto a truncated
 number basis.  It is pushed through the beam splitter exactly (photon number
 is conserved, so no additional truncation occurs there), and its two-mode
-covariance matrix is measured directly from expectation values and compared
-with the oracle's own closed-form prediction, :func:`covariance_from_input`.
-Their agreement validates the splitter formulas that the closed-form spectrum
-of :mod:`nonclassicality.entanglement` rests on.
+covariance matrix is measured directly from expectation values, each one
+``np.vdot`` of two offset slices of the flattened state and a ladder-root
+weighted copy of it.  The measured entries are compared with the oracle's own
+closed-form prediction of the ten entries (:func:`covariance_from_input`
+wraps it as blocks), and the partial-transpose spectrum of the measured
+entries with :func:`nonclassicality.entanglement.output_spectrum`, the
+numbers that the CLI reports.  Their agreement validates the splitter
+formulas that the closed-form spectrum rests on.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import output_spectrum
 from .moments import (
     BeamSplitterParams, CenteredMoments, SingleModeMoments, SqueezedCoherentParams, center,
 )
@@ -108,7 +113,7 @@ class CovarianceBlocks:
 
 def _check_norm(coeffs: np.ndarray) -> None:
     """Raise ValueError unless ``coeffs`` has unit norm within _NORM_TOL."""
-    norm = np.linalg.norm(coeffs)
+    norm = math.sqrt(np.vdot(coeffs, coeffs).real)
     if not abs(norm - 1.0) <= _NORM_TOL:  # NaN included
         raise ValueError(f"state norm {norm} is not 1")
 
@@ -129,24 +134,18 @@ def _ladder_roots(size: int) -> np.ndarray:
     return _read_only(np.sqrt(np.arange(size + 1)))
 
 
-def _lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting.
+def _lower(psi: np.ndarray) -> np.ndarray:
+    """Apply the annihilation operator of the mode on the last axis by index shifting.
 
-    The result is written to ``out`` when given, which must not overlap ``psi``.
     The factors sqrt(k) are read from the cached ``_ladder_roots`` of the
     mode's size.
     """
-    if out is None:
-        out = np.empty_like(psi)
-    if axis % psi.ndim == psi.ndim - 1:
-        # Shift, then scale the whole array in place: a ufunc over the strided
-        # column slices would allocate NumPy's iteration buffers on every call.
-        out[..., :-1] = psi[..., 1:]
-        out[..., -1] = 0.0
-        out *= _ladder_roots(psi.shape[-1])[1:]
-    else:
-        np.multiply(_ladder_roots(psi.shape[0])[1:-1, None], psi[1:], out=out[:-1])
-        out[-1] = 0.0
+    out = np.empty_like(psi)
+    # Shift, then scale the whole array in place: a ufunc over the strided
+    # column slices would allocate NumPy's iteration buffers on every call.
+    out[..., :-1] = psi[..., 1:]
+    out[..., -1] = 0.0
+    out *= _ladder_roots(psi.shape[-1])[1:]
     return out
 
 
@@ -286,19 +285,20 @@ def _apply_beam_splitter_images(
     return out
 
 
-def _block_entries(v, theta, n, t, phi, r=None):
-    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi).
+def _block_entries(v, theta, n, t, phi, r):
+    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi, r).
 
-    All arguments broadcast; r defaults to sqrt(1 - t^2).  Output order:
-    (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22).
+    Output order: (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22), as
+    Python floats.  Scalar :mod:`math` in the same order as the broadcasting
+    NumPy form in the tests, and bit for bit equal to it.
     """
-    t2 = np.multiply(t, t)
-    r2 = np.multiply(r, r) if r is not None else 1.0 - t2
-    tr = np.sqrt(t2 * r2)
-    ca, sa = np.cos(theta + 2.0 * phi), np.sin(theta + 2.0 * phi)
-    cb, sb = np.cos(theta), np.sin(theta)
-    cc, sc = np.cos(theta + phi), np.sin(theta + phi)
-    cp, sp = np.cos(phi), np.sin(phi)
+    t2 = t * t
+    r2 = r * r
+    tr = math.sqrt(t2 * r2)
+    ca, sa = math.cos(theta + 2.0 * phi), math.sin(theta + 2.0 * phi)
+    cb, sb = math.cos(theta), math.sin(theta)
+    cc, sc = math.cos(theta + phi), math.sin(theta + phi)
+    cp, sp = math.cos(phi), math.sin(phi)
     a11 = t2 * (ca * v + n) + 0.5
     a12 = t2 * v * sa
     a22 = t2 * (-ca * v + n) + 0.5
@@ -331,7 +331,7 @@ def covariance_from_input(c: CenteredMoments, bs: BeamSplitterParams) -> Covaria
         C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
                    [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
     """
-    return _blocks(*_block_entries(c.v, c.theta, c.n, bs.t, bs.phi, r=bs.r))
+    return _blocks(*_block_entries(c.v, c.theta, c.n, bs.t, bs.phi, bs.r))
 
 
 def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
@@ -339,36 +339,97 @@ def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
 
     All ten independent symmetrized quadrature moments follow from the eight
     ladder expectations <a_i>, <a_i^2>, <a_i^dag a_i>, <a1 a2>, <a1^dag a2>;
-    first moments are subtracted before assembly.
+    first moments are subtracted before assembly.  The entries come from
+    the shifted-slice kernel that ``covariance_check`` runs on every trial.
     """
     psi = state.coefficients
-    return _covariance_blocks(psi, *np.empty((3, *psi.shape), dtype=complex))
+    return _blocks(*_covariance_entries(psi, *np.empty((3, *psi.shape), dtype=complex)))
 
 
-def _covariance_blocks(
+def _shifted_vdot(x: np.ndarray, y: np.ndarray, shift: int) -> complex:
+    """sum_i conj(x[i]) y[i + shift] over the i where both exist, for 1-d x and y of one size."""
+    stop = max(x.size - shift, 0)  # an explicit stop: x[:-shift] would be empty at shift 0
+    return complex(np.vdot(x[:stop], y[shift:]))
+
+
+def _covariance_entries(
     psi: np.ndarray, a1_psi: np.ndarray, a2_psi: np.ndarray, scratch: np.ndarray
-) -> CovarianceBlocks:
-    """``two_mode_covariance`` of the normalized table ``psi``.
+) -> tuple[float, ...]:
+    """The entries of ``two_mode_covariance`` of the normalized table ``psi``.
 
-    ``a1_psi``, ``a2_psi`` and ``scratch`` are work arrays of psi's shape,
-    overwritten.
+    Returned as Python floats in the order of ``_block_entries``.  Each
+    ladder expectation is one ``np.vdot`` of two contiguous slices of
+    flattened tables, offset by the flat shift of the operator: the row
+    length d2 for a1, 1 for a2.  The tables are psi weighted along one axis
+    by ladder roots: A1 = sqrt(k) psi and A2 = sqrt(j) psi, read one row or
+    column on, act as a1 and a2, and R1 = sqrt(k + 1) psi and R2 = sqrt(j + 1)
+    psi stand on the left of the second moments <a1^2>, <a1 a2> and <a2^2>.
+    A column shift runs off the end of each row into the start of the next.
+    There A2's factor sqrt(0) = 0 zeroes the wrapped terms, except for the
+    last column of R2, which is zeroed before <a2^2> is taken.
+
+    ``a1_psi``, ``a2_psi`` and ``scratch`` are C-contiguous work arrays of
+    psi's shape, overwritten.  Works on any (d1, d2) table, 1-wide and
+    1-tall ones included.
     """
-    _lower(psi, 0, out=a1_psi)
-    _lower(psi, 1, out=a2_psi)
-    m1 = np.vdot(psi, a1_psi)
-    m2 = np.vdot(psi, a2_psi)
-    sq1 = np.vdot(psi, _lower(a1_psi, 0, out=scratch)) - m1 * m1
-    sq2 = np.vdot(psi, _lower(a2_psi, 1, out=scratch)) - m2 * m2
-    n1 = np.vdot(a1_psi, a1_psi).real - abs(m1) ** 2
-    n2 = np.vdot(a2_psi, a2_psi).real - abs(m2) ** 2
-    w = np.vdot(psi, _lower(a1_psi, 1, out=scratch)) - m1 * m2      # <da1 da2>
-    z = np.vdot(a1_psi, a2_psi) - np.conj(m1) * m2                  # <da1^dag da2>
-
-    return _blocks(
+    cols = psi.shape[1]
+    roots1, roots2 = _ladder_roots(psi.shape[0]), _ladder_roots(cols)
+    flat, a1, a2, weighted = (array.reshape(-1) for array in (psi, a1_psi, a2_psi, scratch))
+    np.multiply(psi, roots1[:-1, None], out=a1_psi)
+    np.multiply(psi, roots2[:-1], out=a2_psi)
+    m1 = _shifted_vdot(flat, a1, cols)
+    m2 = _shifted_vdot(flat, a2, 1)
+    n1 = float(np.vdot(a1, a1).real) - abs(m1) ** 2
+    n2 = float(np.vdot(a2, a2).real) - abs(m2) ** 2
+    # <da1^dag da2>: a1 psi is A1 one row on, a2 psi is A2 one column on.
+    z = complex(np.vdot(a1[cols:], a2[1:a2.size - cols + 1])) - m1.conjugate() * m2
+    np.multiply(psi, roots1[1:, None], out=scratch)
+    sq1 = _shifted_vdot(weighted, a1, 2 * cols) - m1 * m1
+    w = _shifted_vdot(weighted, a2, cols + 1) - m1 * m2  # <da1 da2>
+    np.multiply(psi, roots2[1:], out=scratch)
+    scratch[:, -1] = 0.0
+    sq2 = _shifted_vdot(weighted, a2, 2) - m2 * m2
+    return (
         sq1.real + n1 + 0.5, sq1.imag, -sq1.real + n1 + 0.5,
         sq2.real + n2 + 0.5, sq2.imag, -sq2.real + n2 + 0.5,
         w.real + z.real, w.imag + z.imag, w.imag - z.imag, -w.real + z.real,
     )
+
+
+def _spectrum(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22) -> tuple[float, float]:
+    """((eta^-)^2, (eta^+)^2) of the partial transpose of the blocks with these entries.
+
+    The partial transpose flips p2: V~ = P V P with P = diag(1, 1, 1, -1) in
+    the order (x1, p1, x2, p2), positive definite as V is.  With its Cholesky
+    factor L, Omega V~ is similar to the antisymmetric Y = L^T Omega L, so
+    eta^-+ are the singular values of Y.  For a 4x4 antisymmetric Y they are
+    (|u| -+ |w|) / 2 in either order, where u = (y12 + y34, y13 - y24,
+    y14 + y23) and w = (y12 - y34, y13 + y24, y14 - y23), so that
+    |u|^2 |w|^2 = Delta^2 - 4 det V with Delta = det A + det B - 2 det C.
+    Taking the splitting from |u| and |w| keeps it exact to rounding at a
+    degenerate spectrum (a product of coherent states has eta^- = eta^+ =
+    1/2), where sqrt(Delta^2 - 4 det V) from the invariants would carry the
+    square root of their rounding, about 1e-8.  Entries that are not
+    positive definite give NaN.
+    """
+    try:
+        l11 = math.sqrt(a11)
+        l21, l31, l41 = a12 / l11, c11 / l11, -c12 / l11
+        l22 = math.sqrt(a22 - l21 * l21)
+        l32, l42 = (c21 - l31 * l21) / l22, (-c22 - l41 * l21) / l22
+        l33 = math.sqrt(b11 - l31 * l31 - l32 * l32)
+        l43 = (-b12 - l41 * l31 - l42 * l32) / l33
+        l44 = math.sqrt(b22 - l41 * l41 - l42 * l42 - l43 * l43)
+    except (ValueError, ZeroDivisionError):  # a pivot at or below 0
+        return math.nan, math.nan
+    # y_ij = L_1i L_2j - L_2i L_1j + L_3i L_4j - L_4i L_3j, with L lower triangular.
+    y12 = l11 * l22 + l31 * l42 - l41 * l32
+    y13, y14 = l31 * l43 - l41 * l33, l31 * l44
+    y23, y24, y34 = l32 * l43 - l42 * l33, l32 * l44, l33 * l44
+    u = math.hypot(y12 + y34, y13 - y24, y14 + y23)
+    w = math.hypot(y12 - y34, y13 + y24, y14 - y23)
+    minus, plus = 0.5 * abs(u - w), 0.5 * (u + w)
+    return minus * minus, plus * plus
 
 
 def covariance_check(
@@ -379,23 +440,31 @@ def covariance_check(
     alpha_max: float = 1.0,
     corrupt_phase: bool = False,
 ) -> float:
-    """Max elementwise discrepancy between measured and closed-form covariances.
+    """Max discrepancy between measured and closed-form covariances and spectra.
 
     Each trial draws a squeezed coherent state and splitter setting (PCG64
     stream from ``seed``), prepares the state on ``dim`` levels, measures its
-    moments, and compares the beam-split state's covariance against the
-    closed-form blocks evaluated on those same measured input moments.  That
-    isolates the transformation formulas from preparation truncation.
+    moments, and compares the beam-split state's ten covariance entries
+    against the closed-form entries evaluated on those same measured input
+    moments.  That isolates the transformation formulas from preparation
+    truncation.  In the same maximum it compares (eta^-)^2 and (eta^+)^2 of
+    the measured entries with ``output_spectrum`` of the measured input
+    moments, the closed form behind every reported number.  The entries
+    hold A12 and B12 once, so their maximum is the maximum over the twelve
+    block entries.
 
     ``corrupt_phase`` simulates the splitter at phi + pi but predicts it at
     phi, and serves as a negative control: the discrepancy must become large.
+    That phase is local to one output mode, so only the entries see it; the
+    spectrum does not.
 
-    A trial whose split state fails the norm check, or whose blocks are not
-    finite, has a NaN discrepancy, and any NaN discrepancy makes the result
-    NaN: such a run fails the oracle rather than raising or passing.
+    A trial whose split state fails the norm check, or whose measured or
+    predicted values are not all finite, has a NaN discrepancy, and any NaN
+    discrepancy makes the result NaN: such a run fails the oracle rather
+    than raising or passing.
 
-    The dim x dim arrays of the split and its covariance are allocated once
-    per call and refilled by every trial, through the same kernels that
+    The dim x dim arrays of the split and its weighted tables are allocated
+    once per call and refilled by every trial, through the same kernels that
     ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
     no memory back to the allocator between them.  The tables that depend
     only on ``dim`` (ladder roots, half-log-factorials and their Hankel sums)
@@ -421,22 +490,20 @@ def covariance_check(
         params = SqueezedCoherentParams(alpha=alpha, strength=strength, angle=angle)
         bs = BeamSplitterParams(t=t, phi=phi)
         state = squeezed_coherent_vector(params, dim)
-        measured_input = center(moments_from_vector(state))
+        c = center(moments_from_vector(state))
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
         _apply_beam_splitter_images(state.coefficients, simulated, split, magnitude, scratch)
         try:
             _check_norm(split)
-            measured = _covariance_blocks(split, a1_psi, a2_psi, scratch)
-            predicted = covariance_from_input(measured_input, bs)
-        except ValueError:  # a split state off its norm, or blocks that are not finite
+        except ValueError:  # a split state off its norm
             worst = math.nan
             continue
-        discrepancies = (
-            worst,
-            float(np.abs(measured.A - predicted.A).max()),
-            float(np.abs(measured.B - predicted.B).max()),
-            float(np.abs(measured.C - predicted.C).max()),
-        )
-        # Python's max drops a NaN; a sum of non-negatives is NaN only if a term is.
-        worst = math.nan if math.isnan(sum(discrepancies)) else max(discrepancies)
+        measured = _covariance_entries(split, a1_psi, a2_psi, scratch)
+        predicted = _block_entries(c.v, c.theta, c.n, bs.t, bs.phi, bs.r)
+        measured += _spectrum(*measured)
+        predicted += output_spectrum(c.v, c.n, bs.t)
+        if not all(map(math.isfinite, measured + predicted)):
+            worst = math.nan
+        elif not math.isnan(worst):  # a NaN from an earlier trial stays
+            worst = max(worst, *map(abs, map(operator.sub, measured, predicted)))
     return worst

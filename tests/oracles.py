@@ -3,10 +3,12 @@
 The general 4x4 block algebra on a covariance matrix [[A, C], [C^T, B]]
 (symplectic eigenvalues of the partial transpose and the Simon combination,
 also vectorized over splitter settings), the grid search over (t, phi) that
-the closed-form maximizing splitter is checked against, the NumPy form of
-the closed-form output spectrum, the log negativity of a split pure state
-from its Schmidt coefficients, the dense ladder operator of a truncated
-mode, and a truncation guideline for squeezed coherent states.  The package
+the closed-form maximizing splitter is checked against, the NumPy forms of
+the closed-form output spectrum and of the oracle's predicted block entries,
+the five-pass covariance kernel that the Fock oracle's shifted-slice kernel
+is checked against, the log negativity of a split pure state from its
+Schmidt coefficients, the dense ladder operator of a truncated mode, and a
+truncation guideline for squeezed coherent states.  The package
 computes every criterion from closed forms in (v, n, t); these are what
 those closed forms are checked against.
 """
@@ -23,12 +25,40 @@ from nonclassicality import (
     SqueezedCoherentParams,
     UnphysicalMomentsError,
 )
-from nonclassicality.fock import _block_entries
+from nonclassicality.fock import _ladder_roots
 from nonclassicality.moments import TWO_PI
 
 # Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point
 # noise must not produce complex eigenvalues.
 CLAMP_TOL = 1e-10
+
+
+def block_entries(v, theta, n, t, phi, r=None):
+    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi).
+
+    All arguments broadcast; r defaults to sqrt(1 - t^2).  Output order:
+    (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22).  The NumPy form of
+    the Fock oracle's scalar ``_block_entries``, bit for bit equal to it on
+    scalars.
+    """
+    t2 = np.multiply(t, t)
+    r2 = np.multiply(r, r) if r is not None else 1.0 - t2
+    tr = np.sqrt(t2 * r2)
+    ca, sa = np.cos(theta + 2.0 * phi), np.sin(theta + 2.0 * phi)
+    cb, sb = np.cos(theta), np.sin(theta)
+    cc, sc = np.cos(theta + phi), np.sin(theta + phi)
+    cp, sp = np.cos(phi), np.sin(phi)
+    a11 = t2 * (ca * v + n) + 0.5
+    a12 = t2 * v * sa
+    a22 = t2 * (-ca * v + n) + 0.5
+    b11 = r2 * (cb * v + n) + 0.5
+    b12 = r2 * v * sb
+    b22 = r2 * (-cb * v + n) + 0.5
+    c11 = -tr * (cc * v + cp * n)
+    c12 = tr * (-sc * v + sp * n)
+    c21 = -tr * (sc * v + sp * n)
+    c22 = tr * (cc * v - cp * n)
+    return a11, a12, a22, b11, b12, b22, c11, c12, c21, c22
 
 
 def _invariants(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22):
@@ -60,7 +90,7 @@ def eta_minus_sq(v, theta, n, t, phi):
     clamped at zero so pure states on the degeneracy do not generate complex
     values.  sigma - sqrt(sigma^2 - 4 det V) cancels for large squeezing.
     """
-    inv = _invariants(*_block_entries(v, theta, n, t, phi))
+    inv = _invariants(*block_entries(v, theta, n, t, phi))
     det_a, det_b, det_c, _, det_v = inv
     sigma = det_a + det_b - 2.0 * det_c
     disc = np.maximum(sigma * sigma - 4.0 * det_v, 0.0)
@@ -162,6 +192,49 @@ def schmidt_log_negativity(table) -> float:
     is (sum_i s_i)^2.  No Gaussian formula enters.
     """
     return 2.0 * math.log(np.linalg.svd(table, compute_uv=False).sum())
+
+
+def lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the annihilation operator of the mode on ``axis`` (the first or last) by index shifting.
+
+    The result is written to ``out`` when given, which must not overlap
+    ``psi``.  The last-axis path is the Fock oracle's ``_lower``.
+    """
+    if out is None:
+        out = np.empty_like(psi)
+    if axis % psi.ndim == psi.ndim - 1:
+        out[..., :-1] = psi[..., 1:]
+        out[..., -1] = 0.0
+        out *= _ladder_roots(psi.shape[-1])[1:]
+    else:
+        np.multiply(_ladder_roots(psi.shape[0])[1:-1, None], psi[1:], out=out[:-1])
+        out[-1] = 0.0
+    return out
+
+
+def five_pass_covariance_entries(psi: np.ndarray) -> tuple:
+    """The ten covariance entries of a normalized two-mode table, by five whole-array lowerings.
+
+    The reference for the Fock oracle's shifted-slice ``_covariance_entries``:
+    each ladder expectation is a ``np.vdot`` of psi, a1 psi or a2 psi with a
+    lowered copy of the table, so no index bookkeeping is shared with it.
+    """
+    a1_psi, a2_psi, scratch = np.empty((3, *psi.shape), dtype=complex)
+    lower(psi, 0, out=a1_psi)
+    lower(psi, 1, out=a2_psi)
+    m1 = np.vdot(psi, a1_psi)
+    m2 = np.vdot(psi, a2_psi)
+    sq1 = np.vdot(psi, lower(a1_psi, 0, out=scratch)) - m1 * m1
+    sq2 = np.vdot(psi, lower(a2_psi, 1, out=scratch)) - m2 * m2
+    n1 = np.vdot(a1_psi, a1_psi).real - abs(m1) ** 2
+    n2 = np.vdot(a2_psi, a2_psi).real - abs(m2) ** 2
+    w = np.vdot(psi, lower(a1_psi, 1, out=scratch)) - m1 * m2      # <da1 da2>
+    z = np.vdot(a1_psi, a2_psi) - np.conj(m1) * m2                  # <da1^dag da2>
+    return (
+        sq1.real + n1 + 0.5, sq1.imag, -sq1.real + n1 + 0.5,
+        sq2.real + n2 + 0.5, sq2.imag, -sq2.real + n2 + 0.5,
+        w.real + z.real, w.imag + z.imag, w.imag - z.imag, -w.real + z.real,
+    )
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -641,13 +640,22 @@ class TestOracleCheck:
         discrepancy = float(out.split("max covariance discrepancy:")[1].split()[0])
         assert discrepancy < 1e-12
 
+    def test_coherent_trials_discrepancy_tiny(self, capsys):
+        # Coherent inputs split into a product state, whose spectrum is
+        # degenerate: the measured spectrum must still agree to rounding.
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--trials", "20", "--dim", "40", "--seed", "7", "--r-max", "0",
+        )
+        assert code == 0
+        discrepancy = float(out.split("max covariance discrepancy:")[1].split()[0])
+        assert discrepancy < 1e-12
+
     def test_nan_discrepancy_exits_4(self, capsys, monkeypatch):
         # A NaN prediction is no agreement: it must fail, not vanish from the maximum.
-        # CovarianceBlocks refuses NaN, so a stand-in carries it.
-        def nan_blocks(moments, bs):
-            return SimpleNamespace(**dict(zip("ABC", np.full((3, 2, 2), math.nan))))
+        def nan_entries(*args):
+            return (math.nan,) * 10
 
-        monkeypatch.setattr(fock, "covariance_from_input", nan_blocks)
+        monkeypatch.setattr(fock, "_block_entries", nan_entries)
         code, out, _ = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "20")
         assert code == 4
         assert out.splitlines()[1:] == ["max covariance discrepancy: nan", "FAIL (threshold 1e-06)"]
@@ -666,6 +674,33 @@ class TestOracleCheck:
         code, out, err = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "20")
         assert code == 4 and err == ""
         assert out.splitlines()[1:] == ["max covariance discrepancy: nan", "FAIL (threshold 1e-06)"]
+
+    def test_spectrum_off_by_1e_3_exits_4(self, capsys, monkeypatch):
+        # The reported spectrum is checked too: a closed form that drifts
+        # from the measured one fails the oracle, with the blocks intact.
+        spectrum = fock.output_spectrum
+
+        def drifted(v, n, t):
+            return tuple(x + 1e-3 for x in spectrum(v, n, t))
+
+        monkeypatch.setattr(fock, "output_spectrum", drifted)
+        code, out, err = run_cli(capsys, "oracle-check", "--trials", "3", "--dim", "40")
+        assert code == 4 and err == ""
+        assert out.splitlines()[2] == "FAIL (threshold 1e-06)"
+        assert float(out.split("max covariance discrepancy:")[1].split()[0]) >= 1e-3 * (1 - 1e-9)
+
+    @pytest.mark.parametrize("dim", ["2", "400"])
+    def test_edge_sizes_in_a_fresh_process(self, dim):
+        # The per-size tables and the shifted-slice kernel at both ends of the
+        # size range, in a fresh interpreter with every warning an error.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nonclassicality", "oracle-check",
+             "--trials", "2", "--dim", dim],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[2] == "PASS (threshold 1e-06)"
 
     def test_corrupted_phase_exits_4(self, capsys):
         code, out, _ = run_cli(
@@ -747,6 +782,18 @@ class TestOutputOption:
             )
         assert run.returncode == 1
         assert run.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS.keys())
+    def test_closed_stdout_exits_1(self, command):
+        # With descriptor 1 closed, Python starts with sys.stdout None: one
+        # stderr line and exit 1, not a traceback.
+        run = subprocess.run(
+            [sys.executable, "-m", "nonclassicality", *command], stderr=subprocess.PIPE,
+            text=True, env=subprocess_env(), preexec_fn=lambda: os.close(1),
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"cannot write stdout: {os.strerror(errno.EBADF)}\n"
 
     def test_string_io_stdout(self):
         out = io.StringIO()

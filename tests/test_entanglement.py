@@ -28,9 +28,9 @@ from nonclassicality import (
     squeezed_coherent_moments,
     squeezed_coherent_vector,
 )
-from nonclassicality.fock import _block_entries
 from oracles import (
     _invariants,
+    block_entries,
     covariance_matrix,
     eta_minus_sq,
     schmidt_log_negativity,
@@ -481,7 +481,7 @@ class TestOutputSpectrum:
         for _ in range(2000):
             v, theta, n = random_physical_centered(rng)
             t, phi = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
-            det_a, det_b, det_c, _, det_v = _invariants(*_block_entries(v, theta, n, t, phi))
+            det_a, det_b, det_c, _, det_v = _invariants(*block_entries(v, theta, n, t, phi))
             eta_m_sq, eta_p_sq = output_spectrum(v, n, t)
             sigma = det_a + det_b - 2.0 * det_c
             assert abs(eta_m_sq + eta_p_sq - sigma) <= 1e-14 * sigma

@@ -1,16 +1,15 @@
 import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import gammaln
 
+from conftest import random_physical_centered
 from nonclassicality import (
     BALANCED_T,
     BeamSplitterParams,
-    CovarianceBlocks,
     FockVector,
     SqueezedCoherentParams,
     TwoModeVector,
@@ -19,13 +18,16 @@ from nonclassicality import (
     covariance_check,
     covariance_from_input,
     moments_from_vector,
+    output_spectrum,
     squeezed_coherent_moments,
     squeezed_coherent_vector,
     two_mode_covariance,
 )
 from nonclassicality import dicke, fock
 from nonclassicality.fock import _half_log_factorials, _lower
-from oracles import annihilation_matrix, recommended_dim
+from oracles import (
+    _entries_from_blocks, annihilation_matrix, block_entries, five_pass_covariance_entries, lower, recommended_dim,
+)
 
 #: (alpha, r, theta) of squeezed coherent states that fit their recommended_dim.
 HEALTHY_CASES = [(0.0, 0.6, 0.0), (0.5 + 0.3j, 0.9, 1.3), (-0.8j, 0.4, 4.0), (1.0, 0.0, 0.0)]
@@ -327,28 +329,37 @@ class TestCovarianceCheck:
 
     @pytest.mark.parametrize("nan_trial", [0, 2])
     def test_nan_discrepancy_is_kept(self, monkeypatch, nan_trial):
-        # One NaN block, on the first trial or after finite ones, makes the result NaN.
+        # One NaN entry, on the first trial or after finite ones, makes the result NaN.
         calls = []
+        entries = fock._block_entries
 
-        def predicted(moments, bs):
-            blocks = covariance_from_input(moments, bs)
-            calls.append(bs)
+        def predicted(*args):
+            calls.append(args)
+            predicted_entries = entries(*args)
             if len(calls) - 1 == nan_trial:
-                # CovarianceBlocks refuses NaN, so a stand-in carries it.
-                return SimpleNamespace(A=blocks.A, B=np.full((2, 2), math.nan), C=blocks.C)
-            return blocks
+                return (*predicted_entries[:3], math.nan, *predicted_entries[4:])
+            return predicted_entries
 
-        monkeypatch.setattr(fock, "covariance_from_input", predicted)
+        monkeypatch.setattr(fock, "_block_entries", predicted)
         assert math.isnan(covariance_check(trials=3, dim=20, seed=1))
         assert len(calls) == 3
 
     def test_refused_blocks_are_a_nan_discrepancy(self, monkeypatch):
-        # Blocks that CovarianceBlocks refuses end the trial, not the run.
-        def refused(moments, bs):
-            return CovarianceBlocks(*np.full((3, 2, 2), math.nan))
+        # Entries that CovarianceBlocks would refuse end the trial, not the run.
+        def refused(*args):
+            return (math.nan,) * 10
 
-        monkeypatch.setattr(fock, "covariance_from_input", refused)
+        monkeypatch.setattr(fock, "_block_entries", refused)
         assert math.isnan(covariance_check(trials=3, dim=20, seed=1))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["_covariance_entries", "output_spectrum"])
+    def test_a_non_finite_value_on_either_side_is_a_nan_discrepancy(self, monkeypatch, side, value):
+        # An infinite measured entry would otherwise read as an infinite
+        # discrepancy, and an infinite spectrum on both sides as none.
+        original = getattr(fock, side)
+        monkeypatch.setattr(fock, side, lambda *args: (value, *original(*args)[1:]))
+        assert math.isnan(covariance_check(trials=2, dim=20, seed=1))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
@@ -367,7 +378,8 @@ def covariance_check_by_public_path(trials, dim, seed, corrupt_phase=False):
     """covariance_check's trials through the public splitter and covariance functions.
 
     Six scalar ``rng.uniform`` draws per trial are the reference for the one
-    batched draw per call that covariance_check makes.
+    batched draw per call that covariance_check makes.  The spectrum of the
+    measured blocks is compared with ``output_spectrum`` in the same maximum.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -380,9 +392,13 @@ def covariance_check_by_public_path(trials, dim, seed, corrupt_phase=False):
         state = squeezed_coherent_vector(params, dim)
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
         measured = two_mode_covariance(apply_beam_splitter(state, simulated))
-        predicted = covariance_from_input(center(moments_from_vector(state)), bs)
+        c = center(moments_from_vector(state))
+        predicted = covariance_from_input(c, bs)
         for block in ("A", "B", "C"):
             worst = max(worst, float(np.abs(getattr(measured, block) - getattr(predicted, block)).max()))
+        spectrum = fock._spectrum(*_entries_from_blocks(measured))
+        for m, p in zip(spectrum, output_spectrum(c.v, c.n, bs.t)):
+            worst = max(worst, abs(m - p))
     return worst
 
 
@@ -416,6 +432,8 @@ class TestOnePath:
     @pytest.mark.parametrize("axis", [0, 1, -1])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_lower_into_a_buffer_is_exact(self, axis, dtype):
+        # The tests' general lowering, which the five-pass reference kernel
+        # runs; the package keeps its last-axis path as _lower.
         rng = np.random.default_rng(4)
         psi = rng.normal(size=(9, 13)).astype(dtype)
         if dtype is complex:
@@ -429,9 +447,11 @@ class TestOnePath:
         else:
             expected[:, :-1] = np.sqrt(np.arange(1, n)) * psi[:, 1:]
         buffer = np.full_like(psi, np.nan)
-        assert _lower(psi, axis, out=buffer) is buffer
+        assert lower(psi, axis, out=buffer) is buffer
         assert buffer.tobytes() == expected.tobytes()
-        assert _lower(psi, axis).tobytes() == expected.tobytes()
+        assert lower(psi, axis).tobytes() == expected.tobytes()
+        if axis != 0:
+            assert _lower(psi).tobytes() == expected.tobytes()
 
     def test_dicke_lowers_with_the_same_function(self):
         assert dicke._lower is fock._lower
@@ -442,6 +462,70 @@ class TestOnePath:
         expected = 0.5 * gammaln(np.arange(dim) + 1.0)
         assert table[0] == table[1] == 0.0
         assert np.all(np.abs(table - expected) <= 2.0 * np.spacing(expected))
+
+
+class TestShiftedSliceKernel:
+    """The oracle's covariance kernel and its closed-form prediction, against the tests' references."""
+
+    #: Largest gap to the five-pass reference seen on dense random tables of
+    #: the shapes below, 20 tables each (3 at 400 x 400): 1.53 eps times
+    #: (1 + the largest entry).  The bound leaves a factor of ten over that.
+    KERNEL_TOL = 16.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 2), (3, 3), (17, 17), (80, 80), (400, 400), (5, 1), (1, 5), (1, 1), (5, 7), (7, 5)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_matches_the_five_pass_reference(self, shape):
+        # Dense tables fill every level, so nothing rests on the k + j < dim
+        # triangle of a split state, and every wrapped term is nonzero.
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for _ in range(3):
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            psi /= np.linalg.norm(psi)
+            entries = fock._covariance_entries(psi, *np.empty((3, *shape), dtype=complex))
+            expected = five_pass_covariance_entries(psi)
+            assert all(type(x) is float for x in entries)
+            scale = 1.0 + max(abs(x) for x in expected)
+            assert max(abs(a - b) for a, b in zip(entries, expected)) <= self.KERNEL_TOL * scale
+
+    def test_block_entries_equal_the_numpy_form_bit_for_bit(self):
+        # math.cos / math.sin against NumPy's array loops, on 20,000 draws.
+        rng = np.random.default_rng(33)
+        size = 20_000
+        n = rng.uniform(0.0, 5.0, size)
+        v = rng.uniform(0.0, 1.0, size) * np.sqrt(n * (n + 1.0))
+        theta, phi = rng.uniform(0.0, 2.0 * math.pi, (2, size))
+        t = rng.uniform(0.0, 1.0, size)
+        r = np.sqrt(1.0 - t * t)
+        expected = np.array(block_entries(v, theta, n, t, phi, r)).T.tolist()
+        for row, want in zip(zip(*(x.tolist() for x in (v, theta, n, t, phi, r))), expected):
+            entries = fock._block_entries(*row)
+            assert all(type(x) is float for x in entries)
+            assert entries == tuple(want)
+
+    def test_spectrum_of_the_predicted_entries_is_output_spectrum(self):
+        # The spectrum that each trial takes of the measured entries, on exact
+        # entries, is the closed form the CLI reports.  Occupations down to
+        # 1e-14 (and 0) and transmissions down to 1e-10 put the spectrum on
+        # or next to its degeneracy eta^- = eta^+, where a square root of the
+        # invariants' discriminant would miss by about 1e-8.  The largest
+        # gap seen here is 3.4e-15.
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            n = 10.0 ** rng.uniform(-14.0, 1.0) if rng.uniform() < 0.9 else 0.0
+            v = rng.uniform() * math.sqrt(n * (n + 1.0))
+            theta, phi = rng.uniform(0.0, 2.0 * math.pi, 2)
+            bs = BeamSplitterParams(10.0 ** rng.uniform(-10.0, 0.0), phi)
+            spectrum = fock._spectrum(*fock._block_entries(v, theta, n, bs.t, bs.phi, bs.r))
+            for got, want in zip(spectrum, output_spectrum(v, n, bs.t)):
+                assert abs(got - want) <= 1e-13 * max(1.0, want)
+
+    def test_spectrum_of_entries_that_are_not_positive_definite_is_nan(self):
+        entries = fock._block_entries(0.5, 0.3, 0.4, 0.6, 1.1, 0.8)
+        for broken in ((0.0, *entries[1:]), (-1.0, *entries[1:]), entries[:9] + (-5.0,)):
+            assert all(map(math.isnan, fock._spectrum(*broken)))
 
 
 class TestSizeTables:
