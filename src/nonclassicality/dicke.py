@@ -23,7 +23,8 @@ the even sector is solved as a rule: whether the odd sector lies lower, or
 within DEGENERACY_TOL of the even ground energy, which sets the degeneracy
 flag, is decided by whether its banded Cholesky factorization exists at
 shifts around that energy.  The signs (-1)^m of a sector's ground vector
-seed its iteration.  The whole matrix is never assembled.
+seed its iteration.  Each parity sector is built once, divided by a power
+of 4 near its norm, as every step reads it.  The whole H is never assembled.
 
 In units hbar = 1:
 
@@ -265,22 +266,35 @@ def _sector_layout(n_atoms: int, fock_dim: int, counter_rotating: bool):
 
 
 def _sectors(cfg: DickeConfig):
-    """(states, signs, lower bands, band offsets, blocks) of each sector of cfg's model.
+    """(states, signs, lower bands, unit, band offsets, blocks) of each sector of cfg's model.
 
     H = omega a^dag a + omega_eg S_z + (g / sqrt(N)) times the couplings,
     each scaled from _sector_layout's template, whose signs and blocks pass
-    through; bands[i - j, j] holds the entry (i, j), i >= j, every
+    through; unit times bands[i - j, j] is the entry (i, j), i >= j, every
     off-diagonal one >= 0, and the offsets list the rows of bands below the
-    diagonal that hold a coupling.
+    diagonal that hold a coupling.  A parity sector's unit is the power of
+    4 near the bound on its norm, the largest diagonal entry plus 4 times
+    the largest coupling: dividing by it is exact, square roots of Cholesky
+    factors included, and no product or factorization then overflows however
+    small the frequencies are.  The co-rotating chain, whose bisection tie
+    margins are absolute, keeps unit 1.0.
     """
     coupling = cfg.g / math.sqrt(cfg.n_atoms)
     sectors = []
     for states, signs, photons, atoms, offset, column, atomic, photonic, offsets, blocks in (
             _sector_layout(cfg.n_atoms, cfg.fock_dim, cfg.counter_rotating)):
+        diagonal = cfg.omega * photons + cfg.omega_eg * atoms
+        couplings = coupling * atomic * photonic
+        unit = 1.0
+        if cfg.counter_rotating:
+            norm_bound = np.abs(diagonal).max() + 4.0 * couplings.max()
+            unit = math.ldexp(1.0, 2 * (math.frexp(norm_bound)[1] // 2))
+            diagonal /= unit
+            couplings /= unit
         bands = np.zeros((offsets[-1] + 1, len(states)))
-        bands[0] = cfg.omega * photons + cfg.omega_eg * atoms
-        bands[offset, column] = coupling * atomic * photonic
-        sectors.append((states, signs, bands, offsets, blocks))
+        bands[0] = diagonal
+        bands[offset, column] = couplings
+        sectors.append((states, signs, bands, unit, offsets, blocks))
     return sectors
 
 
@@ -318,7 +332,7 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
     error, raises LinAlgError.  Returns what _lowest_pair_parity returns,
     with no banded solve.
     """
-    [(states, _, bands, _, blocks)] = sectors
+    [(states, _, bands, _, _, blocks)] = sectors
     diagonal, off_diagonal = bands[0], bands[1, :-1]
     # The least diagonal entry less the couplings of its row; bands[1, -1] is 0.
     row_floor = diagonal - bands[1]
@@ -399,9 +413,9 @@ def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
 
     H conserves the parity (-1)^(m + n).  The even sector, down to the 2
     states of the smallest model, is solved by _lowest_in_sector.  The odd
-    sector is only probed: if dpbtrf factors it shifted to E_even +
-    DEGENERACY_TOL, its lowest level lies above that (Sylvester's law of
-    inertia) and the even state is the ground state.  If not, but it
+    sector is only probed, in its own unit: if dpbtrf factors it shifted to
+    E_even + DEGENERACY_TOL, its lowest level lies above that (Sylvester's
+    law of inertia) and the even state is the ground state.  If not, but it
     factors at E_even - DEGENERACY_TOL, the odd level lies within
     DEGENERACY_TOL of E_even: the pair is degenerate and the even state is
     returned.  The odd sector is solved only when it lies lower, and then
@@ -412,35 +426,21 @@ def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
     partner's vector (None unless the pair is degenerate and want_partner
     asks for it) and the number of banded solves; probes are not solves.
     """
-    (states, signs, bands, offsets, _), (odd_states, odd_signs, odd_bands, odd_offsets, _) = sectors
-    energy, x, solves = _lowest_in_sector(bands, offsets, signs)
-    odd_scaled, unit, _ = _unit_scaled(odd_bands)
-    above = _factor_shifted(odd_scaled, (energy + DEGENERACY_TOL) / unit)[1] == 0
-    degenerate = not above and _factor_shifted(odd_scaled, (energy - DEGENERACY_TOL) / unit)[1] == 0
+    (states, signs, bands, unit, offsets, _), odd = sectors
+    odd_states, odd_signs, odd_bands, odd_unit, odd_offsets, _ = odd
+    energy, x, solves = _lowest_in_sector(bands, unit, offsets, signs)
+    above = _factor_shifted(odd_bands, (energy + DEGENERACY_TOL) / odd_unit)[1] == 0
+    degenerate = not above and _factor_shifted(odd_bands, (energy - DEGENERACY_TOL) / odd_unit)[1] == 0
     pair = np.zeros((cfg.dim, 2))  # the even sector's state, then the odd one's
     pair[states, 0] = x
     if above or (degenerate and not want_partner):
         return energy, pair[:, 0], degenerate, None, solves
-    odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_offsets, odd_signs)
+    odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_unit, odd_offsets, odd_signs)
     pair[odd_states, 1] = odd_x
     solves += odd_solves
     if degenerate:
         return energy, pair[:, 0], True, pair[:, 1], solves
     return odd_energy, pair[:, 1], False, None, solves
-
-
-def _unit_scaled(bands: np.ndarray):
-    """bands divided by a power of 4 near the bound on their norm, that power and the scaled bound.
-
-    Rounding in a sector's products and factorization scales with ||H||,
-    which the diagonal and the four couplings of a row bound.  Dividing by a
-    power of 4 leaves every step exact, the square roots of a Cholesky
-    factor included, and brings that bound near 1, so that no product or
-    factorization overflows however small the frequencies are.
-    """
-    norm_bound = np.abs(bands[0]).max() + 4.0 * np.abs(bands[1:]).max()
-    unit = math.ldexp(1.0, 2 * (math.frexp(norm_bound)[1] // 2))
-    return bands / unit, unit, norm_bound / unit
 
 
 def _factor_shifted(bands: np.ndarray, shift: float):
@@ -454,10 +454,12 @@ def _factor_shifted(bands: np.ndarray, shift: float):
     return _PBTRF(shifted, lower=1, overwrite_ab=1)
 
 
-def _lowest_in_sector(bands: np.ndarray, offsets, signs: np.ndarray):
+def _lowest_in_sector(bands: np.ndarray, unit: float, offsets, signs: np.ndarray):
     """Lowest eigenvalue and vector of a sector, with the number of banded solves.
 
-    Noda's inverse iteration (Numer. Math. 17, 382 (1971)) from the signs,
+    bands is divided by unit, as _sectors stores it: the shifts and their
+    margin, set by the scaled bound on the norm, stay in that scale, and the
+    energy and residual are multiplied back by unit.  Noda's inverse iteration (Numer. Math. 17, 382 (1971)) from the signs,
     normalized.  Every coupling changes m by 1 and is >= 0, so while each
     signs[i] x[i] is positive the Collatz-Wielandt bound min_i (H x)_i / x_i
     lies at or below the lowest eigenvalue E0; each solve shifts to just
@@ -483,10 +485,7 @@ def _lowest_in_sector(bands: np.ndarray, offsets, signs: np.ndarray):
     A shift that is not finite or that LAPACK refuses, or no stop within
     MAX_SOLVES, raises LinAlgError.
     """
-    # The iteration runs on the sector scaled by _unit_scaled, whose bound
-    # also sets the shift margin.
-    bands, unit, norm_bound = _unit_scaled(bands)
-    margin = SHIFT_MARGIN * _EPS * norm_bound
+    margin = SHIFT_MARGIN * _EPS * (np.abs(bands[0]).max() + 4.0 * bands[1:].max())
     x = signs / math.sqrt(len(signs))
     previous = math.inf
     factor, uses, trusted = None, 0, False
@@ -572,8 +571,8 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
     h_x = np.empty_like(vector)
-    for states, _, bands, offsets, _ in sectors:
-        h_x[states] = _band_apply(bands, vector[states], offsets)
+    for states, _, bands, unit, offsets, _ in sectors:
+        h_x[states] = unit * _band_apply(bands, vector[states], offsets)
     r = h_x - energy * vector
     residual = math.sqrt(r @ r)
     if not residual <= RESIDUAL_TOL:  # NaN included

@@ -247,41 +247,37 @@ def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVec
     table out[k, j] = c_{k+j} binom(k+j, k)^{1/2} mu1^k mu2^j, zero where
     k + j >= dim (there c reads 0 and the magnitude stays <= 1).  Magnitudes
     are built in log space: binomials overflow float64 long before the
-    bounded products do.  Photon number is conserved, so the output lives on
-    n1 + n2 <= dim - 1 and the transformation itself introduces no
-    truncation error.
+    bounded products do; mu2 = -r is real, so they carry its phase (-1)^j.
+    Photon number is conserved, so the output lives on n1 + n2 <= dim - 1
+    and the transformation itself introduces no truncation error.
     """
     dim = state.dim
-    out, scratch = np.empty((2, dim, dim), dtype=complex)
+    out = np.empty((dim, dim), dtype=complex)
     magnitude = np.empty((dim, dim))
-    return TwoModeVector(_apply_beam_splitter_images(state.coefficients, bs, out, magnitude, scratch))
+    return TwoModeVector(_apply_beam_splitter_images(state.coefficients, bs, out, magnitude))
 
 
-def _apply_beam_splitter_images(
-    vec: np.ndarray, bs: BeamSplitterParams, out: np.ndarray, magnitude: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
+def _apply_beam_splitter_images(vec: np.ndarray, bs: BeamSplitterParams, out: np.ndarray,
+                                magnitude: np.ndarray) -> np.ndarray:
     """Fill the dim x dim ``out`` with the split table of ``apply_beam_splitter`` and return it.
 
-    ``magnitude`` (real) and ``scratch`` (complex) are dim x dim work arrays,
-    overwritten.  The half-log-factorials and their Hankel sums are the
-    cached tables of ``dim``.
+    ``magnitude`` is a real dim x dim work array, overwritten, that takes
+    mu2's sign (-1)^j; mu1's phase e^{i k phi} is one product with a column.
+    The half-log-factorials and their Hankel sums are cached per ``dim``.
     """
     dim = vec.size
     half_log_fact = _half_log_factorials(dim)
     log_abs1, phase1 = _powers(bs.t * np.exp(1j * bs.phi), dim)
-    log_abs2, phase2 = _powers(-bs.r, dim)
+    log_abs2, _ = _powers(bs.r, dim)
     np.add(_half_log_factorial_sums(dim), (log_abs1 - half_log_fact)[:, None], out=magnitude)
     magnitude += (log_abs2 - half_log_fact)[None, :]
     np.exp(magnitude, out=magnitude)
+    magnitude[:, 1::2] *= -1.0
     # Copies and whole-array in-place products only: a casting product over
-    # the Hankel view, or an outer product, allocates NumPy's iteration
-    # buffers on every call.
+    # the Hankel view allocates NumPy's iteration buffers on every call.
     out[...] = _hankel(vec)
     out *= magnitude
-    scratch[...] = phase1[:, None]
-    scratch *= phase2
-    out *= scratch
+    out *= phase1[:, None]
     return out
 
 
@@ -492,7 +488,7 @@ def covariance_check(
         state = squeezed_coherent_vector(params, dim)
         c = center(moments_from_vector(state))
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
-        _apply_beam_splitter_images(state.coefficients, simulated, split, magnitude, scratch)
+        _apply_beam_splitter_images(state.coefficients, simulated, split, magnitude)
         try:
             _check_norm(split)
         except ValueError:  # a split state off its norm

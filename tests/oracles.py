@@ -7,8 +7,9 @@ the closed-form maximizing splitter is checked against, the NumPy forms of
 the closed-form output spectrum and of the oracle's predicted block entries,
 the five-pass covariance kernel that the Fock oracle's shifted-slice kernel
 is checked against, the log negativity of a split pure state from its
-Schmidt coefficients, the dense ladder operator of a truncated mode, and a
-truncation guideline for squeezed coherent states.  The package
+Schmidt coefficients and that of a split Dicke field from the partial
+transpose of its reduced state, the dense ladder operator of a truncated
+mode, and a truncation guideline for squeezed coherent states.  The package
 computes every criterion from closed forms in (v, n, t); these are what
 those closed forms are checked against.
 """
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from nonclassicality import (
     BALANCED_T,
@@ -192,6 +194,41 @@ def schmidt_log_negativity(table) -> float:
     is (sum_i s_i)^2.  No Gaussian formula enters.
     """
     return 2.0 * math.log(np.linalg.svd(table, compute_uv=False).sum())
+
+
+def balanced_split(rows: np.ndarray) -> np.ndarray:
+    """Each row c of rows split against vacuum at the balanced splitter, t = 1/sqrt(2), phi = 0.
+
+    out[..., k, j] = c_{k+j} binom(k+j, k)^{1/2} 2^{-(k+j)/2} (-1)^j, zero
+    where k + j reaches the rows' length: the table of apply_beam_splitter
+    at mu1 = 1/sqrt(2) and mu2 = -1/sqrt(2), from binomials in floating
+    point, which stay exact to rounding at the sizes the tests use.
+    """
+    d = rows.shape[-1]
+    k, j = np.indices((d, d))
+    total = k + j
+    weights = np.where(total < d, np.sqrt(scipy.special.comb(total, k)) * 0.5 ** (total / 2.0), 0.0)
+    weights[:, 1::2] *= -1.0
+    return rows[..., np.minimum(total, d - 1)] * weights
+
+
+def split_field_log_negativity(rows: np.ndarray) -> float:
+    """ln ||rho^{T_B}||_1 of a field state split against vacuum at the balanced splitter.
+
+    rows[m] holds the field amplitudes that go with the atomic state m of a
+    normalized atoms-field state, cut to its first d Fock levels, so the
+    field's reduced state is rho = sum_m psi_m psi_m^dag.  Each row is split
+    by ``balanced_split``, the partial transpose of the two-mode state on
+    the second mode is formed, and its trace norm is the sum of the absolute
+    eigenvalues of the d^2 x d^2 matrix, from a dense ``eigvalsh``.  This is
+    the exact log negativity of a state that need not be Gaussian; no
+    moment enters.
+    """
+    d = rows.shape[-1]
+    split = balanced_split(rows)
+    # rho^{T_B}[(i, j), (k, l)] = rho[(i, l), (k, j)] = sum_m split_m[i, l] conj(split_m[k, j]).
+    transposed = np.einsum("mil,mkj->ijkl", split, split.conj()).reshape(d * d, d * d)
+    return math.log(np.abs(np.linalg.eigvalsh(transposed)).sum())
 
 
 def lower(psi: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:

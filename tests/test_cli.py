@@ -482,6 +482,29 @@ class TestDickeSweep:
         warnings = run.stderr.splitlines()
         assert warnings and all(line.startswith("warning: g=") for line in warnings), run.stderr
 
+    @pytest.mark.parametrize("model", [[], ["--counter-rotating"]], ids=["co", "counter"])
+    @pytest.mark.parametrize("edge", [["--omega", "1e-300"], ["--g-max", "20"]], ids=["omega1e-300", "g20"])
+    def test_edge_sweeps_in_a_fresh_process(self, model, edge):
+        # Photons that cost nothing (omega = 1e-300: levels tied by rounding)
+        # and a coupling far above g_c, in a fresh interpreter with every
+        # warning an error.  Mixing degenerate pairs runs the parity
+        # sectors' scale, their inertia probes, the pair's sum and the
+        # whole-H residual at those edges.  Each row's field is truncated at
+        # fock_dim 8, so stderr holds the CLI's own truncation warnings and
+        # nothing else.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nonclassicality", "dicke-sweep", "--n-atoms", "2",
+             "--fock-dim", "8", "--steps", "3", *edge, *model, "--mix-degenerate"],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stderr.splitlines():
+            assert line.startswith("warning: g=") and line.endswith("; raise --fock-dim"), proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        assert header == ["g", "g_over_gc", "ground_energy", "mean_photon",
+                          "E_N", "lambda_simon", "degenerate_flag"]
+        assert len(rows) == 3
+
     @pytest.mark.parametrize("mix", [[], ["--mix-degenerate"]])
     def test_vacuum_at_the_resolution_bound_is_exact(self, capsys, mix):
         # Near the DickeConfig bound the counter-rotating g = 0 row is the

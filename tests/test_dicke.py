@@ -11,8 +11,12 @@ import scipy.sparse as sparse
 
 from conftest import build_hamiltonian, dense_reference, subprocess_env
 from nonclassicality import (
+    BALANCED_T,
+    BeamSplitterParams,
     CenteredMoments,
     DickeConfig,
+    FockVector,
+    apply_beam_splitter,
     build_report,
     field_moments,
     ground_state,
@@ -27,6 +31,7 @@ from nonclassicality.dicke import (
     _sector_layout,
     _sectors,
 )
+from oracles import balanced_split, split_field_log_negativity
 
 
 def cli_call(argv: list[str]) -> str:
@@ -436,13 +441,15 @@ class TestBlockGroundState:
         degenerate = 0
         for g in np.linspace(0.0, 2.0, 101):
             cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=float(g), counter_rotating=True)
-            (_, signs, bands, offsets, _), (_, odd_signs, odd_bands, odd_offsets, _) = _sectors(cfg)
-            even_solves = _lowest_in_sector(bands, offsets, signs)[2]
+            (_, signs, bands, unit, offsets, _), odd_sector = _sectors(cfg)
+            _, odd_signs, odd_bands, odd_unit, odd_offsets, _ = odd_sector
+            even_solves = _lowest_in_sector(bands, unit, offsets, signs)[2]
             result = ground_state(cfg)
             assert result.converged and np.all(result.vector[odd] == 0.0)
             assert result.iterations == even_solves
             mixed = ground_state(cfg, mix_degenerate=True)
-            odd_solves = _lowest_in_sector(odd_bands, odd_offsets, odd_signs)[2] if result.degenerate else 0
+            odd_solves = (_lowest_in_sector(odd_bands, odd_unit, odd_offsets, odd_signs)[2]
+                          if result.degenerate else 0)
             assert mixed.iterations == even_solves + odd_solves
             degenerate += result.degenerate
         assert degenerate == flagged
@@ -456,7 +463,7 @@ class TestBlockGroundState:
         # vector, at E = 0, as the start vector.
         cfg = DickeConfig(n_atoms=n_atoms, fock_dim=fock_dim, g=g, counter_rotating=True)
         lower, higher = _sectors(cfg)
-        states, signs, bands, offsets, _ = lower
+        states, signs, bands, unit, offsets, _ = lower
         for want_partner in (False, True):
             energy, vector, degenerate, partner, solves = _lowest_pair_parity(
                 cfg, [higher, lower], want_partner)
@@ -465,8 +472,8 @@ class TestBlockGroundState:
             outside = np.ones(cfg.dim, dtype=bool)
             outside[states] = False
             assert np.all(vector[outside] == 0.0)
-            assert np.array_equal(vector[states], _lowest_in_sector(bands, offsets, signs)[1])
-            assert solves == sum(_lowest_in_sector(b, o, s)[2] for _, s, b, o, _ in (lower, higher))
+            assert np.array_equal(vector[states], _lowest_in_sector(bands, unit, offsets, signs)[1])
+            assert solves == sum(_lowest_in_sector(b, u, o, s)[2] for _, s, b, u, o, _ in (lower, higher))
 
     @pytest.mark.parametrize("n_atoms, fock_dim", [(20, 36), (8, 40)])
     def test_mixed_doublet_breaks_the_symmetry(self, n_atoms, fock_dim):
@@ -523,7 +530,7 @@ from nonclassicality.dicke import DickeConfig, _sectors
 
 def digest(pbtrf, pbtrs, stebz, stein):
     outputs = []
-    [(_, signs, bands, _, _), _] = _sectors(
+    [(_, signs, bands, _, _, _), _] = _sectors(
         DickeConfig(n_atoms=6, fock_dim=12, g=0.8, counter_rotating=True))
     radius = 2.0 * np.abs(bands[1:]).max(axis=1).sum()
     for shift, refused in ((bands[0].min() - radius - 1.0, False),
@@ -535,7 +542,7 @@ def digest(pbtrf, pbtrs, stebz, stein):
         outputs += [factor, info]
         if not refused:
             outputs += pbtrs(factor, signs.copy(), lower=1, overwrite_b=1)
-    [(_, _, chain, _, _)] = _sectors(DickeConfig(n_atoms=6, fock_dim=12, g=1.3))
+    [(_, _, chain, _, _, _)] = _sectors(DickeConfig(n_atoms=6, fock_dim=12, g=1.3))
     diagonal, off_diagonal = chain[0], chain[1, :-1]
     count, energies, block, split, info = stebz(
         diagonal, off_diagonal, 2, 0.0, 0.0, 1, 4, 0.0, "B")
@@ -595,7 +602,7 @@ class TestLapackBinding:
 
 def tridiagonal_pair(cfg):
     """The two lowest levels of cfg's co-rotating chain, from an index solve of the whole chain."""
-    [(_, _, bands, _, _)] = _sectors(cfg)
+    [(_, _, bands, _, _, _)] = _sectors(cfg)
     return scipy.linalg.eigh_tridiagonal(bands[0], bands[1, :-1], eigvals_only=True,
                                          select="i", select_range=(0, 1))
 
@@ -817,8 +824,8 @@ class TestCounterRotatingIteration:
         # The iteration starts from the signs (-1)^m and keeps them.
         for g in np.linspace(0.0, 2.0, 101):
             cfg = DickeConfig(g=float(g), counter_rotating=True, **model)
-            for _, signs, bands, offsets, _ in _sectors(cfg):
-                assert np.all(signs * _lowest_in_sector(bands, offsets, signs)[1] >= 0.0), g
+            for _, signs, bands, unit, offsets, _ in _sectors(cfg):
+                assert np.all(signs * _lowest_in_sector(bands, unit, offsets, signs)[1] >= 0.0), g
 
     @pytest.mark.parametrize("model, stdout, stderr", COUNTER_PINNED_SWEEPS, ids=[
         "tiny-omega", "g20", "g20-mixed", "smallest-model"])
@@ -834,6 +841,10 @@ SECTOR_CASES = [
     (4, 9, 0.4, 2.1, 2.5),
     (6, 11, 1.0, 1.0, 1.02),
     (20, 36, 1.0, 1.0, 1.3),
+    # Every entry near 1e-300, and a diagonal near the DickeConfig bound:
+    # the parity sectors' unit spans the exponent range.
+    (4, 9, 1e-300, 1e-300, 1e-300),
+    (2, 8, 6e4, 1.0, 1.0),
 ]
 
 
@@ -851,7 +862,7 @@ class TestSectorNativeOperators:
         sectors = _sectors(cfg)
         assert len(sectors) == (2 if counter_rotating else 1)
         covered = []
-        for parity, (states, signs, bands, offsets, blocks) in enumerate(sectors):
+        for parity, (states, signs, bands, unit, offsets, blocks) in enumerate(sectors):
             m_s, n_s = m[states], n[states]
             if counter_rotating:
                 assert np.all((m_s + n_s) % 2 == parity)
@@ -864,8 +875,13 @@ class TestSectorNativeOperators:
                 assert np.all(bands[1, :-1][k[1:] != k[:-1]] == 0.0)
             if counter_rotating:
                 assert np.array_equal(signs, (-1.0) ** m_s) and blocks is None
+                # A power of 4 near the bound on the norm divides the sector.
+                fraction, exponent = math.frexp(unit)
+                assert fraction == 0.5 and exponent % 2 == 1, unit
+                assert 0.5 <= np.abs(bands[0]).max() + 4.0 * bands[1:].max() < 2.0
             else:
                 assert signs is None and np.array_equal(blocks, np.searchsorted(k, np.arange(k[-1] + 2)))
+                assert unit == 1.0  # the chain's tie margins are absolute
             # The template that cfg scales: photon numbers and atomic offsets
             # of the states, and the ladder factors read off each coupling's
             # ends, |m, n> and |m + 1, n -+ 1>.
@@ -877,7 +893,7 @@ class TestSectorNativeOperators:
             assert np.all(np.abs(m[low] - m[high]) == 1) and np.all(np.abs(n[low] - n[high]) == 1)
             assert np.array_equal(atomic, np.sqrt((n_atoms - low_m) * (low_m + 1)))
             assert np.array_equal(photonic, np.sqrt(high_n))
-            lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(bands))
+            lower = sum(np.diag(band[: len(states) - k], -k) for k, band in enumerate(unit * bands))
             assert np.all(lower[np.tril_indices(len(states), -1)] >= 0.0)
             # The offsets name every band below the diagonal that a coupling fills.
             assert offsets == tuple(sorted(offsets)) and len(bands) == offsets[-1] + 1
@@ -898,8 +914,8 @@ class TestSectorNativeOperators:
                                      counter_rotating=counter_rotating))
                 for omega, g in ((1.0, 0.3), (2.5, 1.7))
             )
-            for (states, signs, _, offsets, blocks), (states_2, signs_2, _, offsets_2, blocks_2) in zip(
-                    first, second):
+            for (states, signs, _, _, offsets, blocks), (states_2, signs_2, _, _, offsets_2, blocks_2) in (
+                    zip(first, second)):
                 assert states is states_2 and signs is signs_2 and offsets is offsets_2
                 assert blocks is blocks_2
         # No caller can change a shared layout.
@@ -994,6 +1010,46 @@ class TestThermodynamicLimit:
         assert abs(errors[80]) < 0.015
         assert abs(photon_errors[80]) < 0.03
         assert abs(errors[80]) * 3.0 <= abs(errors[20])
+
+
+class TestExactFieldEntanglement:
+    """The reported E_N against the exact log negativity of the split field.
+
+    E_N is the paper's second-moment measure, exact for Gaussian states.  A
+    finite-N Dicke ground state is not Gaussian: above g_c it is a parity
+    eigenstate of two displaced branches.  The oracle splits the field's
+    reduced state, the atoms traced out, at the balanced splitter and takes
+    the trace norm of its partial transpose.  Counter-rotating model, N = 8,
+    fock_dim 60, parity eigenstates (not mixed); the field is cut to d = 24
+    levels for the oracle.
+    """
+
+    @staticmethod
+    def gap(g_over_gc, d=24):
+        cfg = DickeConfig(n_atoms=8, fock_dim=60, g=0.5 * g_over_gc, counter_rotating=True)
+        result = ground_state(cfg)
+        assert result.converged and not result.degenerate
+        rows = result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim)
+        exact = split_field_log_negativity(rows[:, :d])
+        return exact - build_report(field_moments(result, cfg)).E_N, rows
+
+    def test_split_is_apply_beam_splitters_table(self):
+        vector = np.random.default_rng(3).normal(size=30)
+        vector /= np.linalg.norm(vector)
+        split = apply_beam_splitter(FockVector(vector), BeamSplitterParams(BALANCED_T)).coefficients
+        assert np.abs(balanced_split(vector) - split).max() < 1e-15
+
+    @pytest.mark.parametrize("g_over_gc", [0.4, 0.8])
+    def test_below_g_c_the_gaussian_measure_is_exact_to_3e_5(self, g_over_gc):
+        # Measured -2.6e-7 at g/g_c = 0.4 and -2.35e-5 at 0.8.
+        gap, _ = self.gap(g_over_gc)
+        assert abs(gap) <= 3e-5
+
+    def test_above_g_c_the_exact_value_exceeds_e_n(self):
+        # Measured +8.0890e-3; d = 24 and d = 40 agree to 1.4e-8.
+        gap, rows = self.gap(1.2)
+        assert 8.08e-3 < gap < 8.10e-3
+        assert abs(split_field_log_negativity(rows[:, :40]) - split_field_log_negativity(rows[:, :24])) < 1e-7
 
 
 class TestFieldMoments:

@@ -417,9 +417,9 @@ class TestOnePath:
         split = fock._apply_beam_splitter_images
         calls = []
 
-        def leaky_on_second_trial(vec, bs, out, magnitude, scratch):
+        def leaky_on_second_trial(vec, bs, out, magnitude):
             calls.append(bs)
-            split(vec, bs, out, magnitude, scratch)
+            split(vec, bs, out, magnitude)
             if len(calls) == 2:
                 out *= 1.001
             return out
