@@ -37,9 +37,7 @@ __version__ = "0.1.0"
 #: scipy.linalg), neither of which the measure core needs.
 _LAZY = {
     "fock": "fock", "dicke": "dicke",
-    **dict.fromkeys(["CovarianceBlocks", "FockVector", "TwoModeVector", "apply_beam_splitter",
-                     "covariance_check", "covariance_from_input", "moments_from_vector",
-                     "squeezed_coherent_vector", "two_mode_covariance"], "fock"),
+    **dict.fromkeys(["covariance_check", "moments_from_vector", "squeezed_coherent_vector"], "fock"),
     **dict.fromkeys(["DickeConfig", "GroundStateResult", "field_moments", "ground_state"], "dicke"),
 }
 
@@ -57,20 +55,15 @@ __all__ = [
     "BALANCED_T",
     "BeamSplitterParams",
     "CenteredMoments",
-    "CovarianceBlocks",
     "DickeConfig",
-    "FockVector",
     "GroundStateResult",
     "NonclassicalityReport",
     "SingleModeMoments",
     "SqueezedCoherentParams",
-    "TwoModeVector",
     "UnphysicalMomentsError",
-    "apply_beam_splitter",
     "build_report",
     "center",
     "covariance_check",
-    "covariance_from_input",
     "dgcz_lambda",
     "dgcz_simple",
     "field_moments",
@@ -82,5 +75,4 @@ __all__ = [
     "output_spectrum",
     "squeezed_coherent_moments",
     "squeezed_coherent_vector",
-    "two_mode_covariance",
 ]

@@ -3,8 +3,8 @@
 Outputs are plotting-tool neutral: a flat JSON object for ``measure`` and
 headered CSV (LF endings, 17 significant digits, no locale formatting) for
 the sweeps.  All angles are radians.  Exit codes: 0 success, 1 malformed
-arguments, 2 unphysical moments, 3 eigensolver non-convergence in a sweep,
-4 oracle mismatch.
+arguments or an allocation that the machine refuses, 2 unphysical moments,
+3 eigensolver non-convergence in a sweep, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -371,6 +371,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    except MemoryError as exc:
+        # NumPy's message names the size and shape that it could not allocate.
+        sys.stderr.write(f"out of memory: {str(exc) or 'allocation refused'}\n")
+        return 1
 
 
 if __name__ == "__main__":

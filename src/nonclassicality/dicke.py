@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .fock import _lower, _mode_moments, _tail_weight
+from .fock import _lower, _tail_weight, moments_from_vector
 from .moments import SingleModeMoments
 
 #: Ground pairs closer than this in energy are reported as degenerate.
@@ -597,13 +597,13 @@ def _unconverged(cfg: DickeConfig, residual: float, iterations: int) -> GroundSt
 def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
     """Largest squared amplitude on the two highest retained Fock levels.
 
-    At or above fock.TAIL_TOL the field is truncated, by the test of
-    FockVector.truncation_healthy: two levels, because a parity-symmetric
-    ground state leaves every other level empty.
+    At or above fock.TAIL_TOL the field is truncated, by the test that
+    ``fock._tail_weight`` makes on any state: two levels, because a
+    parity-symmetric ground state leaves every other level empty.
     """
     return _tail_weight(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))
 
 
 def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:
     """<a>, <a^2>, <a^dag a> of the field factor of a ground-state vector."""
-    return _mode_moments(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))
+    return moments_from_vector(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))

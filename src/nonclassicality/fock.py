@@ -1,16 +1,17 @@
 """Brute-force verification path in truncated Fock space.
 
-Each squeezed coherent state is the exact state projected onto a truncated
-number basis.  It is pushed through the beam splitter exactly (photon number
-is conserved, so no additional truncation occurs there), and its two-mode
-covariance matrix is measured directly from expectation values, each one
-``np.vdot`` of two offset slices of the flattened state and a ladder-root
-weighted copy of it.  The measured entries are compared with the oracle's own
-closed-form prediction of the ten entries (:func:`covariance_from_input`
-wraps it as blocks), and the partial-transpose spectrum of the measured
-entries with :func:`nonclassicality.entanglement.output_spectrum`, the
-numbers that the CLI reports.  Their agreement validates the splitter
-formulas that the closed-form spectrum rests on.
+States are plain normalized NumPy arrays of Fock amplitudes, the mode on
+the last axis.  Each squeezed coherent state is the exact state projected
+onto a truncated number basis.  It is pushed through the beam splitter
+exactly (photon number is conserved, so no additional truncation occurs
+there), and the ten entries of its two-mode covariance matrix are measured
+directly, each ladder expectation one ``np.vdot`` of two offset slices of
+the flattened state and a ladder-root weighted copy of it.  They are
+compared with the closed-form prediction of the same entries
+(:func:`_block_entries`), and their partial-transpose spectrum with
+:func:`nonclassicality.entanglement.output_spectrum`, the numbers that the
+CLI reports.  Their agreement validates the splitter formulas that the
+closed-form spectrum rests on.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import output_spectrum
-from .moments import (
-    BeamSplitterParams, CenteredMoments, SingleModeMoments, SqueezedCoherentParams, center,
-)
+from .moments import BeamSplitterParams, SingleModeMoments, SqueezedCoherentParams, center
 
 _NORM_TOL = 1e-10
-_SYMMETRY_TOL = 1e-12
 
 #: Squared amplitude allowed on the last retained Fock level of an "exact" state.
 TAIL_TOL = 1e-12
@@ -37,78 +34,6 @@ TAIL_TOL = 1e-12
 #: Sizes whose read-only tables (ladder roots, half-log-factorials and their
 #: Hankel sums) stay cached.
 TABLE_CACHE = 8
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Normalized single-mode state as coefficients over |0>, ..., |dim-1>."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size < 2:
-            raise ValueError("coefficients must be a 1-d array with dim >= 2")
-        _check_norm(coeffs)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def truncation_healthy(self) -> bool:
-        """True when the top retained levels carry less than TAIL_TOL weight.
-
-        The two highest levels are checked rather than one: definite-parity
-        states put exactly zero on every other level, which would defeat a
-        single-level probe.
-        """
-        return _tail_weight(self.coefficients) < TAIL_TOL
-
-
-@dataclass(frozen=True)
-class TwoModeVector:
-    """Normalized two-mode state, indexed [n1, n2]."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=complex)
-        if coeffs.ndim != 2:
-            raise ValueError("coefficients must be a 2-d array")
-        _check_norm(coeffs)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-@dataclass(frozen=True)
-class CovarianceBlocks:
-    """The 2x2 blocks of the two-mode covariance matrix [[A, C], [C^T, B]].
-
-    A and B are symmetric; C is stored unsymmetrized and enters the assembled
-    matrix as C in the upper-right and C^T in the lower-left block.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        for name in ("A", "B", "C"):
-            block = np.array(getattr(self, name), dtype=float)
-            if block.shape != (2, 2):
-                raise ValueError(f"block {name} must be 2x2, got {block.shape}")
-            block.setflags(write=False)
-            object.__setattr__(self, name, block)
-        # One test of all twelve entries; a NaN would pass the symmetry test below.
-        if not np.isfinite((self.A, self.B, self.C)).all():
-            raise ValueError("covariance blocks must be finite")
-        for name in ("A", "B"):
-            block = getattr(self, name)
-            if abs(block[0, 1] - block[1, 0]) > _SYMMETRY_TOL:
-                raise ValueError(f"block {name} must be symmetric")
 
 
 def _check_norm(coeffs: np.ndarray) -> None:
@@ -119,7 +44,10 @@ def _check_norm(coeffs: np.ndarray) -> None:
 
 
 def _tail_weight(psi: np.ndarray) -> float:
-    """Largest squared amplitude on the two highest Fock levels of the last axis."""
+    """Largest squared amplitude on the two highest Fock levels of the last axis.
+
+    Two levels, not one: a definite-parity state leaves every other level empty.
+    """
     return float((np.abs(psi[..., -2:]) ** 2).max())
 
 
@@ -149,7 +77,7 @@ def _lower(psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVector:
+def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> np.ndarray:
     """S(beta) D(alpha) |0> projected onto |0>, ..., |dim-1> and renormalized.
 
     The state is the eigenvector of S a S^dag = cosh r a + e^{i theta} sinh r a^dag
@@ -158,8 +86,9 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
     from c_0 = 1.  The levels found so far are rescaled whenever an amplitude
     passes 1e150, since amplitudes grow like e^{|alpha|^2 / 2} before they fall.
     The square roots are read from the cached ``_ladder_roots`` of ``dim``.
-    Check ``truncation_healthy`` on the result: leakage past the truncation
-    shows up there, not as an exception.
+    Returns the dim amplitudes as a complex array of unit norm, checked by
+    ``_check_norm``.  Check ``_tail_weight(psi) < TAIL_TOL`` on the result:
+    leakage past the truncation shows up there, not as an exception.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
@@ -180,16 +109,17 @@ def squeezed_coherent_vector(params: SqueezedCoherentParams, dim: int) -> FockVe
             prev *= scale
             cur *= scale
         coeffs[k] = cur
-    return FockVector(coeffs / np.linalg.norm(coeffs))
+    psi = coeffs / np.linalg.norm(coeffs)
+    _check_norm(psi)
+    return psi
 
 
-def moments_from_vector(state: FockVector) -> SingleModeMoments:
-    """Measure <a>, <a^2>, <a^dag a> directly on a Fock-basis state."""
-    return _mode_moments(state.coefficients)
+def moments_from_vector(psi: np.ndarray) -> SingleModeMoments:
+    """<a>, <a^2>, <a^dag a> of the mode on the last axis of a normalized state.
 
-
-def _mode_moments(psi: np.ndarray) -> SingleModeMoments:
-    """<a>, <a^2>, <a^dag a> of the mode on the last axis of a normalized state."""
+    Leading axes are traced out: an atoms-field vector shaped (atomic
+    levels, Fock levels) gives the field's moments.
+    """
     a_psi = _lower(psi)
     aa_psi = _lower(a_psi)
     return SingleModeMoments(
@@ -236,30 +166,22 @@ def _half_log_factorial_sums(dim: int) -> np.ndarray:
     return _read_only(np.ascontiguousarray(_hankel(_half_log_factorials(dim))))
 
 
-def apply_beam_splitter(state: FockVector, bs: BeamSplitterParams) -> TwoModeVector:
-    """Split a single-mode state against vacuum; exact up to the input truncation.
+def _apply_beam_splitter_images(vec: np.ndarray, bs: BeamSplitterParams, out: np.ndarray,
+                                magnitude: np.ndarray) -> np.ndarray:
+    """Fill the dim x dim ``out`` with ``vec`` split against vacuum and return it.
 
-    The splitter maps B a1^dag B^dag = mu1 a1^dag + mu2 a2^dag with
-    mu1 = t e^{i phi} and mu2 = -r, the frozen phase convention of the whole
-    oracle; the covariance-equivalence test pins it and fails loudly for any
-    other choice.  Expanding the binomial, |n, 0> goes to
+    The split is exact up to the input truncation.  The splitter maps
+    B a1^dag B^dag = mu1 a1^dag + mu2 a2^dag with mu1 = t e^{i phi} and
+    mu2 = -r, the frozen phase convention of the whole oracle; the
+    covariance-equivalence test pins it and fails loudly for any other
+    choice.  Expanding the binomial, |n, 0> goes to
     sum_k binom(n, k)^{1/2} mu1^k mu2^{n-k} |k, n-k>, so the output is the
     table out[k, j] = c_{k+j} binom(k+j, k)^{1/2} mu1^k mu2^j, zero where
     k + j >= dim (there c reads 0 and the magnitude stays <= 1).  Magnitudes
     are built in log space: binomials overflow float64 long before the
-    bounded products do; mu2 = -r is real, so they carry its phase (-1)^j.
-    Photon number is conserved, so the output lives on n1 + n2 <= dim - 1
-    and the transformation itself introduces no truncation error.
-    """
-    dim = state.dim
-    out = np.empty((dim, dim), dtype=complex)
-    magnitude = np.empty((dim, dim))
-    return TwoModeVector(_apply_beam_splitter_images(state.coefficients, bs, out, magnitude))
-
-
-def _apply_beam_splitter_images(vec: np.ndarray, bs: BeamSplitterParams, out: np.ndarray,
-                                magnitude: np.ndarray) -> np.ndarray:
-    """Fill the dim x dim ``out`` with the split table of ``apply_beam_splitter`` and return it.
+    bounded products do.  Photon number is conserved, so the output lives on
+    n1 + n2 <= dim - 1 and the transformation itself introduces no
+    truncation error.
 
     ``magnitude`` is a real dim x dim work array, overwritten, that takes
     mu2's sign (-1)^j; mu1's phase e^{i k phi} is one product with a column.
@@ -282,11 +204,22 @@ def _apply_beam_splitter_images(vec: np.ndarray, bs: BeamSplitterParams, out: np
 
 
 def _block_entries(v, theta, n, t, phi, r):
-    """Entries of A, B, C for centered input (v, theta, n) at splitter (t, phi, r).
+    """Entries of the blocks A, B, C for centered input (v, theta, n) at splitter (t, phi, r).
+
+    The two-mode covariance matrix is [[A, C], [C^T, B]], with A and B
+    symmetric.  With <a^2> = v e^{i theta} and <a^dag a> = n at the fed port
+    and vacuum at the idle port, the transformed mode operators
+    a1 = t e^{i phi} a1 + r a2, a2 = -r a1 + t e^{-i phi} a2 give
+
+        A11 = t^2 [cos(theta + 2 phi) v + n] + 1/2,   A12 = t^2 v sin(theta + 2 phi),
+        B   = same with r^2 and phase theta,
+        C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
+                   [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
 
     Output order: (a11, a12, a22, b11, b12, b22, c11, c12, c21, c22), as
-    Python floats.  Scalar :mod:`math` in the same order as the broadcasting
-    NumPy form in the tests, and bit for bit equal to it.
+    Python floats, the one covariance format of the oracle.  Scalar
+    :mod:`math` in the same order as the broadcasting NumPy form in the
+    tests, and bit for bit equal to it.
     """
     t2 = t * t
     r2 = r * r
@@ -308,40 +241,6 @@ def _block_entries(v, theta, n, t, phi, r):
     return a11, a12, a22, b11, b12, b22, c11, c12, c21, c22
 
 
-def _blocks(a11, a12, a22, b11, b12, b22, c11, c12, c21, c22) -> CovarianceBlocks:
-    """The blocks of the ten entries, in the order that ``_block_entries`` returns them."""
-    return CovarianceBlocks(
-        A=[[a11, a12], [a12, a22]], B=[[b11, b12], [b12, b22]], C=[[c11, c12], [c21, c22]]
-    )
-
-
-def covariance_from_input(c: CenteredMoments, bs: BeamSplitterParams) -> CovarianceBlocks:
-    """Two-mode output covariance blocks for a centered input state.
-
-    With <a^2> = v e^{i theta} and <a^dag a> = n at the fed port and vacuum at
-    the idle port, the transformed mode operators a1 = t e^{i phi} a1 + r a2,
-    a2 = -r a1 + t e^{-i phi} a2 give
-
-        A11 = t^2 [cos(theta + 2 phi) v + n] + 1/2,   A12 = t^2 v sin(theta + 2 phi),
-        B   = same with r^2 and phase theta,
-        C   = t r [[-(cos(theta+phi) v + cos(phi) n),  -sin(theta+phi) v + sin(phi) n],
-                   [-(sin(theta+phi) v + sin(phi) n),   cos(theta+phi) v - cos(phi) n]].
-    """
-    return _blocks(*_block_entries(c.v, c.theta, c.n, bs.t, bs.phi, bs.r))
-
-
-def two_mode_covariance(state: TwoModeVector) -> CovarianceBlocks:
-    """Measure the centered covariance blocks of a two-mode state.
-
-    All ten independent symmetrized quadrature moments follow from the eight
-    ladder expectations <a_i>, <a_i^2>, <a_i^dag a_i>, <a1 a2>, <a1^dag a2>;
-    first moments are subtracted before assembly.  The entries come from
-    the shifted-slice kernel that ``covariance_check`` runs on every trial.
-    """
-    psi = state.coefficients
-    return _blocks(*_covariance_entries(psi, *np.empty((3, *psi.shape), dtype=complex)))
-
-
 def _shifted_vdot(x: np.ndarray, y: np.ndarray, shift: int) -> complex:
     """sum_i conj(x[i]) y[i + shift] over the i where both exist, for 1-d x and y of one size."""
     stop = max(x.size - shift, 0)  # an explicit stop: x[:-shift] would be empty at shift 0
@@ -351,9 +250,12 @@ def _shifted_vdot(x: np.ndarray, y: np.ndarray, shift: int) -> complex:
 def _covariance_entries(
     psi: np.ndarray, a1_psi: np.ndarray, a2_psi: np.ndarray, scratch: np.ndarray
 ) -> tuple[float, ...]:
-    """The entries of ``two_mode_covariance`` of the normalized table ``psi``.
+    """The measured centered covariance entries of the normalized two-mode table ``psi[n1, n2]``.
 
-    Returned as Python floats in the order of ``_block_entries``.  Each
+    All ten independent symmetrized quadrature moments follow from the eight
+    ladder expectations <a_i>, <a_i^2>, <a_i^dag a_i>, <a1 a2>, <a1^dag a2>;
+    first moments are subtracted before assembly.  Returned as Python floats
+    in the order of ``_block_entries``.  Each
     ladder expectation is one ``np.vdot`` of two contiguous slices of
     flattened tables, offset by the flat shift of the operator: the row
     length d2 for a1, 1 for a2.  The tables are psi weighted along one axis
@@ -460,12 +362,12 @@ def covariance_check(
     than raising or passing.
 
     The dim x dim arrays of the split and its weighted tables are allocated
-    once per call and refilled by every trial, through the same kernels that
-    ``apply_beam_splitter`` and ``two_mode_covariance`` wrap, so trials give
-    no memory back to the allocator between them.  The tables that depend
-    only on ``dim`` (ladder roots, half-log-factorials and their Hankel sums)
-    are built once per size and cached across calls.  One draw per call
-    gives every trial's six uniform parameters.
+    once per call and refilled by every trial, through the kernels
+    ``_apply_beam_splitter_images`` and ``_covariance_entries``, so trials
+    give no memory back to the allocator between them.  The tables that
+    depend only on ``dim`` (ladder roots, half-log-factorials and their
+    Hankel sums) are built once per size and cached across calls.  One draw
+    per call gives every trial's six uniform parameters.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -488,7 +390,7 @@ def covariance_check(
         state = squeezed_coherent_vector(params, dim)
         c = center(moments_from_vector(state))
         simulated = BeamSplitterParams(bs.t, bs.phi + math.pi) if corrupt_phase else bs
-        _apply_beam_splitter_images(state.coefficients, simulated, split, magnitude)
+        _apply_beam_splitter_images(state, simulated, split, magnitude)
         try:
             _check_norm(split)
         except ValueError:  # a split state off its norm

@@ -1,17 +1,21 @@
 """Brute-force references that only the tests call.
 
-The general 4x4 block algebra on a covariance matrix [[A, C], [C^T, B]]
+Covariances are the ten entries (a11, a12, a22, b11, b12, b22, c11, c12,
+c21, c22) of the blocks of [[A, C], [C^T, B]], the one covariance format of
+the Fock oracle.  Here are the general 4x4 block algebra on them
 (symplectic eigenvalues of the partial transpose and the Simon combination,
-also vectorized over splitter settings), the grid search over (t, phi) that
-the closed-form maximizing splitter is checked against, the NumPy forms of
-the closed-form output spectrum and of the oracle's predicted block entries,
-the five-pass covariance kernel that the Fock oracle's shifted-slice kernel
-is checked against, the log negativity of a split pure state from its
-Schmidt coefficients and that of a split Dicke field from the partial
-transpose of its reduced state, the dense ladder operator of a truncated
-mode, and a truncation guideline for squeezed coherent states.  The package
-computes every criterion from closed forms in (v, n, t); these are what
-those closed forms are checked against.
+also vectorized over splitter settings), the Fock oracle's split, measured
+entries and predicted entries run on arrays allocated per call, the grid
+search over (t, phi) that the closed-form maximizing splitter is checked
+against, the NumPy forms of the closed-form output spectrum and of the
+oracle's predicted block entries, the five-pass covariance kernel that the
+Fock oracle's shifted-slice kernel is checked against, the log negativity
+of a split pure state from its Schmidt coefficients and that of a split
+Dicke field from the partial transpose of its reduced state, the dense
+ladder operator of a truncated mode, and a truncation guideline for
+squeezed coherent states.  The package computes every criterion from
+closed forms in (v, n, t); these are what those closed forms are checked
+against.
 """
 
 import math
@@ -23,11 +27,12 @@ import scipy.special
 from nonclassicality import (
     BALANCED_T,
     CenteredMoments,
-    CovarianceBlocks,
     SqueezedCoherentParams,
     UnphysicalMomentsError,
 )
-from nonclassicality.fock import _ladder_roots
+from nonclassicality.fock import (
+    _apply_beam_splitter_images, _block_entries, _check_norm, _covariance_entries, _ladder_roots,
+)
 from nonclassicality.moments import TWO_PI
 
 # Pure states sit exactly on the degeneracy sigma^2 = 4 det V; floating-point
@@ -105,28 +110,47 @@ def log_negativity_from_eta_sq(eta_sq):
         return np.maximum(0.0, -0.5 * np.log(np.maximum(4.0 * eta_sq, 1e-300))) + 0.0
 
 
-def covariance_matrix(blocks: CovarianceBlocks) -> np.ndarray:
-    """The assembled 4x4 covariance matrix [[A, C], [C^T, B]]."""
-    return np.block([[blocks.A, blocks.C], [blocks.C.T, blocks.B]])
+def split_against_vacuum(psi: np.ndarray, bs) -> np.ndarray:
+    """The two-mode table of ``psi`` split against vacuum at ``bs``, norm-checked.
+
+    ``fock._apply_beam_splitter_images`` into arrays allocated for this call.
+    """
+    dim = psi.size
+    out = np.empty((dim, dim), dtype=complex)
+    _apply_beam_splitter_images(psi, bs, out, np.empty((dim, dim)))
+    _check_norm(out)
+    return out
 
 
-def _entries_from_blocks(blocks: CovarianceBlocks):
-    A, B, C = blocks.A, blocks.B, blocks.C
-    return (
-        A[0, 0], A[0, 1], A[1, 1],
-        B[0, 0], B[0, 1], B[1, 1],
-        C[0, 0], C[0, 1], C[1, 0], C[1, 1],
-    )
+def measured_entries(table: np.ndarray) -> tuple:
+    """``fock._covariance_entries`` of a normalized two-mode table, with fresh work arrays."""
+    return _covariance_entries(table, *np.empty((3, *table.shape), dtype=complex))
 
 
-def symplectic_eta(blocks: CovarianceBlocks) -> tuple[float, float]:
+def predicted_entries(c: CenteredMoments, bs) -> tuple:
+    """``fock._block_entries`` of centered moments at a splitter: the closed-form ten entries."""
+    return _block_entries(c.v, c.theta, c.n, bs.t, bs.phi, bs.r)
+
+
+def covariance_matrix(entries) -> np.ndarray:
+    """The assembled 4x4 covariance matrix [[A, C], [C^T, B]] of the ten entries."""
+    a11, a12, a22, b11, b12, b22, c11, c12, c21, c22 = entries
+    return np.array([
+        [a11, a12, c11, c12],
+        [a12, a22, c21, c22],
+        [c11, c21, b11, b12],
+        [c12, c22, b12, b22],
+    ])
+
+
+def symplectic_eta(entries) -> tuple[float, float]:
     """Symplectic eigenvalues (eta^-, eta^+) of the partially transposed V.
 
     eta^{+-} = [ (sigma +- sqrt(sigma^2 - 4 det V)) / 2 ]^{1/2} with
     sigma = det A + det B - 2 det C.  A discriminant or det V below -1e-10
     signals an unphysical matrix and raises; smaller excursions are clamped.
     """
-    det_a, det_b, det_c, _, det_v = _invariants(*_entries_from_blocks(blocks))
+    det_a, det_b, det_c, _, det_v = _invariants(*entries)
     if det_v < -CLAMP_TOL:
         raise UnphysicalMomentsError(f"covariance matrix has det V = {det_v} < 0")
     sigma = det_a + det_b - 2.0 * det_c
@@ -142,7 +166,7 @@ def symplectic_eta(blocks: CovarianceBlocks) -> tuple[float, float]:
     return eta_minus, eta_plus
 
 
-def simon_lambda(blocks: CovarianceBlocks) -> float:
+def simon_lambda(entries) -> float:
     """Simon combination; a negative value certifies two-mode entanglement.
 
     lambda = det A det B + (1/4 - |det C|)^2 - tr(A J C J B J C^T J)
@@ -150,7 +174,7 @@ def simon_lambda(blocks: CovarianceBlocks) -> float:
 
     This is a yes/no condition, not a measure.
     """
-    det_a, det_b, det_c, trace, _ = _invariants(*_entries_from_blocks(blocks))
+    det_a, det_b, det_c, trace, _ = _invariants(*entries)
     return (
         det_a * det_b
         + (0.25 - abs(det_c)) ** 2
@@ -200,9 +224,10 @@ def balanced_split(rows: np.ndarray) -> np.ndarray:
     """Each row c of rows split against vacuum at the balanced splitter, t = 1/sqrt(2), phi = 0.
 
     out[..., k, j] = c_{k+j} binom(k+j, k)^{1/2} 2^{-(k+j)/2} (-1)^j, zero
-    where k + j reaches the rows' length: the table of apply_beam_splitter
-    at mu1 = 1/sqrt(2) and mu2 = -1/sqrt(2), from binomials in floating
-    point, which stay exact to rounding at the sizes the tests use.
+    where k + j reaches the rows' length: the table of
+    ``fock._apply_beam_splitter_images`` at mu1 = 1/sqrt(2) and
+    mu2 = -1/sqrt(2), from binomials in floating point, which stay exact to
+    rounding at the sizes the tests use.
     """
     d = rows.shape[-1]
     k, j = np.indices((d, d))

@@ -19,17 +19,18 @@ from nonclassicality import (
     CenteredMoments,
     DickeConfig,
     SqueezedCoherentParams,
-    apply_beam_splitter,
     center,
-    covariance_from_input,
     field_moments,
     ground_state,
     squeezed_coherent_moments,
     squeezed_coherent_vector,
-    two_mode_covariance,
 )
 from nonclassicality.cli import main
-from oracles import eta_minus_sq, maximize_EN, simon_lambda, symplectic_eta
+from nonclassicality.fock import TAIL_TOL, _tail_weight
+from oracles import (
+    eta_minus_sq, maximize_EN, measured_entries, predicted_entries, simon_lambda,
+    split_against_vacuum, symplectic_eta,
+)
 
 ANCHOR_STRENGTHS = (0.25, 0.5, 1.0, 1.5, 2.0)
 #: The balanced splitter as maximizing_splitter builds it, r from t.
@@ -42,8 +43,7 @@ def test_criterion_1_closed_form_anchor():
     worst = 0.0
     for r in ANCHOR_STRENGTHS:
         moments = squeezed_coherent_moments(SqueezedCoherentParams(0.0, r, 0.0))
-        blocks = covariance_from_input(center(moments), BALANCED)
-        eta_m, _ = symplectic_eta(blocks)
+        eta_m, _ = symplectic_eta(predicted_entries(center(moments), BALANCED))
         assert abs(2.0 * eta_m - math.exp(-r)) < 1e-9
         assert abs(-math.log(2.0 * eta_m) - r) < 1e-9
         worst = max(worst, abs(2.0 * eta_m - math.exp(-r)))
@@ -58,9 +58,8 @@ def test_criterion_1_fock_oracle_rederivation():
     worst = 0.0
     for r, dim in [(0.25, 140), (0.5, 140), (1.0, 140), (1.5, 340), (2.0, 700)]:
         state = squeezed_coherent_vector(SqueezedCoherentParams(0.0, r, 0.0), dim)
-        assert state.truncation_healthy
-        blocks = two_mode_covariance(apply_beam_splitter(state, BALANCED))
-        eta_m, _ = symplectic_eta(blocks)
+        assert _tail_weight(state) < TAIL_TOL
+        eta_m, _ = symplectic_eta(measured_entries(split_against_vacuum(state, BALANCED)))
         assert abs(2.0 * eta_m - math.exp(-r)) < 1e-6
         worst = max(worst, abs(2.0 * eta_m - math.exp(-r)))
     print(f"\nPASS criterion 1 (oracle): anchor re-derived, worst {worst:.2e}")
@@ -133,9 +132,9 @@ def test_criterion_4_criteria_agreement():
     for _ in range(1000):
         v, theta, n = random_physical_centered(rng)
         inp = CenteredMoments(v, theta, n)
-        blocks = covariance_from_input(inp, bs)
-        eta_m, _ = symplectic_eta(blocks)
-        lam = simon_lambda(blocks)
+        entries = predicted_entries(inp, bs)
+        eta_m, _ = symplectic_eta(entries)
+        lam = simon_lambda(entries)
         if abs(2.0 * eta_m - 1.0) < 1e-8:
             continue
         if abs(lam) <= 1e-11:

@@ -831,6 +831,33 @@ class TestOutputOption:
         assert code == 2 and out == ""
         assert not path.exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="limits the child's address space")
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["oracle-check", "--dim", "30000", "--trials", "1"],
+            ["oracle-check", "--trials", str(10**9)],
+            ["dicke-sweep", "--n-atoms", "60000", "--fock-dim", "60000", "--steps", "2"],
+        ],
+        ids=["oracle-dim", "oracle-trials", "dicke-sweep"],
+    )
+    def test_refused_allocation_exits_1_with_one_line(self, tmp_path, command):
+        # Allocations of 27 to 54 GiB under a 3 GiB address-space limit: one
+        # stderr line naming the allocation, no traceback and no file.
+        import resource
+
+        limit = 3 * 2**30
+        path = tmp_path / "out.txt"
+        run = subprocess.run(
+            [sys.executable, "-m", "nonclassicality", *command, "--output", str(path)],
+            capture_output=True, text=True, env=subprocess_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+        assert run.stderr.startswith("out of memory: Unable to allocate ")
+        assert not path.exists()
+
 
 #: The largest occupation the physicality bound admits.
 LARGEST_N = "1.1579208923731618e+77"
