@@ -18,10 +18,12 @@ Above g_c most rows of both counter-rotating sweeps carry truncation
 warnings: their numbers there are set by the Fock cutoff, not by the
 physics.
 
-The full-scale run takes about 2.6 s on 2 cores of an AMD EPYC machine,
-nearly all of it the two counter-rotating sweeps, whose parity sectors go
-to banded Cholesky solves.  Use --quick for a desk-scale version
-(8 atoms, 40 levels) that finishes in seconds.
+The full-scale run took a median of 4.4 s (4.1 to 5.4 s over 5
+fresh-process runs) on 2 shared cores of an Intel Xeon machine, nearly all
+of it the two counter-rotating sweeps, whose parity sectors go to banded
+Cholesky solves.  On a shared machine that time varies between sittings.
+Use --quick for a desk-scale version (8 atoms, 40 levels) that finishes in
+seconds.
 """
 
 import argparse

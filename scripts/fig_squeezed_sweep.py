@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Squeezed-state experiment: nonclassicality versus squeezing strength.
 
-Produces the CSV behind the squeezing figure: the measure at a fixed
-squeezing angle next to the angle-optimized one, for r in [0, 2].
+Produces the CSV behind the squeezing figure: the measure of a squeezed
+state versus its squeezing strength r in [0, 2].  It is E_N = r at every
+displacement and squeezing angle: the fixed-angle column (angle 0) and the
+angle-optimized one hold the same value.
 Plot with any external tool, e.g.
 
     python scripts/fig_squeezed_sweep.py --output data/squeezed_sweep.csv

@@ -10,7 +10,6 @@ arguments or an allocation that the machine refuses, 2 unphysical moments,
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import errno
 import functools
@@ -22,13 +21,7 @@ import sys
 from contextlib import contextmanager
 
 from .entanglement import build_report
-from .moments import (
-    BeamSplitterParams,
-    CenteredMoments,
-    SqueezedCoherentParams,
-    UnphysicalMomentsError,
-    squeezed_coherent_moments,
-)
+from .moments import BeamSplitterParams, CenteredMoments, UnphysicalMomentsError
 from .optimize import BALANCED_T
 
 ORACLE_THRESHOLD = 1e-6
@@ -40,7 +33,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     Option values that start like a negative number are taken as values.
     argparse's default pattern in Python 3.10 to 3.12 matches only plain
-    decimals such as -0.5, so it read "--n -1e-10", "--alpha -0.5+0.2j" and
+    decimals such as -0.5, so it read "--n -1e-10", "--theta -1e-3" and
     "--n -inf" as an option with its value missing.  No option of this CLI
     looks like a number, so none is shadowed.
     """
@@ -142,30 +135,22 @@ def _cmd_squeezed_sweep(args) -> int:
         (args.steps >= 2, "steps must be >= 2"),
         (math.isfinite(args.r_min) and math.isfinite(args.r_max), "r-min and r-max must be finite"),
         (0.0 <= args.r_min <= args.r_max, "need 0 <= r-min <= r-max"),
-        (math.isfinite(args.theta), "theta must be finite"),
-        (cmath.isfinite(args.alpha), "alpha must be finite"),
     ]):
         return 1
     header = ["r", "E_N_fixed_theta", "E_N_optimized_theta", "best_t", "best_phi"]
     rows = []
     for r in _grid(args.r_min, args.r_max, args.steps):
-        params = SqueezedCoherentParams(alpha=args.alpha, strength=r, angle=args.theta)
-        # The maximum over (t, phi) does not depend on the squeezing angle, so
-        # the angle-optimized column equals this one.
+        # Every S(beta) D(alpha)|0> has the squeezed vacuum's centered moments,
+        # with lambda- = e^{-2r}/2 exactly.  The maximum does not depend on the
+        # squeezing angle, so the angle-optimized column equals this angle-0 one.
         try:
-            report = build_report(squeezed_coherent_moments(params))
-        except UnphysicalMomentsError as exc:
+            c, s = math.cosh(r), math.sinh(r)
+            moments = CenteredMoments(v=c * s, theta=math.pi, n=s * s, lam_minus=0.5 * math.exp(-2.0 * r))
+            report = build_report(moments)
+        except (OverflowError, UnphysicalMomentsError) as exc:
             sys.stderr.write(f"unphysical moments at r={_fmt(r)}: {exc}\n")
             return 2
-        rows.append(
-            [
-                _fmt(r),
-                _fmt(report.E_N),
-                _fmt(report.E_N),
-                _fmt(report.best_t),
-                _fmt(report.best_phi),
-            ]
-        )
+        rows.append([_fmt(x) for x in (r, report.E_N, report.E_N, report.best_t, report.best_phi)])
     with _output_stream(args.output) as stream:
         _write_csv(stream, header, rows)
     return 0
@@ -303,13 +288,11 @@ def _build_parser() -> _ArgumentParser:
 
     sweep = sub.add_parser(
         "squeezed-sweep",
-        help="E_N of a squeezed coherent state versus squeezing strength (CSV)",
+        help="E_N of a squeezed state, at any displacement, versus squeezing strength r (CSV)",
     )
     sweep.add_argument("--r-min", type=float, default=0.0)
     sweep.add_argument("--r-max", type=float, default=2.0)
     sweep.add_argument("--steps", type=int, default=41)
-    sweep.add_argument("--theta", type=float, default=0.0, help="squeezing angle of the fixed-theta column (rad)")
-    sweep.add_argument("--alpha", type=complex, default=0j, help="coherent displacement, e.g. '0.5+0.2j'")
     sweep.add_argument("--output", default=None)
     sweep.set_defaults(func=_cmd_squeezed_sweep)
 

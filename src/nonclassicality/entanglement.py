@@ -29,6 +29,7 @@ from .moments import (
     CenteredMoments,
     SingleModeMoments,
     UnphysicalMomentsError,
+    _n_minus_v,
     center,
 )
 from .optimize import maximizing_splitter
@@ -49,7 +50,7 @@ class NonclassicalityReport:
     best_phi: float
 
 
-def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
+def output_spectrum(v: float, n: float, t: float, lam_minus: float | None = None) -> tuple[float, float]:
     """((eta^-)^2, (eta^+)^2) for centered (v, n) at transmission t.
 
     The spectrum depends on neither theta nor phi: both are local phase
@@ -66,7 +67,9 @@ def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
     Every term is non-negative, so no step cancels; near the boundary n - v
     and l- are exact in floating point (Sterbenz).  A classical input
     (v <= n) has 2 eta^- >= 1 at every splitter, and (eta^-)^2 is held at
-    1/4 or above there so that rounding cannot report E_N ~ 1e-16.
+    1/4 or above there so that rounding cannot report E_N ~ 1e-16.  An exact
+    ``lam_minus`` (see :class:`.CenteredMoments`) replaces l-, and 1/2 - lam_minus
+    replaces v - n where it is below 1/2, which makes the input nonclassical.
 
     Scalar arithmetic in :mod:`math`, in the same order as the vectorized
     NumPy reference in the tests, and bit for bit equal to it.  The squares
@@ -78,18 +81,20 @@ def output_spectrum(v: float, n: float, t: float) -> tuple[float, float]:
     t2 = t * t
     a = (1.0 - 2.0 * t2) ** 2
     b = 4.0 * t2 * (1.0 - t2)
-    lam_minus, lam_plus = (n - v) + 0.5, (n + v) + 0.5
+    x = _n_minus_v(v, n, lam_minus)
+    lam_minus = x + 0.5 if lam_minus is None else lam_minus
+    lam_plus = (n + v) + 0.5
     impurity = lam_minus * lam_plus - 0.25
     excess = a * impurity + b * n  # sigma - 1/2
-    classical = v <= n
+    classical = x >= 0.0
     if classical:
         disc = (
             (a * impurity) ** 2
-            + a * b * ((2.0 * n + 1.0) * (n - v) * (n + v) + 2.0 * v * v)
+            + a * b * ((2.0 * n + 1.0) * x * (n + v) + 2.0 * v * v)
             + (b * v) ** 2
         )
     else:
-        disc = excess * excess + b * (v - n) * (v + n)
+        disc = excess * excess - b * x * (v + n)
     plus_sq = 0.5 * (0.5 + excess + math.sqrt(disc))
     minus_sq = 0.25 * lam_minus * lam_plus / plus_sq
     return (max(minus_sq, 0.25) if classical else minus_sq), plus_sq
@@ -127,8 +132,8 @@ def dgcz_lambda(c: CenteredMoments, bs: BeamSplitterParams) -> float:
 
 
 def dgcz_simple(c: CenteredMoments) -> bool:
-    """Simple nonclassicality condition on centered moments: |<a^2>| > <a^dag a>."""
-    return c.v > c.n
+    """Simple nonclassicality condition on centered moments: |<a^2>| > <a^dag a> (or lam_minus < 1/2)."""
+    return _n_minus_v(c.v, c.n, c.lam_minus) < 0.0
 
 
 def hz_condition(m: SingleModeMoments) -> bool:
@@ -159,7 +164,8 @@ def build_report(
         c, hz = center(m), hz_condition(m)
     if bs is None:
         bs = maximizing_splitter(c)
-    eta_m_sq, eta_p_sq = output_spectrum(c.v, c.n, bs.t)
+    eta_m_sq, eta_p_sq = output_spectrum(c.v, c.n, bs.t, c.lam_minus)
+    n_minus_v = _n_minus_v(c.v, c.n, c.lam_minus)
     if not eta_m_sq > 0.0:
         raise UnphysicalMomentsError(
             f"covariance matrix has det V = {eta_m_sq * eta_p_sq} <= 0"
@@ -170,7 +176,7 @@ def build_report(
         eta_plus=math.sqrt(eta_p_sq),
         E_N=log_negativity(eta_m),
         # + 0.0 turns the -0.0 of a zero t or r into 0.0.
-        lambda_simon=bs.t * bs.t * bs.r * bs.r * min(0.0, (c.n - c.v) * (c.n + c.v)) + 0.0,
+        lambda_simon=bs.t * bs.t * bs.r * bs.r * min(0.0, n_minus_v * (c.n + c.v)) + 0.0,
         lambda_dgcz=dgcz_lambda(c, bs),
         dgcz_simple=dgcz_simple(c),
         hz=hz,

@@ -84,11 +84,17 @@ class CenteredMoments:
     Construction rejects (v, n) that violate this beyond the physicality
     tolerance, NaN and inf included, before it looks at theta, and clamps
     an n within tolerance below zero to zero.
+
+    An exact lam_minus, such as e^{-2r}/2 for a squeezed vacuum, stands in
+    for l- = (n - v) + 1/2, a difference of large floats at strong squeezing;
+    it must be finite, > 0 and within the rounding 4 eps (n + v + 1) of l-.
+    v > n or lam_minus < 1/2 is then nonclassical (:func:`_n_minus_v`).
     """
 
     v: float
     theta: float
     n: float
+    lam_minus: float | None = None
 
     def __post_init__(self):
         if self.v < 0.0:
@@ -102,9 +108,22 @@ class CenteredMoments:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         theta = 0.0 if v < ZERO_MAGNITUDE_CUTOFF else _wrap_angle(self.theta)
+        n = max(n, 0.0)
+        if self.lam_minus is not None:
+            lam = float(self.lam_minus)
+            slack = 4.0 * 2.0**-52 * (n + v + 1.0)  # 4 eps: the rounding of n and v
+            if not (0.0 < lam < math.inf and abs(lam - ((n - v) + 0.5)) <= slack):
+                raise ValueError(f"lam_minus must be > 0 and agree with (n - v) + 1/2, got {lam}")
+            object.__setattr__(self, "lam_minus", lam)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "n", max(n, 0.0))
+        object.__setattr__(self, "n", n)
+
+
+def _n_minus_v(v: float, n: float, lam_minus: float | None) -> float:
+    """n - v, or lam_minus - 1/2 below 1/2: negative iff v > n or lam_minus < 1/2.
+    Both are needed: lam_minus rounds to 1/2 at tiny r, and v to n from r ~ 18.7."""
+    return lam_minus - 0.5 if lam_minus is not None and lam_minus < 0.5 else n - v
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 
-from .moments import BeamSplitterParams, CenteredMoments
+from .moments import BeamSplitterParams, CenteredMoments, _n_minus_v
 
 #: Transmission amplitude of the balanced (50:50) splitter.
 BALANCED_T = math.sqrt(0.5)
 
 
 def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
-    """The splitter setting that maximizes E_N: balanced if v > n, else t = 0.
+    """The splitter setting that maximizes E_N: balanced if v > n or lam_minus < 1/2, else t = 0.
 
     (eta^-)^2 is phi-independent and, for v > n, smallest at t = 1/sqrt(2),
     where 2 (eta^-)^2 = l- = (n - v) + 1/2.  The maximum is therefore the
@@ -28,4 +28,4 @@ def maximizing_splitter(c: CenteredMoments) -> BeamSplitterParams:
     lowest t and phi, which is where a grid search that breaks ties that way
     lands too.
     """
-    return BeamSplitterParams(BALANCED_T if c.v > c.n else 0.0)
+    return BeamSplitterParams(BALANCED_T if _n_minus_v(c.v, c.n, c.lam_minus) < 0.0 else 0.0)

@@ -259,23 +259,49 @@ class TestSqueezedSweep:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--r-min", "0", "--r-max", "89.4", "--steps", "4471"),
+         ("--r-min", "10", "--r-max", "14", "--steps", "9")],
+        ids=["step-0.02", "r-10-to-14"],
+    )
+    def test_rows_are_exact_up_to_the_physicality_bound(self, capsys, args):
+        # A squeezed vacuum has E_N = r.  lambda- = e^{-2r}/2 reaches the
+        # spectrum in closed form, so no row loses digits to the rounding of
+        # n and v, which are of size e^{2r}/4.
+        code, out, err = run_cli(capsys, "squeezed-sweep", *args)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        rs = [float(row[0]) for row in rows]
+        for r, row in zip(rs, rows):
+            for column in (row[1], row[2]):
+                error = abs(float(column) - r)
+                assert error <= 4.5e-16 and (r < 0.5 or error <= 2 * math.ulp(r)), row
+            assert row[3:] == (["0.70710678118654757", "0"] if r > 0 else ["0", "0"]), row
+        past_5 = [float(row[1]) for r, row in zip(rs, rows) if r > 5]
+        assert past_5 and all(b > a for a, b in zip(past_5, past_5[1:]))
+
     def test_squeezing_beyond_moment_rounding_exits_2(self, capsys):
-        # From r ~ 10 on, lambda- = e^{-2r}/2 is below the rounding of n and v.
-        # Further out the moments overflow: to NaN at r = 400, and in an
-        # OverflowError of cosh r at r = 1000, of |alpha|^2 at alpha = 1e200
-        # and of |<a>|^2 = (e^r alpha)^2 at r = 200, alpha = 1e100, theta = pi.
+        # From r ~ 89.416 the occupation sinh^2 r passes the physicality bound
+        # of ~1.16e77.  Further out it overflows to inf (at r = 400), and
+        # cosh r raises OverflowError (at r = 1000).
         for args in (
-            ("--r-min", "10", "--r-max", "14", "--steps", "9"),
+            ("--steps", "2", "--r-min", "89.45", "--r-max", "89.45"),
             ("--steps", "2", "--r-max", "400"),
             ("--steps", "2", "--r-max", "1000"),
-            ("--steps", "2", "--alpha", "1e200"),
-            ("--steps", "2", "--r-max", "200", "--alpha", "1e100", "--theta", "3.14159"),
         ):
             code, out, err = run_cli(capsys, "squeezed-sweep", *args)
             assert code == 2, args
             assert out == ""
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("unphysical moments at r="), args
+
+    @pytest.mark.parametrize("option", ["--alpha", "--theta"])
+    def test_removed_options_exit_1(self, capsys, option):
+        # No printed column depends on the displacement or the squeezing angle.
+        code, out, err = run_cli(capsys, "squeezed-sweep", "--steps", "2", option, "1")
+        assert (code, out) == (1, "")
+        assert err == f"nonclassicality: error: unrecognized arguments: {option} 1\n"
 
     def test_negative_zero_range_prints_zero(self, capsys):
         # linspace ends on its stop, here -0.0; the r column prints 0, not -0.
@@ -308,19 +334,13 @@ class TestSqueezedSweep:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("option,value", [("--theta", "-nan"), ("--theta", "-inf"),
-                                              ("--r-max", "-inf"), ("--alpha", "-inf")])
+    @pytest.mark.parametrize("option,value", [("--r-max", "-inf")])
     def test_spaced_non_finite_values_are_values(self, capsys, option, value):
         spaced = run_cli(capsys, "squeezed-sweep", "--steps", "2", option, value)
         assert spaced == run_cli(capsys, "squeezed-sweep", "--steps", "2", f"{option}={value}")
         code, out, err = spaced
         assert code == 1 and out == ""
         assert err.endswith("must be finite\n")
-
-    def test_negative_complex_alpha_is_a_value(self, capsys):
-        spaced = run_cli(capsys, "squeezed-sweep", "--steps", "2", "--alpha", "-0.5+0.2j")
-        assert spaced == run_cli(capsys, "squeezed-sweep", "--steps", "2", "--alpha=-0.5+0.2j")
-        assert spaced[0] == 0
 
     @pytest.mark.parametrize(
         "option,value",

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -460,6 +461,49 @@ class TestOutputSpectrum:
         eta_m_sq, eta_p_sq = vectorized_output_spectrum(0.9, 0.6, ts)
         for t, m, p in zip(ts, eta_m_sq, eta_p_sq):
             assert (m, p) == output_spectrum(0.9, 0.6, float(t))
+
+
+class TestExactLambdaMinus:
+    """Squeezed vacua given lambda- = e^{-2r}/2 exactly, out to r = 80, where
+    n and v are of size e^{2r}/4 and from r ~ 18.7 round to one double."""
+
+    @staticmethod
+    def moments(r):
+        c, s = math.cosh(r), math.sinh(r)
+        return CenteredMoments(c * s, math.pi, s * s, 0.5 * math.exp(-2.0 * r))
+
+    @pytest.mark.parametrize("r", [1e-10, 0.5, 5.0, 12.0, 20.0, 40.0, 80.0])
+    def test_report_is_nonclassical_with_E_N_r(self, r):
+        c = self.moments(r)
+        report = build_report(c)
+        error = abs(report.E_N - r)
+        assert error <= 4.5e-16 and (r < 0.5 or error <= 2 * math.ulp(r))
+        assert (report.best_t, report.best_phi) == (BALANCED_T, 0.0)
+        assert report.dgcz_simple and report.lambda_simon < 0.0
+        assert maximizing_splitter(c).t == BALANCED_T
+
+    @pytest.mark.parametrize("r", [0.5, 5.0, 20.0, 80.0])
+    @pytest.mark.parametrize("t", [0.05, 0.3, 0.9])
+    def test_spectrum_at_any_splitter_matches_exact_arithmetic(self, r, t):
+        # A pure input has impurity 0 and det V = 1/16, so sigma = 1/2 + b n and
+        # sigma^2 - 4 det V = b n (1 + b n), with n = sinh^2 r, in 60 digits.
+        c = self.moments(r)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            e_r = decimal.Decimal(r).exp()
+            n = ((e_r - 1 / e_r) / 2) ** 2
+            t2 = decimal.Decimal(t) ** 2
+            b = 4 * t2 * (1 - t2)
+            plus_sq = (decimal.Decimal(0.5) + b * n + (b * n * (1 + b * n)).sqrt()) / 2
+            want = (float(1 / (16 * plus_sq)), float(plus_sq))
+        got = output_spectrum(c.v, c.n, t, c.lam_minus)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * w
+
+    def test_tiny_squeezing_is_decided_by_v_above_n(self):
+        # lambda- rounds to exactly 1/2, so v > n alone marks the input nonclassical.
+        c = self.moments(1e-300)
+        assert c.lam_minus == 0.5
+        assert maximizing_splitter(c).t == BALANCED_T and dgcz_simple(c)
 
 
 def assert_spectrum_bit_identical(v, n, t):

@@ -150,3 +150,18 @@ class TestCenteredMoments:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             CenteredMoments(-0.1, 0.0, 1.0)
+
+    def test_exact_lambda_minus_is_kept(self):
+        # e^{-2r}/2 of a squeezed vacuum at r = 1, where (n - v) + 1/2 keeps
+        # its digits and agrees to rounding.
+        r = 1.0
+        c, s = math.cosh(r), math.sinh(r)
+        lam = 0.5 * math.exp(-2.0 * r)
+        assert CenteredMoments(c * s, math.pi, s * s, lam).lam_minus == lam
+        assert CenteredMoments(0.9, 0.4, 0.6).lam_minus is None
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -0.2, 0.2 + 1e-12])
+    def test_bad_lambda_minus_rejected(self, lam):
+        # (n - v) + 1/2 is 0.2 here: a value off it by more than rounding is refused.
+        with pytest.raises(ValueError, match="lam_minus"):
+            CenteredMoments(0.9, 0.4, 0.6, lam)
