@@ -18,7 +18,7 @@ Above g_c most rows of both counter-rotating sweeps carry truncation
 warnings: their numbers there are set by the Fock cutoff, not by the
 physics.
 
-The full-scale run took a median of 4.4 s (4.1 to 5.4 s over 5
+The full-scale run took a median of 4.7 s (4.3 to 5.3 s over 10
 fresh-process runs) on 2 shared cores of an Intel Xeon machine, nearly all
 of it the two counter-rotating sweeps, whose parity sectors go to banded
 Cholesky solves.  On a shared machine that time varies between sittings.

@@ -112,9 +112,10 @@ def _cmd_measure(args) -> int:
         sys.stderr.write(f"invalid moments: {exc}\n")
         return 2
     bs = None
-    if args.mode == "fixed":
+    if args.t is not None or args.phi is not None:  # fixed; a missing half keeps its default
         try:
-            bs = BeamSplitterParams(args.t, args.phi)
+            bs = BeamSplitterParams(BALANCED_T if args.t is None else args.t,
+                                    0.0 if args.phi is None else args.phi)
         except ValueError as exc:
             sys.stderr.write(f"invalid splitter: {exc}\n")
             return 1
@@ -198,13 +199,13 @@ def _cmd_dicke_sweep(args) -> int:
                  str(int(result.degenerate))]
             )
             continue
-        tail = fock_tail_weight(result, cfg)
+        tail = fock_tail_weight(result)
         if tail >= TAIL_TOL:
             sys.stderr.write(
                 f"warning: g={_fmt(g)}: field truncated, squared amplitude {tail:.2g} "
                 f"on the top two Fock levels (limit {TAIL_TOL:g}); raise --fock-dim\n"
             )
-        moments = field_moments(result, cfg)
+        moments = field_moments(result)
         try:
             report = build_report(moments)
         except UnphysicalMomentsError as exc:
@@ -277,12 +278,9 @@ def _build_parser() -> _ArgumentParser:
     measure.add_argument("--n", type=float, required=True, help="centered <a^dag a>")
     measure.add_argument("--v", type=float, required=True, help="centered |<a^2>|")
     measure.add_argument("--theta", type=float, default=0.0, help="phase of centered <a^2> (rad)")
-    measure.add_argument(
-        "--mode", choices=("fixed", "maximize"), default="maximize",
-        help="evaluate at the given (t, phi) or at the maximizing ones",
-    )
-    measure.add_argument("--t", type=float, default=BALANCED_T, help="transmission for --mode fixed")
-    measure.add_argument("--phi", type=float, default=0.0, help="splitter phase for --mode fixed (rad)")
+    # Either one fixes the splitter; without both, the maximizing one is used.
+    measure.add_argument("--t", type=float, help="fixed transmission (default 1/sqrt(2) with --phi)")
+    measure.add_argument("--phi", type=float, help="fixed splitter phase, rad (default 0 with --t)")
     measure.add_argument("--output", default=None, help="write to file instead of stdout")
     measure.set_defaults(func=_cmd_measure)
 

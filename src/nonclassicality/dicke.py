@@ -3,8 +3,8 @@
 N identical two-level atoms couple to one field mode.  Because the atoms are
 identical they stay on the symmetric ladder |m>, m = 0..N excited atoms, so
 the joint basis |m> (x) |n> has dimension (N+1) * fock_dim rather than
-2^N * fock_dim.  The field's ground-state moments feed the nonclassicality
-measure.
+2^N * fock_dim.  ground_state returns the state as the array psi[m, n],
+from which alone field_moments reads the moments that feed the measure.
 
 The ground state is found in the sectors of the quantum number each model
 conserves.  Each size and model has one cached sector layout, a template of
@@ -167,15 +167,13 @@ class DickeConfig:
         g_c = math.ldexp(math.sqrt(math.ldexp(m1 * m2, e % 2)), e // 2)
         return 0.5 * g_c if self.counter_rotating else g_c
 
-    @property
-    def dim(self) -> int:
-        return (self.n_atoms + 1) * self.fock_dim
-
 
 @dataclass(frozen=True)
 class GroundStateResult:
     """Lowest eigenpair plus solver diagnostics.
 
+    ``vector`` is the ground state psi[m, n], the amplitude of |m> (x) |n>,
+    as a C-contiguous array of shape (n_atoms + 1, fock_dim), field axis last.
     ``iterations`` counts the banded solves, summed over the parity
     sectors solved: the even sector always, the odd one only when it lies
     lower or when mix_degenerate needs its vector.  Factorizations are not
@@ -200,10 +198,17 @@ class GroundStateResult:
     degenerate: bool
 
 
-def _fix_gauge(vector: np.ndarray) -> np.ndarray:
+def _fix_gauge(psi: np.ndarray) -> np.ndarray:
     # Deterministic global sign: largest-magnitude coefficient made positive.
-    pivot = int(np.argmax(np.abs(vector)))
-    return -vector if vector[pivot] < 0.0 else vector
+    pivot = int(np.argmax(np.abs(psi)))
+    return -psi if psi.flat[pivot] < 0.0 else psi
+
+
+def _joint(shape: tuple, states: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The joint array psi[m, n] of a sector's level x on its states, 0 elsewhere."""
+    psi = np.zeros(shape)
+    psi.reshape(-1)[states] = x  # a view; fancy assignment through .flat is 3x slower
+    return psi
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE)
@@ -311,7 +316,7 @@ def _band_apply(bands: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
     return h_x
 
 
-def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
+def _lowest_pair_excitation(sectors, want_partner: bool):
     """Ground state of the co-rotating model from one bisection over a value bracket.
 
     The one sector is the chain, which goes to LAPACK as it is, its
@@ -359,12 +364,8 @@ def _lowest_pair_excitation(cfg: DickeConfig, sectors, want_partner: bool):
         keep = keep[np.argsort(k, kind="stable")]
     energies, keep = energies[keep[:2]], keep[:2]
     degenerate = abs(energies[1] - energies[0]) < DEGENERACY_TOL
-    vector, partner = np.zeros(cfg.dim), None
-    vector[states] = vectors[:, keep[0]]
-    if degenerate and want_partner:
-        partner = np.zeros(cfg.dim)
-        partner[states] = vectors[:, keep[1]]
-    return float(energies[0]), vector, degenerate, partner, 0
+    partner = (states, vectors[:, keep[1]]) if degenerate and want_partner else None
+    return float(energies[0]), (states, vectors[:, keep[0]]), degenerate, partner, 0
 
 
 def _tie_margin(energy: float) -> float:
@@ -408,7 +409,7 @@ def _second_level_bound(diagonal: np.ndarray, off_diagonal: np.ndarray, blocks: 
     return sorted(level(j) for j in range(first, first + 3))[1]
 
 
-def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
+def _lowest_pair_parity(sectors, want_partner: bool):
     """Ground state of the counter-rotating model and whether its parity doublet is degenerate.
 
     H conserves the parity (-1)^(m + n).  The even sector, down to the 2
@@ -422,25 +423,23 @@ def _lowest_pair_parity(cfg: DickeConfig, sectors, want_partner: bool):
     its state is returned, or when want_partner asks for its vector on a
     degenerate pair.
 
-    Returns the energy, the whole-basis vector, the degeneracy flag, the
-    partner's vector (None unless the pair is degenerate and want_partner
-    asks for it) and the number of banded solves; probes are not solves.
+    Returns the energy, the level as its sector's (states, x), the
+    degeneracy flag, the partner's (states, x) (None unless the pair is
+    degenerate and want_partner asks for it) and the number of banded
+    solves; probes are not solves.
     """
     (states, signs, bands, unit, offsets, _), odd = sectors
     odd_states, odd_signs, odd_bands, odd_unit, odd_offsets, _ = odd
     energy, x, solves = _lowest_in_sector(bands, unit, offsets, signs)
     above = _factor_shifted(odd_bands, (energy + DEGENERACY_TOL) / odd_unit)[1] == 0
     degenerate = not above and _factor_shifted(odd_bands, (energy - DEGENERACY_TOL) / odd_unit)[1] == 0
-    pair = np.zeros((cfg.dim, 2))  # the even sector's state, then the odd one's
-    pair[states, 0] = x
     if above or (degenerate and not want_partner):
-        return energy, pair[:, 0], degenerate, None, solves
+        return energy, (states, x), degenerate, None, solves
     odd_energy, odd_x, odd_solves = _lowest_in_sector(odd_bands, odd_unit, odd_offsets, odd_signs)
-    pair[odd_states, 1] = odd_x
     solves += odd_solves
     if degenerate:
-        return energy, pair[:, 0], True, pair[:, 1], solves
-    return odd_energy, pair[:, 1], False, None, solves
+        return energy, (states, x), True, (odd_states, odd_x), solves
+    return odd_energy, (odd_states, odd_x), False, None, solves
 
 
 def _factor_shifted(bands: np.ndarray, shift: float):
@@ -522,7 +521,7 @@ def _lowest_in_sector(bands: np.ndarray, unit: float, offsets, signs: np.ndarray
 
 
 def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateResult:
-    """Lowest eigenpair of the Hamiltonian of cfg.
+    """Lowest eigenpair of the Hamiltonian of cfg, its vector the array psi[m, n].
 
     H is solved in the sectors of the quantum number the model conserves,
     built from its amplitudes as the module docstring describes; the whole
@@ -550,33 +549,34 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     symmetry-broken numerics; the relative sign makes <a> the larger of the
     two choices, so the exact (psi_even +- psi_odd) / sqrt(2) has real
     <a> >= 0.  The global sign is fixed by making the largest-magnitude
-    coefficient positive.
+    coefficient positive.  Each solver returns a level on its sector's
+    states, scattered here into psi; a NaN psi has the same shape.
     """
     sectors = _sectors(cfg)
+    shape = (cfg.n_atoms + 1, cfg.fock_dim)
     lowest_pair = _lowest_pair_parity if cfg.counter_rotating else _lowest_pair_excitation
     try:
-        energy, vector, degenerate, partner, iterations = lowest_pair(cfg, sectors, mix_degenerate)
+        energy, level, degenerate, partner, iterations = lowest_pair(sectors, mix_degenerate)
     except np.linalg.LinAlgError:
         # A refused shift or no convergence, in LAPACK or in the sector iteration.
-        return _unconverged(cfg, math.inf, 0)
+        return _unconverged(shape, math.inf, 0)
 
-    vector = _fix_gauge(vector)
+    vector = _fix_gauge(_joint(shape, *level))
     if partner is not None:
-        other = _fix_gauge(partner)
-        shape = (cfg.n_atoms + 1, cfg.fock_dim)
-        u, w = vector.reshape(shape), other.reshape(shape)
-        # <a> of (u + s w) / sqrt(2) is its diagonal part plus s times this.
-        if np.vdot(u, _lower(w)) + np.vdot(w, _lower(u)) < 0.0:
+        other = _fix_gauge(_joint(shape, *partner))
+        # <a> of (vector + s other) / sqrt(2) is its diagonal part plus s times this.
+        if np.vdot(vector, _lower(other)) + np.vdot(other, _lower(vector)) < 0.0:
             other = -other
         pair = vector + other
         vector = _fix_gauge(pair / np.linalg.norm(pair))
-    h_x = np.empty_like(vector)
+    flat = vector.reshape(-1)
+    h_x = np.empty_like(flat)
     for states, _, bands, unit, offsets, _ in sectors:
-        h_x[states] = unit * _band_apply(bands, vector[states], offsets)
-    r = h_x - energy * vector
+        h_x[states] = unit * _band_apply(bands, flat[states], offsets)
+    r = h_x - energy * flat
     residual = math.sqrt(r @ r)
     if not residual <= RESIDUAL_TOL:  # NaN included
-        return _unconverged(cfg, residual, iterations)
+        return _unconverged(shape, residual, iterations)
     return GroundStateResult(
         energy=energy,
         vector=vector,
@@ -587,23 +587,23 @@ def ground_state(cfg: DickeConfig, mix_degenerate: bool = False) -> GroundStateR
     )
 
 
-def _unconverged(cfg: DickeConfig, residual: float, iterations: int) -> GroundStateResult:
+def _unconverged(shape: tuple, residual: float, iterations: int) -> GroundStateResult:
     return GroundStateResult(
-        energy=math.nan, vector=np.full(cfg.dim, np.nan), residual=residual,
+        energy=math.nan, vector=np.full(shape, np.nan), residual=residual,
         iterations=iterations, converged=False, degenerate=False,
     )
 
 
-def fock_tail_weight(result: GroundStateResult, cfg: DickeConfig) -> float:
-    """Largest squared amplitude on the two highest retained Fock levels.
+def fock_tail_weight(result: GroundStateResult) -> float:
+    """Largest squared amplitude of result.vector on the two highest retained Fock levels.
 
     At or above fock.TAIL_TOL the field is truncated, by the test that
     ``fock._tail_weight`` makes on any state: two levels, because a
     parity-symmetric ground state leaves every other level empty.
     """
-    return _tail_weight(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))
+    return _tail_weight(result.vector)
 
 
-def field_moments(result: GroundStateResult, cfg: DickeConfig) -> SingleModeMoments:
-    """<a>, <a^2>, <a^dag a> of the field factor of a ground-state vector."""
-    return moments_from_vector(result.vector.reshape(cfg.n_atoms + 1, cfg.fock_dim))
+def field_moments(result: GroundStateResult) -> SingleModeMoments:
+    """<a>, <a^2>, <a^dag a> of the field, the atoms traced out of result.vector."""
+    return moments_from_vector(result.vector)

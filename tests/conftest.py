@@ -37,7 +37,7 @@ def build_hamiltonian(cfg: nonclassicality.DickeConfig) -> sparse.csr_matrix:
     the matrix is exactly symmetric.  ground_state(cfg) never assembles it:
     this whole matrix is the tests' independent reference.
     """
-    return _csr(*_entries(cfg), cfg.dim)
+    return _csr(*_entries(cfg), (cfg.n_atoms + 1) * cfg.fock_dim)
 
 
 def _entries(cfg: nonclassicality.DickeConfig):
@@ -49,7 +49,7 @@ def _entries(cfg: nonclassicality.DickeConfig):
     # hop[m, n - 1] = <m+1, n-1| S_+ a |m, n> = <m+1, n| S_+ a^dag |m, n-1>.
     hop = cfg.g / np.sqrt(n_atoms) * np.sqrt((n_atoms - m[:-1]) * (m[:-1] + 1)) * np.sqrt(n[1:])
     # Atom-major layout: |m> (x) |n>  ->  m * fock_dim + n.
-    index = np.arange(cfg.dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
+    index = np.arange((cfg.n_atoms + 1) * cfg.fock_dim).reshape(cfg.n_atoms + 1, cfg.fock_dim)
     raised, lowered = [index[1:, :-1]], [index[:-1, 1:]]  # S_+ a
     if cfg.counter_rotating:  # S_+ a^dag
         raised.append(index[1:, 1:])

@@ -196,7 +196,7 @@ def test_criterion_6_dicke_desk_scale():
 
     def mean_photon(g):
         cfg = DickeConfig(n_atoms=8, fock_dim=40, g=g)
-        return field_moments(ground_state(cfg), cfg).photon_number
+        return field_moments(ground_state(cfg)).photon_number
 
     ratio = mean_photon(2.0) / max(mean_photon(0.5), 1e-3)
     assert ratio > 10.0

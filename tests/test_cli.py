@@ -62,7 +62,7 @@ class TestMeasure:
         n = math.sinh(r) ** 2
         code, out, _ = run_cli(
             capsys, "measure", "--n", repr(n), "--v", repr(v),
-            "--theta", repr(math.pi), "--mode", "maximize",
+            "--theta", repr(math.pi),
         )
         assert code == 0
         report = json.loads(out)
@@ -72,8 +72,7 @@ class TestMeasure:
 
     def test_fixed_mode(self, capsys):
         code, out, _ = run_cli(
-            capsys, "measure", "--n", "1", "--v", "0", "--mode", "fixed",
-            "--t", "0.6", "--phi", "0.3",
+            capsys, "measure", "--n", "1", "--v", "0", "--t", "0.6", "--phi", "0.3",
         )
         assert code == 0
         report = json.loads(out)
@@ -81,10 +80,31 @@ class TestMeasure:
         assert report["best_phi"] == 0.3
         assert report["E_N"] == 0.0
 
+    @pytest.mark.parametrize("given, t, phi", [
+        (["--t", "0.3"], 0.3, 0.0),
+        (["--phi", "0.3"], math.sqrt(0.5), 0.3),
+    ], ids=["t-alone", "phi-alone"])
+    def test_either_splitter_option_fixes_the_splitter(self, capsys, given, t, phi):
+        # The half not given keeps its default of (1/sqrt(2), 0).  At v > n
+        # the maximizing splitter is (1/sqrt(2), 0), so an ignored --t or
+        # --phi would print that.
+        code, out, _ = run_cli(capsys, "measure", "--v", "0.9", "--n", "0.6", *given)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["best_t"], report["best_phi"]) == (t, phi)
+        assert out == json.dumps(vars(build_report(
+            CenteredMoments(0.9, 0.0, 0.6), BeamSplitterParams(t, phi)))) + "\n"
+
+    def test_removed_mode_option_exits_1(self, capsys):
+        # The splitter is fixed exactly when --t or --phi is given.
+        code, out, err = run_cli(capsys, "measure", "--v", "0.9", "--n", "0.6", "--mode", "fixed")
+        assert (code, out) == (1, "")
+        assert err == "nonclassicality: error: unrecognized arguments: --mode fixed\n"
+
     @pytest.mark.parametrize("t", ["0", "1"])
     def test_degenerate_fixed_splitter_prints_no_negative_zero(self, capsys, t):
         code, out, _ = run_cli(
-            capsys, "measure", "--v", "0.5", "--n", "0.4", "--mode", "fixed", "--t", t
+            capsys, "measure", "--v", "0.5", "--n", "0.4", "--t", t
         )
         assert code == 0
         report = json.loads(out)
@@ -116,8 +136,7 @@ class TestMeasure:
     def test_invalid_splitter_exits_1(self, capsys):
         # At t = 1e200 the square overflows; that is rejected, not raised.
         for t in ("2", "nan", "1e200"):
-            code, _, err = run_cli(capsys, "measure", "--n", "1", "--v", "1",
-                                   "--mode", "fixed", "--t", t)
+            code, _, err = run_cli(capsys, "measure", "--n", "1", "--v", "1", "--t", t)
             assert code == 1
             assert err.startswith("invalid splitter")
 
@@ -147,7 +166,7 @@ class TestMeasure:
         [
             ["--v", "0.5", "--n", "-1e-10"],
             ["--v", "0.9", "--n", "0.6", "--theta", "-1e-3"],
-            ["--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3", "--phi", "-1e-300"],
+            ["--v", "0.9", "--n", "0.6", "--t", "0.3", "--phi", "-1e-300"],
             # Non-finite values exit 2, as unphysical or invalid moments.
             ["--v", "0", "--n", "-inf"],
             ["--v", "0", "--n", "-Infinity"],
@@ -173,7 +192,7 @@ class TestMeasure:
     @pytest.mark.parametrize("phi", ["-1e-300", "-1e-17", "-0.0"])
     def test_tiny_negative_phi_prints_zero(self, capsys, phi):
         # One % would round -1e-300 up to 2 pi, outside [0, 2 pi).
-        fixed = ["measure", "--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3"]
+        fixed = ["measure", "--v", "0.9", "--n", "0.6", "--t", "0.3"]
         zero = run_cli(capsys, *fixed, "--phi", "0")
         for args in (["--phi", phi], [f"--phi={phi}"]):
             result = run_cli(capsys, *fixed, *args)
@@ -193,7 +212,7 @@ class TestMeasure:
     def test_stdout_is_the_report_as_a_dict(self, capsys):
         for args, c, bs in (
             (["--v", "0.9", "--theta", "0.4", "--n", "0.6"], CenteredMoments(0.9, 0.4, 0.6), None),
-            (["--v", "0.5", "--n", "0.4", "--mode", "fixed", "--t", "0.3", "--phi", "1"],
+            (["--v", "0.5", "--n", "0.4", "--t", "0.3", "--phi", "1"],
              CenteredMoments(0.5, 0.0, 0.4), BeamSplitterParams(0.3, 1.0)),
         ):
             report = build_report(c, bs)
@@ -564,7 +583,7 @@ class TestDickeSweep:
             assert row[4] == "0" and row[5] == "0" and row[6] == "0", row
         for g in (0.3, 0.98):
             cfg = DickeConfig(n_atoms=20, fock_dim=36, g=g)
-            moments = field_moments(ground_state(cfg), cfg)
+            moments = field_moments(ground_state(cfg))
             assert build_report(moments).dgcz_simple is False
 
     def test_counter_rotating_runs(self, capsys):
@@ -900,7 +919,7 @@ PARSE_CORPUS = {
     "extra-after-sweep": ["squeezed-sweep", "--steps", "2", "stray"],
     "missing-required": ["measure", "--v", "1"],
     "abbreviated-option": ["measure", "--v", "1", "--n", "1", "--thet", "0.5"],
-    "invalid-choice": ["measure", "--v", "1", "--n", "1", "--mode", "f"],
+    "removed-option": ["measure", "--v", "1", "--n", "1", "--mode", "fixed"],
     "repeated-option": ["measure", "--v", "1", "--v", "0.5", "--n", "1"],
     "spaced-exponent": ["measure", "--v", "0", "--n", "-1e-10"],
     "spaced-inf": ["measure", "--v", "0", "--n", "-inf"],
@@ -960,17 +979,16 @@ class TestHelpAndEntryPoints:
             # where NumPy returned inf: at the largest admitted occupation,
             # with v = 0 and v = n, maximized and at a fixed splitter.
             (["measure", "--v", "0", "--n", LARGEST_N], 0, ""),
-            (["measure", "--v", "0", "--n", LARGEST_N, "--mode", "fixed", "--t", "0.3"], 0, ""),
+            (["measure", "--v", "0", "--n", LARGEST_N, "--t", "0.3"], 0, ""),
             (["measure", "--v", LARGEST_N, "--n", LARGEST_N], 0, ""),
-            (["measure", "--v", LARGEST_N, "--n", LARGEST_N, "--mode", "fixed", "--t", "0.3"],
-             0, ""),
+            (["measure", "--v", LARGEST_N, "--n", LARGEST_N, "--t", "0.3"], 0, ""),
             # A negative value in scientific notation after a space is a value.
             (["measure", "--v", "0.9", "--n", "0.6", "--theta", "-1e-3"], 0, ""),
             # So is a spaced -inf: an unphysical moment, as --n=-inf is.
             (["measure", "--v", "0", "--n", "-inf"], 2, ""),
             # theta and phi share one wrap into [0, 2 pi): a tiny negative phi is 0.
-            (["measure", "--v", "0.9", "--n", "0.6", "--mode", "fixed", "--t", "0.3",
-              "--phi", "-1e-300"], 0, '"best_phi": 0.0'),
+            (["measure", "--v", "0.9", "--n", "0.6", "--t", "0.3", "--phi", "-1e-300"],
+             0, '"best_phi": 0.0'),
         ],
         ids=[
             "vacuum", "largest-n-v0", "largest-n-v0-fixed", "largest-n-v-n",
